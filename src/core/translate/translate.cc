@@ -1,5 +1,7 @@
 #include "core/translate/translate.h"
 
+#include <limits>
+
 #include "core/interp/builtins.h"
 #include "support/fault_injector.h"
 #include "support/strutil.h"
@@ -7,57 +9,79 @@
 namespace uchecker::core {
 namespace {
 
+using smt::Op;
+using smt::Sort;
+using smt::Term;
+
 // The sort a value of this PHP type translates into. Floats ride on Int
 // (the upload constraints never need real arithmetic); arrays and nulls
-// have no Z3 carrier and always go through the fallback rule.
-enum class Carrier { kBool, kInt, kString };
-
-Carrier carrier_for(Type type) {
+// have no SMT carrier and always go through the fallback rule.
+Sort sort_for(Type type) {
   switch (type) {
-    case Type::kBool: return Carrier::kBool;
+    case Type::kBool: return Sort::kBool;
     case Type::kInt:
-    case Type::kFloat: return Carrier::kInt;
-    default: return Carrier::kString;
+    case Type::kFloat: return Sort::kInt;
+    default: return Sort::kString;
   }
+}
+
+Type type_of(Sort sort) {
+  switch (sort) {
+    case Sort::kBool: return Type::kBool;
+    case Sort::kInt: return Type::kInt;
+    case Sort::kString: return Type::kString;
+  }
+  return Type::kString;
+}
+
+// double -> int64 truncation, with the x86-64 result (INT64_MIN) for
+// NaN and out-of-range values instead of undefined behaviour.
+std::int64_t truncate_to_int64(double d) {
+  constexpr double kLimit = 9223372036854775808.0;  // 2^63
+  if (!(d >= -kLimit && d < kLimit)) {
+    return std::numeric_limits<std::int64_t>::min();
+  }
+  return static_cast<std::int64_t>(d);
 }
 
 }  // namespace
 
-Translator::Translator(smt::Checker& checker, const HeapGraph& graph)
-    : checker_(checker), graph_(graph) {}
+// Operand order: where a rule translates several operands, the right-
+// most is translated first. Fresh symbols are numbered in translation
+// order and their names reach witnesses, so this order is part of the
+// output that tests/data/corpus_verdicts.golden pins.
 
-z3::context& Translator::ctx() { return checker_.ctx(); }
+Translator::Translator(smt::TermGraph& terms, const HeapGraph& graph)
+    : terms_(terms), graph_(graph) {}
 
-z3::sort Translator::sort_for(Type type) {
-  switch (carrier_for(type)) {
-    case Carrier::kBool: return ctx().bool_sort();
-    case Carrier::kInt: return ctx().int_sort();
-    case Carrier::kString: return ctx().string_sort();
-  }
-  return ctx().string_sort();
-}
-
-z3::expr Translator::fresh(Type type, const std::string& hint) {
+Term Translator::fresh(Type type, const std::string& hint) {
   ++fallback_count_;
   const std::string name =
       "u_" + hint + "_" + std::to_string(++fresh_counter_);
-  return ctx().constant(name.c_str(), sort_for(type));
+  return terms_.constant(name, sort_for(type));
 }
 
-z3::expr Translator::coerce(const z3::expr& e, Type from, Type to) {
-  const Carrier src = carrier_for(from);
-  const Carrier dst = carrier_for(to);
+Term Translator::coerce(Term e, Type from, Type to) {
+  const Sort src = sort_for(from);
+  const Sort dst = sort_for(to);
   if (src == dst) return e;
   switch (dst) {
-    case Carrier::kBool:
-      if (src == Carrier::kInt) return e != 0;
-      return e.length() > 0;  // string truthiness ("" is falsy)
-    case Carrier::kInt:
-      if (src == Carrier::kBool) return z3::ite(e, ctx().int_val(1), ctx().int_val(0));
-      return e.stoi();  // PHP intval() semantics, approximately
-    case Carrier::kString:
-      if (src == Carrier::kInt) return e.itos();
-      return z3::ite(e, ctx().string_val("1"), ctx().string_val(""));
+    case Sort::kBool:
+      if (src == Sort::kInt) {
+        return terms_.app(Op::kDistinct, {e, terms_.int_val(0)});
+      }
+      // String truthiness ("" is falsy).
+      return terms_.app(Op::kGt, {terms_.app(Op::kLength, {e}),
+                                  terms_.int_val(0)});
+    case Sort::kInt:
+      if (src == Sort::kBool) {
+        return terms_.app(Op::kIte, {e, terms_.int_val(1), terms_.int_val(0)});
+      }
+      return terms_.app(Op::kStrToInt, {e});  // PHP intval(), approximately
+    case Sort::kString:
+      if (src == Sort::kInt) return terms_.app(Op::kIntToStr, {e});
+      return terms_.app(Op::kIte,
+                        {e, terms_.string_val("1"), terms_.string_val("")});
   }
   return e;
 }
@@ -71,16 +95,18 @@ Type Translator::resolve_pair(Type mine, Type sibling) {
   return Type::kString;
 }
 
-z3::expr Translator::truthy(Label label) {
+Term Translator::truthy(Label label) {
   const Object* obj = graph_.find(label);
-  if (obj == nullptr) return ctx().bool_val(true);
+  if (obj == nullptr) return terms_.bool_val(true);
   const Type type = obj->type == Type::kUnknown ? Type::kBool : obj->type;
-  switch (carrier_for(type)) {
-    case Carrier::kBool:
+  switch (sort_for(type)) {
+    case Sort::kBool:
       return translate(label, Type::kBool);
-    case Carrier::kInt:
-      return translate(label, Type::kInt) != 0;  // Table II Logical Not, int
-    case Carrier::kString:
+    case Sort::kInt:
+      // Table II Logical Not, int.
+      return terms_.app(Op::kDistinct,
+                        {translate(label, Type::kInt), terms_.int_val(0)});
+    case Sort::kString:
       if (type == Type::kArray || type == Type::kNull) {
         // Arrays/null have no precise carrier; a fresh boolean keeps the
         // constraint satisfiable either way (exception rule).
@@ -88,57 +114,56 @@ z3::expr Translator::truthy(Label label) {
       }
       // Table II Logical Not, string: "" is falsy. (PHP also treats "0"
       // as falsy; that refinement rarely matters for upload logic.)
-      return translate(label, Type::kString).length() > 0;
+      return terms_.app(
+          Op::kGt, {terms_.app(Op::kLength, {translate(label, Type::kString)}),
+                    terms_.int_val(0)});
   }
-  return ctx().bool_val(true);
+  return terms_.bool_val(true);
 }
 
-z3::expr Translator::translate(Label label, Type expected) {
+Term Translator::translate(Label label, Type expected) {
   FaultInjector::checkpoint("translate");
   const Object* obj = graph_.find(label);
   if (obj == nullptr) return fresh(expected, "null");
   const Type resolved = obj->type == Type::kUnknown ? expected : obj->type;
   const std::uint64_t key = (static_cast<std::uint64_t>(label) << 2) |
-                            static_cast<std::uint64_t>(carrier_for(resolved));
-  if (const auto it = cache_.find(key); it != cache_.end()) {
-    // Cached at the object's own carrier; coerce to the caller's.
+                            static_cast<std::uint64_t>(sort_for(resolved));
+  if (const auto it = memo_.find(key); it != memo_.end()) {
+    // Memoized at the object's own sort; coerce to the caller's.
     return coerce(it->second, resolved, expected);
   }
 
-  z3::expr result = ctx().bool_val(false);  // placeholder; overwritten
+  Term result;
   switch (obj->kind) {
     case Object::Kind::kConcrete:
       switch (obj->type) {
         case Type::kBool:
-          result = coerce(ctx().bool_val(std::get<bool>(obj->value)),
+          result = coerce(terms_.bool_val(std::get<bool>(obj->value)),
                           Type::kBool, resolved);
           break;
         case Type::kInt:
-          result = coerce(
-              ctx().int_val(static_cast<std::int64_t>(
-                  std::get<std::int64_t>(obj->value))),
-              Type::kInt, resolved);
-          break;
-        case Type::kFloat:
-          result = coerce(ctx().int_val(static_cast<std::int64_t>(
-                              std::get<double>(obj->value))),
+          result = coerce(terms_.int_val(std::get<std::int64_t>(obj->value)),
                           Type::kInt, resolved);
           break;
+        case Type::kFloat:
+          result = coerce(
+              terms_.int_val(truncate_to_int64(std::get<double>(obj->value))),
+              Type::kInt, resolved);
+          break;
         case Type::kString:
-          result = coerce(ctx().string_val(std::get<std::string>(obj->value)),
+          result = coerce(terms_.string_val(std::get<std::string>(obj->value)),
                           Type::kString, resolved);
           break;
         default:  // null
-          result = coerce(ctx().string_val(""), Type::kString, resolved);
+          result = coerce(terms_.string_val(""), Type::kString, resolved);
           break;
       }
       break;
-    case Object::Kind::kSymbol: {
-      // Table II row 2: a Z3 symbol with the value's type. Unknown-typed
-      // symbols adopt the sort of their first use (cached).
-      result = ctx().constant(obj->name.c_str(), sort_for(resolved));
+    case Object::Kind::kSymbol:
+      // Table II row 2: a symbol with the value's type. Unknown-typed
+      // symbols adopt the sort of their first use (memoized).
+      result = terms_.constant(obj->name, sort_for(resolved));
       break;
-    }
     case Object::Kind::kOp:
       result = translate_op(*obj, resolved);
       break;
@@ -146,120 +171,107 @@ z3::expr Translator::translate(Label label, Type expected) {
       result = translate_func(*obj, resolved);
       break;
     case Object::Kind::kArray:
-      // Arrays have no Z3 carrier; exception rule.
+      // Arrays have no SMT carrier; exception rule.
       result = fresh(resolved, "array");
       break;
   }
-  // Op/func translations may come back at a different carrier than the
+  // Op/func translations may come back at a different sort than the
   // object's nominal type (e.g. an unknown func translated at the
-  // caller's expectation); normalize to `resolved` before caching.
-  const z3::sort want = sort_for(resolved);
-  if (!z3::eq(result.get_sort(), want)) {
-    const Type actual = result.is_bool()  ? Type::kBool
-                        : result.is_int() ? Type::kInt
-                                          : Type::kString;
-    result = coerce(result, actual, resolved);
-  }
-  cache_.emplace(key, result);
+  // caller's expectation); normalize to `resolved` before memoizing.
+  result = coerce(result, type_of(terms_.sort(result)), resolved);
+  memo_.emplace(key, result);
   return coerce(result, resolved, expected);
 }
 
-z3::expr Translator::translate_equal(const Object& obj, bool negate) {
+Term Translator::translate_equal(const Object& obj, bool negate) {
   // Table II "Logical Equal": dispatch on operand types, coercing the
   // unknown side into the known side's domain.
   const Object& lhs = graph_.at(obj.children[0]);
   const Object& rhs = graph_.at(obj.children[1]);
   const Type lt = resolve_pair(lhs.type, rhs.type);
   const Type rt = resolve_pair(rhs.type, lt);
-  z3::expr l = translate(obj.children[0], lt);
-  z3::expr r = translate(obj.children[1], rt);
-  if (carrier_for(lt) != carrier_for(rt)) {
+  Term l = translate(obj.children[0], lt);
+  Term r = translate(obj.children[1], rt);
+  if (sort_for(lt) != sort_for(rt)) {
     // Coerce toward the "wider" domain: string > int > bool.
-    const Type target =
-        (carrier_for(lt) == Carrier::kString || carrier_for(rt) == Carrier::kString)
-            ? Type::kString
-            : Type::kInt;
+    const Type target = (sort_for(lt) == Sort::kString ||
+                         sort_for(rt) == Sort::kString)
+                            ? Type::kString
+                            : Type::kInt;
     l = coerce(l, lt, target);
     r = coerce(r, rt, target);
   }
-  const z3::expr eq = l == r;
-  return negate ? !eq : eq;
+  const Term eq = terms_.app(Op::kEq, {l, r});
+  return negate ? terms_.app(Op::kNot, {eq}) : eq;
 }
 
-z3::expr Translator::translate_op(const Object& obj, Type expected) {
+Term Translator::translate_op(const Object& obj, Type expected) {
   const auto child = [&](std::size_t i, Type t) {
     return translate(obj.children[i], t);
   };
-  const auto int_pair_type = [&]() {
-    // Comparisons between strings compare as strings in PHP when both
-    // sides are strings; otherwise integer comparison.
-    const Type lt = graph_.at(obj.children[0]).type;
-    const Type rt = graph_.at(obj.children[1]).type;
-    return (lt == Type::kString && rt == Type::kString) ? Type::kString
-                                                        : Type::kInt;
+  // A binary op over two operands of one type, right operand first.
+  const auto binary = [&](Op op, Type t) {
+    const Term rhs = child(1, t);
+    return terms_.app(op, {child(0, t), rhs});
+  };
+  // Integer division and modulo with the denominator guarded against 0.
+  const auto guarded = [&](Op op) {
+    const Term denom = child(1, Type::kInt);
+    const Term safe = terms_.app(
+        Op::kIte, {terms_.app(Op::kEq, {denom, terms_.int_val(0)}),
+                   terms_.int_val(1), denom});
+    return terms_.app(op, {child(0, Type::kInt), safe});
+  };
+  // Comparisons between strings compare as strings in PHP when both
+  // sides are strings (no SMT model: exception rule); otherwise integer
+  // comparison.
+  const auto compare = [&](Op op) {
+    const bool strings = graph_.at(obj.children[0]).type == Type::kString &&
+                         graph_.at(obj.children[1]).type == Type::kString;
+    if (strings) return fresh(Type::kBool, "strcmp");
+    return binary(op, Type::kInt);
   };
 
   switch (obj.op) {
-    case OpKind::kConcat: {
+    case OpKind::kConcat:
       // Table II "String concat": (str.++ a b); non-string operands are
       // coerced (PHP juggles ints into strings when concatenating).
-      return z3::concat(child(0, Type::kString), child(1, Type::kString));
-    }
-    case OpKind::kAdd:
-      return child(0, Type::kInt) + child(1, Type::kInt);
-    case OpKind::kSub:
-      return child(0, Type::kInt) - child(1, Type::kInt);
-    case OpKind::kMul:
-      return child(0, Type::kInt) * child(1, Type::kInt);
-    case OpKind::kDiv: {
-      const z3::expr denom = child(1, Type::kInt);
-      return child(0, Type::kInt) / z3::ite(denom == 0, ctx().int_val(1), denom);
-    }
-    case OpKind::kMod: {
-      const z3::expr denom = child(1, Type::kInt);
-      return z3::mod(child(0, Type::kInt),
-                     z3::ite(denom == 0, ctx().int_val(1), denom));
-    }
+      return binary(Op::kConcat, Type::kString);
+    case OpKind::kAdd: return binary(Op::kAdd, Type::kInt);
+    case OpKind::kSub: return binary(Op::kSub, Type::kInt);
+    case OpKind::kMul: return binary(Op::kMul, Type::kInt);
+    case OpKind::kDiv: return guarded(Op::kDiv);
+    case OpKind::kMod: return guarded(Op::kMod);
     case OpKind::kPow:
       return fresh(Type::kInt, "pow");  // nonlinear; exception rule
     case OpKind::kNegate:
-      return -child(0, Type::kInt);
+      return terms_.app(Op::kNeg, {child(0, Type::kInt)});
     case OpKind::kEqual:
     case OpKind::kIdentical:
       return translate_equal(obj, /*negate=*/false);
     case OpKind::kNotEqual:
     case OpKind::kNotIdentical:
       return translate_equal(obj, /*negate=*/true);
-    case OpKind::kLess: {
-      const Type t = int_pair_type();
-      if (t == Type::kString) return fresh(Type::kBool, "strcmp");
-      return child(0, t) < child(1, t);
-    }
-    case OpKind::kGreater: {
-      const Type t = int_pair_type();
-      if (t == Type::kString) return fresh(Type::kBool, "strcmp");
-      return child(0, t) > child(1, t);
-    }
-    case OpKind::kLessEqual: {
-      const Type t = int_pair_type();
-      if (t == Type::kString) return fresh(Type::kBool, "strcmp");
-      return child(0, t) <= child(1, t);
-    }
-    case OpKind::kGreaterEqual: {
-      const Type t = int_pair_type();
-      if (t == Type::kString) return fresh(Type::kBool, "strcmp");
-      return child(0, t) >= child(1, t);
-    }
-    case OpKind::kAnd:
+    case OpKind::kLess: return compare(Op::kLt);
+    case OpKind::kGreater: return compare(Op::kGt);
+    case OpKind::kLessEqual: return compare(Op::kLe);
+    case OpKind::kGreaterEqual: return compare(Op::kGe);
+    case OpKind::kAnd: {
       // Table II "Logical AND": operand truthiness per type.
-      return truthy(obj.children[0]) && truthy(obj.children[1]);
-    case OpKind::kOr:
-      return truthy(obj.children[0]) || truthy(obj.children[1]);
-    case OpKind::kXor:
-      return truthy(obj.children[0]) != truthy(obj.children[1]);
+      const Term lhs = truthy(obj.children[0]);
+      return terms_.app(Op::kAnd, {lhs, truthy(obj.children[1])});
+    }
+    case OpKind::kOr: {
+      const Term lhs = truthy(obj.children[0]);
+      return terms_.app(Op::kOr, {lhs, truthy(obj.children[1])});
+    }
+    case OpKind::kXor: {
+      const Term rhs = truthy(obj.children[1]);
+      return terms_.app(Op::kDistinct, {truthy(obj.children[0]), rhs});
+    }
     case OpKind::kNot:
       // Table II "Logical Not".
-      return !truthy(obj.children[0]);
+      return terms_.app(Op::kNot, {truthy(obj.children[0])});
     case OpKind::kBitAnd:
     case OpKind::kBitOr:
     case OpKind::kBitXor:
@@ -267,26 +279,28 @@ z3::expr Translator::translate_op(const Object& obj, Type expected) {
     case OpKind::kShiftRight:
       return fresh(Type::kInt, "bitop");  // exception rule
     case OpKind::kArrayAccess:
-      // Element of an unknown array: exception rule, but cached per
+      // Element of an unknown array: exception rule, but memoized per
       // node so the same access denotes one value everywhere.
       return fresh(expected, "array_access");
     case OpKind::kTernary: {
       const Type branch_type =
           expected == Type::kUnknown ? Type::kString : expected;
-      return z3::ite(truthy(obj.children[0]), child(1, branch_type),
-                     child(2, branch_type));
+      const Term otherwise = child(2, branch_type);
+      const Term then = child(1, branch_type);
+      return terms_.app(Op::kIte, {truthy(obj.children[0]), then, otherwise});
     }
     case OpKind::kCoalesce: {
       const Type branch_type =
           expected == Type::kUnknown ? Type::kString : expected;
-      return z3::ite(fresh(Type::kBool, "isnull"), child(0, branch_type),
-                     child(1, branch_type));
+      const Term rhs = child(1, branch_type);
+      const Term lhs = child(0, branch_type);
+      return terms_.app(Op::kIte, {fresh(Type::kBool, "isnull"), lhs, rhs});
     }
   }
   return fresh(expected, "op");
 }
 
-z3::expr Translator::translate_func(const Object& obj, Type expected) {
+Term Translator::translate_func(const Object& obj, Type expected) {
   const std::string& name = obj.name;
   const auto child = [&](std::size_t i, Type t) {
     return translate(obj.children[i], t);
@@ -296,20 +310,24 @@ z3::expr Translator::translate_func(const Object& obj, Type expected) {
   // Identity-translated string functions (strtolower, trim, basename on
   // attacker-controlled names, ...): trl(f(e)) = trl(e).
   if ((is_identity_builtin(name) || name == "basename") && n >= 1) {
-    return coerce(child(n - 1 == 0 ? 0 : 0, Type::kString), Type::kString,
-                  expected);
+    return coerce(child(0, Type::kString), Type::kString, expected);
   }
   if (name == "strlen" && n == 1) {  // Table II "String length"
-    return child(0, Type::kString).length();
+    return terms_.app(Op::kLength, {child(0, Type::kString)});
   }
   if (name == "strpos" && n >= 2) {  // Table II "Index of string"
-    return z3::indexof(child(0, Type::kString), child(1, Type::kString),
-                       n >= 3 ? child(2, Type::kInt) : ctx().int_val(0));
+    const Term offset = n >= 3 ? child(2, Type::kInt) : terms_.int_val(0);
+    const Term needle = child(1, Type::kString);
+    return terms_.app(Op::kIndexOf,
+                      {child(0, Type::kString), needle, offset});
   }
   if (name == "str_replace" && n >= 3) {  // Table II "String replace"
-    // PHP order: (search, replace, subject); Z3: subject.replace(src, dst).
-    return child(2, Type::kString)
-        .replace(child(0, Type::kString), child(1, Type::kString));
+    // PHP order: (search, replace, subject); SMT: (str.replace subject
+    // search replace).
+    const Term subject = child(2, Type::kString);
+    const Term repl = child(1, Type::kString);
+    return terms_.app(Op::kReplace,
+                      {subject, child(0, Type::kString), repl});
   }
   if (name == "intval" && n >= 1) {  // Table II "String to int"
     const Object& a = graph_.at(obj.children[0]);
@@ -317,7 +335,8 @@ z3::expr Translator::translate_func(const Object& obj, Type expected) {
         a.type == Type::kBool) {
       return coerce(child(0, Type::kInt), Type::kInt, expected);
     }
-    return coerce(child(0, Type::kString).stoi(), Type::kInt, expected);
+    return coerce(terms_.app(Op::kStrToInt, {child(0, Type::kString)}),
+                  Type::kInt, expected);
   }
   if (name == "strval" && n >= 1) {
     return coerce(child(0, Type::kString), Type::kString, expected);
@@ -325,24 +344,26 @@ z3::expr Translator::translate_func(const Object& obj, Type expected) {
   if (name == "boolval" && n >= 1) {
     return coerce(truthy(obj.children[0]), Type::kBool, expected);
   }
-  if (name == "substr") {  // Table II "Substring", both arities
+  if (name == "substr" && n >= 2) {  // Table II "Substring", both arities
     // PHP's negative start/length count from the end of the string;
-    // normalize before Z3's extract, which expects non-negative offsets.
-    const auto normalize = [&](const z3::expr& s, const z3::expr& v) {
-      return z3::ite(v < 0, s.length() + v, v);
+    // normalize before str.substr, which expects non-negative offsets.
+    const Term s = child(0, Type::kString);
+    const auto normalize = [&](Term v) {
+      const Term negative = terms_.app(Op::kLt, {v, terms_.int_val(0)});
+      const Term from_end =
+          terms_.app(Op::kAdd, {terms_.app(Op::kLength, {s}), v});
+      return terms_.app(Op::kIte, {negative, from_end, v});
     };
     if (n == 2) {
-      const z3::expr s = child(0, Type::kString);
-      return s.extract(normalize(s, child(1, Type::kInt)), s.length());
+      const Term start = normalize(child(1, Type::kInt));
+      return terms_.app(Op::kSubstr, {s, start, terms_.app(Op::kLength, {s})});
     }
-    if (n >= 3) {
-      const z3::expr s = child(0, Type::kString);
-      return s.extract(normalize(s, child(1, Type::kInt)),
-                       normalize(s, child(2, Type::kInt)));
-    }
+    const Term len = normalize(child(2, Type::kInt));
+    return terms_.app(Op::kSubstr, {s, normalize(child(1, Type::kInt)), len});
   }
   if (name == "empty" && n == 1) {
-    return coerce(!truthy(obj.children[0]), Type::kBool, expected);
+    return coerce(terms_.app(Op::kNot, {truthy(obj.children[0])}),
+                  Type::kBool, expected);
   }
   if (name == "sprintf" || name == "implode" || name == "join") {
     // Reaches here only when the semantic model could not decompose it.

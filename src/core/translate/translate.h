@@ -1,67 +1,66 @@
-// Z3-oriented constraint translation (paper §III-D, Table II).
+// Constraint translation to SMT-LIB (paper §III-D, Table II).
 //
-// trl() recursively translates PHP-semantics heap-graph values into Z3
-// terms, mitigating four semantic gaps the paper identifies:
-//   i.   different operation names     (PHP "." -> Z3 str.++, ...)
+// trl() recursively translates PHP-semantics heap-graph values into
+// sorted SMT-LIB terms (smt/smtlib.h), mitigating four semantic gaps the
+// paper identifies:
+//   i.   different operation names     (PHP "." -> str.++, ...)
 //   ii.  parameter order / arity       (str_replace, substr, ...)
 //   iii. PHP's dynamic typing          (the coercion rules of Table II's
 //                                       Logical Not / And / Equal rows)
 //   iv.  operations missing in Z3      (fresh symbols of the expected
 //                                       sort — the paper's exception rule)
 //
-// Every heap-graph object translates to at most one Z3 term per expected
-// sort; the per-label cache guarantees that a shared object (e.g. one
-// array_access node reused by several constraints) denotes one value.
+// Every heap-graph object translates to at most one term per sort; the
+// per-(label, sort) memo guarantees that a shared object (e.g. one
+// array_access node reused by several constraints) denotes one value,
+// and the TermGraph prints that shared term once. No Z3 object is built:
+// the terms become text that smt::Checker hands to Z3 on a cache miss.
 #pragma once
-
-#include <z3++.h>
 
 #include <cstdint>
 #include <string>
 #include <unordered_map>
 
 #include "core/heapgraph/heapgraph.h"
-#include "smt/solver.h"
+#include "smt/smtlib.h"
 
 namespace uchecker::core {
 
 class Translator {
  public:
-  Translator(smt::Checker& checker, const HeapGraph& graph);
+  Translator(smt::TermGraph& terms, const HeapGraph& graph);
 
   // trl(label : expected). `expected` guides sort selection for unknown-
   // typed values; a typed object is translated at its own type and then
   // coerced (PHP-style) to `expected`.
-  [[nodiscard]] z3::expr translate(Label label, Type expected);
+  [[nodiscard]] smt::Term translate(Label label, Type expected);
 
-  // The PHP truthiness of a value, as a Z3 boolean — used for the
+  // The PHP truthiness of a value, as a Bool term — used for the
   // reachability constraint (Constraint-3) and for Logical Not/And.
-  [[nodiscard]] z3::expr truthy(Label label);
+  [[nodiscard]] smt::Term truthy(Label label);
 
   // Number of fresh symbols introduced by the exception rule; a measure
   // of how much of the program escaped precise modeling.
   [[nodiscard]] std::size_t fallback_count() const { return fallback_count_; }
 
  private:
-  [[nodiscard]] z3::context& ctx();
-  [[nodiscard]] z3::sort sort_for(Type type);
-  [[nodiscard]] z3::expr fresh(Type type, const std::string& hint);
+  [[nodiscard]] smt::Term fresh(Type type, const std::string& hint);
   // PHP-style cross-type coercion of a translated term.
-  [[nodiscard]] z3::expr coerce(const z3::expr& e, Type from, Type to);
+  [[nodiscard]] smt::Term coerce(smt::Term e, Type from, Type to);
   // Resolves kUnknown operand types against a sibling (PHP comparison
   // semantics: compare in the known operand's domain, default string).
   [[nodiscard]] static Type resolve_pair(Type mine, Type sibling);
 
-  [[nodiscard]] z3::expr translate_op(const Object& obj, Type expected);
-  [[nodiscard]] z3::expr translate_func(const Object& obj, Type expected);
-  [[nodiscard]] z3::expr translate_equal(const Object& obj, bool negate);
+  [[nodiscard]] smt::Term translate_op(const Object& obj, Type expected);
+  [[nodiscard]] smt::Term translate_func(const Object& obj, Type expected);
+  [[nodiscard]] smt::Term translate_equal(const Object& obj, bool negate);
 
-  smt::Checker& checker_;
+  smt::TermGraph& terms_;
   const HeapGraph& graph_;
-  // Cache keyed by (label << 2) | carrier — one term per (object, sort).
+  // Memo keyed by (label << 2) | sort — one term per (object, sort).
   // With the hash-consed heap graph, shared subterms across the sink's
   // dst/src/reachability constraints translate exactly once.
-  std::unordered_map<std::uint64_t, z3::expr> cache_;
+  std::unordered_map<std::uint64_t, smt::Term> memo_;
   std::size_t fallback_count_ = 0;
   std::size_t fresh_counter_ = 0;
 };

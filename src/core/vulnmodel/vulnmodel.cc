@@ -387,24 +387,19 @@ VulnModelResult check_sinks(const InterpResult& interp, smt::Checker& checker,
   // nor a path separator. Without these, blacklist-style validation
   // ("$ext !== 'php'") would be bypassable with s_ext = "x.php", which
   // no real pathinfo() result can produce. The `_ext` symbols are fixed
-  // for the whole InterpResult, so collect them (and build their axiom
-  // terms) once instead of rescanning every graph object per sink.
-  std::vector<z3::expr> domain_axioms;
+  // for the whole InterpResult, so collect them once; their axiom terms
+  // are built when a sink first misses both caches, and most scans never
+  // get that far.
+  std::vector<Label> ext_symbols;
   std::string axiom_fingerprint;
-  std::string axiom_error;  // hoisted translation failure, reported per sink
-  try {
-    Translator axiom_trl(checker, interp.graph);
-    for (const Object& obj : interp.graph.objects()) {
-      if (!is_ext_symbol(obj)) continue;
-      const z3::expr ext = axiom_trl.translate(obj.label, Type::kString);
-      domain_axioms.push_back(!ext.contains(checker.ctx().string_val(".")));
-      domain_axioms.push_back(!ext.contains(checker.ctx().string_val("/")));
-      axiom_fingerprint += obj.name;
-      axiom_fingerprint += ';';
-    }
-  } catch (const z3::exception& e) {
-    axiom_error = e.msg();
+  for (const Object& obj : interp.graph.objects()) {
+    if (!is_ext_symbol(obj)) continue;
+    ext_symbols.push_back(obj.label);
+    axiom_fingerprint += obj.name;
+    axiom_fingerprint += ';';
   }
+  smt::TermGraph terms;
+  std::optional<std::vector<smt::Term>> domain_axioms;
 
   // Paths that share the same (dst, reachability) objects would repeat
   // the identical solver query; memoize outcomes. The witness and model
@@ -478,15 +473,6 @@ VulnModelResult check_sinks(const InterpResult& interp, smt::Checker& checker,
       continue;
     }
 
-    if (!axiom_error.empty()) {
-      // Same degradation the per-sink exception rule applies: the sink
-      // stays unknown, with the failure recorded in place of a witness.
-      verdict.constraints = smt::SatResult::kUnknown;
-      verdict.witness = "translation error: " + axiom_error;
-      result.verdicts.push_back(std::move(verdict));
-      continue;
-    }
-
     // Cross-root cache: the axiom fingerprint plus both s-expressions
     // pin down the full constraint set, so a hit replays the earlier
     // root's outcome — including the witness a fresh solve would yield.
@@ -522,56 +508,75 @@ VulnModelResult check_sinks(const InterpResult& interp, smt::Checker& checker,
     }
 
     // Translation gets its own phase span (per sink) so the fleet's
-    // per-phase breakdown separates term construction from Z3 search.
-    std::vector<z3::expr> constraints = domain_axioms;
-    {
-    const telemetry::SpanScope translate_span(checker.trace(), "translate",
-                                              sink.sink_name);
-    Translator trl(checker, interp.graph);
+    // per-phase breakdown separates query printing from Z3 search.
+    std::string query;
     try {
-    // Constraint-2: (or (str.suffixof ".php" dst) (str.suffixof ".php5" dst)).
-    // When dst structurally ends in the pre-structured "." . s_ext, use
-    // the equivalent (and far cheaper) equality form over s_ext.
-    z3::expr ext_constraint = checker.ctx().bool_val(false);
-    std::vector<std::string> excluded_searches;
-    if (const Label trailing = trailing_extension_symbol(interp.graph, sink.dst,
-                                                         &excluded_searches);
-        trailing != kNoLabel) {
-      const z3::expr ext_sym = trl.translate(trailing, Type::kString);
-      for (const std::string& ext : options.executable_extensions) {
-        const std::string tail = "." + ext;
-        const bool clobbered = std::any_of(
-            excluded_searches.begin(), excluded_searches.end(),
-            [&tail](const std::string& s) {
-              return tail.find(s) != std::string::npos;
-            });
-        if (clobbered) continue;  // ".X" cannot survive the str_replace
-        ext_constraint =
-            ext_constraint || (ext_sym == checker.ctx().string_val(ext));
+      const telemetry::SpanScope translate_span(checker.trace(), "translate",
+                                                sink.sink_name);
+      if (!domain_axioms.has_value()) {
+        Translator axiom_trl(terms, interp.graph);
+        std::vector<smt::Term> axioms;
+        for (const Label label : ext_symbols) {
+          const smt::Term ext = axiom_trl.translate(label, Type::kString);
+          for (const char* forbidden : {".", "/"}) {
+            axioms.push_back(terms.app(
+                smt::Op::kNot,
+                {terms.app(smt::Op::kContains,
+                           {ext, terms.string_val(forbidden)})}));
+          }
+        }
+        domain_axioms = std::move(axioms);
       }
-    } else {
-      const z3::expr dst = trl.translate(sink.dst, Type::kString);
-      for (const std::string& ext : options.executable_extensions) {
-        ext_constraint = ext_constraint ||
-                         z3::suffixof(checker.ctx().string_val("." + ext), dst);
+      std::vector<smt::Term> constraints = *domain_axioms;
+      Translator trl(terms, interp.graph);
+      // Constraint-2: (or (str.suffixof ".php" dst) (str.suffixof ".php5" dst)).
+      // When dst structurally ends in the pre-structured "." . s_ext, use
+      // the equivalent (and far cheaper) equality form over s_ext.
+      smt::Term ext_constraint = terms.bool_val(false);
+      std::vector<std::string> excluded_searches;
+      if (const Label trailing = trailing_extension_symbol(
+              interp.graph, sink.dst, &excluded_searches);
+          trailing != kNoLabel) {
+        const smt::Term ext_sym = trl.translate(trailing, Type::kString);
+        for (const std::string& ext : options.executable_extensions) {
+          const std::string tail = "." + ext;
+          const bool clobbered = std::any_of(
+              excluded_searches.begin(), excluded_searches.end(),
+              [&tail](const std::string& s) {
+                return tail.find(s) != std::string::npos;
+              });
+          if (clobbered) continue;  // ".X" cannot survive the str_replace
+          ext_constraint = terms.app(
+              smt::Op::kOr,
+              {ext_constraint,
+               terms.app(smt::Op::kEq, {ext_sym, terms.string_val(ext)})});
+        }
+      } else {
+        const smt::Term dst = trl.translate(sink.dst, Type::kString);
+        for (const std::string& ext : options.executable_extensions) {
+          ext_constraint = terms.app(
+              smt::Op::kOr,
+              {ext_constraint,
+               terms.app(smt::Op::kSuffixOf,
+                         {terms.string_val("." + ext), dst})});
+        }
       }
-    }
-    constraints.push_back(ext_constraint);
-    // Constraint-3: the path condition.
-    if (sink.reachability != kNoLabel) {
-      constraints.push_back(trl.truthy(sink.reachability));
-    }
-    } catch (const z3::exception& e) {
-      // A translation gap severe enough to break term construction is
-      // treated like the paper's exception rule at whole-sink scope.
+      constraints.push_back(ext_constraint);
+      // Constraint-3: the path condition.
+      if (sink.reachability != kNoLabel) {
+        constraints.push_back(trl.truthy(sink.reachability));
+      }
+      query = terms.query(constraints);
+    } catch (const smt::TermError& e) {
+      // A literal Z3 cannot represent is treated like the paper's
+      // exception rule at whole-sink scope.
       verdict.constraints = smt::SatResult::kUnknown;
-      verdict.witness = std::string("translation error: ") + e.msg();
+      verdict.witness = std::string("translation error: ") + e.what();
       result.verdicts.push_back(std::move(verdict));
       continue;
     }
-    }
 
-    const smt::SolverOutcome outcome = checker.check(constraints);
+    const smt::SolverOutcome outcome = checker.check(query);
     ++result.solver_calls;
     verdict.constraints = outcome.result;
     result.deadline_exceeded |= outcome.deadline_exceeded;

@@ -161,10 +161,12 @@ struct VulnModelResult {
   bool deadline_exceeded = false;
 };
 
-// Checks every sink hit recorded by the interpreter. `checker` supplies
-// the Z3 context; a fresh Translator is built per sink so per-path
-// symbol caches do not leak across unrelated checks (objects shared
-// across paths still translate identically within one sink's check).
+// Checks every sink hit recorded by the interpreter. A sink that misses
+// both the per-call memo and `query_cache` is translated to an SMT-LIB
+// query and solved by `checker`; a fresh Translator is built per sink so
+// per-path symbol memos do not leak across unrelated checks (objects
+// shared across paths still translate identically within one sink's
+// check).
 // `query_cache`, when non-null, memoizes definitive solver outcomes
 // across check_sinks calls (the detector owns one cache for all of its
 // scans; see SolverQueryCache).

@@ -30,8 +30,8 @@ std::size_t resolve_parse_threads(std::size_t requested,
     const unsigned hw = std::thread::hardware_concurrency();
     n = std::min<std::size_t>(hw == 0 ? 1 : hw, 8);
   }
-  if (file_count > 0) n = std::min(n, file_count);
-  return std::max<std::size_t>(n, 1);
+  // No files still resolves to one (idle) thread, not to the auto width.
+  return std::max<std::size_t>(std::min(n, file_count), 1);
 }
 
 std::vector<ParsedUnit> parse_files(

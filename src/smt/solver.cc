@@ -1,5 +1,7 @@
 #include "smt/solver.h"
 
+#include <z3++.h>
+
 #include <algorithm>
 #include <chrono>
 
@@ -44,7 +46,7 @@ std::string Model::to_string() const {
 Checker::Checker(unsigned timeout_ms, unsigned max_retries)
     : timeout_ms_(timeout_ms), max_retries_(max_retries) {}
 
-SolverOutcome Checker::check(const std::vector<z3::expr>& constraints) {
+SolverOutcome Checker::check(const std::string& query) {
   ++check_count_;
   // Pipeline-level fault point: deliberately *outside* the containment
   // below, so tests can prove the detector's own per-root recovery path.
@@ -79,23 +81,15 @@ SolverOutcome Checker::check(const std::vector<z3::expr>& constraints) {
       // here degrades to an unknown outcome (transient ones retry).
       FaultInjector::checkpoint("solve-attempt");
 
-      // Re-serialize the query and solve it in a scratch context. Z3
-      // 4.8.x's sequence solver is sensitive to AST creation order: the
-      // same formula that solves in milliseconds in a freshly-numbered
-      // context can hit a multi-second search when its terms were built
-      // incrementally by the translator. Round-tripping through SMT-LIB
-      // renumbers the ASTs and makes solve times reproducible. Symbol
-      // names are preserved, so model extraction is unaffected.
-      z3::solver builder(ctx_);
-      for (const z3::expr& c : constraints) builder.add(c);
-      const std::string smt2 = builder.to_smt2();
-
-      z3::context scratch;
-      z3::solver solver(scratch);
-      z3::params params(scratch);
+      // A fresh context per attempt: Z3 4.8.x's sequence solver is
+      // sensitive to AST creation order, and parsing the text into an
+      // empty context numbers the ASTs the same way every time.
+      z3::context ctx;
+      z3::solver solver(ctx);
+      z3::params params(ctx);
       params.set("timeout", effective);
       solver.set(params);
-      solver.from_string(smt2.c_str());
+      solver.from_string(query.c_str());
       switch (solver.check()) {
         case z3::sat: {
           outcome.result = SatResult::kSat;
@@ -167,10 +161,6 @@ SolverOutcome Checker::check(const std::vector<z3::expr>& constraints) {
     }
   }
   return outcome;
-}
-
-SolverOutcome Checker::check(const z3::expr& constraint) {
-  return check(std::vector<z3::expr>{constraint});
 }
 
 }  // namespace uchecker::smt

@@ -1,20 +1,20 @@
-// Thin RAII layer over the Z3 C++ API.
+// The solver boundary: the only code that touches Z3.
 //
-// Keeps Z3 usage in one place: context ownership, solver configuration
-// (timeouts), satisfiability checking with exception containment, and
-// model extraction. The translation module builds z3::expr terms through
-// the context exposed here; everything downstream of the detector sees
-// only SatResult / SolverOutcome values.
+// check() takes a query as SMT-LIB text (see smtlib.h) and solves it in
+// a fresh z3::context per attempt: create the context, parse the text,
+// solve, read the model. A Checker owns no Z3 state between checks, so
+// a scan that never misses the solver caches never builds a context.
+// Everything downstream of the detector sees only SatResult /
+// SolverOutcome values.
 //
-// Robustness: check() never lets a z3::exception escape, clamps its
-// timeout to any attached scan Deadline, and retries *retryable*
-// unknowns (Z3 timeouts/cancellations and TransientError fault
-// injections) with escalating timeouts — 1x, 2x, 4x the configured base,
-// capped at kTimeoutEscalationCap — recording every attempt in the
-// returned SolverOutcome.
+// Robustness: check() never lets a z3::exception escape (a query Z3
+// cannot parse comes back kUnknown with Z3's message and is not
+// retried), clamps its timeout to any attached scan Deadline, and
+// retries *retryable* unknowns (Z3 timeouts/cancellations and
+// TransientError fault injections) with escalating timeouts — 1x, 2x,
+// 4x the configured base, capped at kTimeoutEscalationCap — recording
+// every attempt in the returned SolverOutcome.
 #pragma once
-
-#include <z3++.h>
 
 #include <cstdint>
 #include <map>
@@ -62,8 +62,9 @@ struct SolverOutcome {
   bool deadline_exceeded = false;
 };
 
-// Wraps one z3::context + z3::solver pair. Not thread-safe (Z3 contexts
-// are not); create one Checker per scan thread.
+// Solves SMT-LIB queries with retry, deadline and telemetry handling.
+// Not thread-safe (it keeps counters and the query origin); create one
+// Checker per scan thread.
 class Checker {
  public:
   // Escalated per-attempt timeouts never exceed this.
@@ -73,8 +74,6 @@ class Checker {
 
   Checker(const Checker&) = delete;
   Checker& operator=(const Checker&) = delete;
-
-  [[nodiscard]] z3::context& ctx() { return ctx_; }
 
   // Bounds all subsequent check() calls: per-attempt timeouts are
   // clamped to the remaining wall-clock time, and an already-expired
@@ -112,12 +111,11 @@ class Checker {
     origin_line_ = line;
   }
 
-  // Checks the conjunction of `constraints`. Any z3::exception is caught
-  // and converted into an outcome with result == kUnknown.
-  [[nodiscard]] SolverOutcome check(const std::vector<z3::expr>& constraints);
-
-  // Convenience for a single constraint.
-  [[nodiscard]] SolverOutcome check(const z3::expr& constraint);
+  // Checks the conjunction of the assertions in `query`, an SMT-LIB
+  // script of declarations and asserts. Any z3::exception (including a
+  // parse error) is caught and converted into an outcome with result ==
+  // kUnknown.
+  [[nodiscard]] SolverOutcome check(const std::string& query);
 
   // Total number of check() calls, for benchmark accounting.
   [[nodiscard]] std::uint64_t check_count() const { return check_count_; }
@@ -126,7 +124,6 @@ class Checker {
   [[nodiscard]] std::uint64_t retry_count() const { return retry_count_; }
 
  private:
-  z3::context ctx_;
   unsigned timeout_ms_;
   unsigned max_retries_;
   Deadline deadline_;

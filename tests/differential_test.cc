@@ -238,24 +238,29 @@ void expect_translation_matches(const std::string& php,
   ASSERT_TRUE(folded.has_value())
       << "not concretely foldable: " << to_sexpr(result.graph, label);
 
-  smt::Checker checker;
-  Translator trl(checker, result.graph);
-  z3::context& ctx = checker.ctx();
-  z3::expr disagreement = ctx.bool_val(false);
+  smt::TermGraph terms;
+  Translator trl(terms, result.graph);
+  smt::Term translated;
+  smt::Term concrete;
   switch (folded->kind) {
     case Folded::Kind::kBool:
-      disagreement = trl.translate(label, Type::kBool) != ctx.bool_val(folded->b);
+      translated = trl.translate(label, Type::kBool);
+      concrete = terms.bool_val(folded->b);
       break;
     case Folded::Kind::kInt:
-      disagreement = trl.translate(label, Type::kInt) !=
-                     ctx.int_val(static_cast<std::int64_t>(folded->i));
+      translated = trl.translate(label, Type::kInt);
+      concrete = terms.int_val(static_cast<std::int64_t>(folded->i));
       break;
     case Folded::Kind::kString:
-      disagreement =
-          trl.translate(label, Type::kString) != ctx.string_val(folded->s);
+      translated = trl.translate(label, Type::kString);
+      concrete = terms.string_val(folded->s);
       break;
   }
-  EXPECT_EQ(checker.check(disagreement).result, smt::SatResult::kUnsat)
+  const smt::Term disagreement =
+      terms.app(smt::Op::kDistinct, {translated, concrete});
+  smt::Checker checker;
+  EXPECT_EQ(checker.check(terms.query({disagreement})).result,
+            smt::SatResult::kUnsat)
       << php << "\n  object: " << to_sexpr(result.graph, label)
       << "\n  folded: " << folded->as_string();
 }

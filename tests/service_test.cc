@@ -318,8 +318,9 @@ TEST_F(ServiceTest, BackpressureRejectsWhenQueueFull) {
   ScanService service(options);
   ASSERT_TRUE(service.start());
 
-  // Make each scan slow enough to hold the single worker.
-  FaultInjector::instance().arm("interp", FaultInjector::Action::kStall,
+  // Make each scan slow enough to hold the single worker. Every scan
+  // parses; the benign app's roots can be pruned before interpretation.
+  FaultInjector::instance().arm("parse", FaultInjector::Action::kStall,
                                 300ms, /*max_hits=*/-1);
   auto first = service.submit(synth("bp-0", false));
   ASSERT_TRUE(first.valid());

@@ -1,10 +1,12 @@
-// Tests for the Z3 wrapper layer.
+// Tests for the solver boundary and the SMT-LIB query text.
 #include "smt/solver.h"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <limits>
 
+#include "smt/smtlib.h"
 #include "support/deadline.h"
 #include "support/fault_injector.h"
 
@@ -13,10 +15,8 @@ namespace {
 
 TEST(Checker, SatWithModel) {
   Checker checker;
-  z3::context& ctx = checker.ctx();
-  const z3::expr x = ctx.string_const("x");
-  const SolverOutcome outcome =
-      checker.check(z3::suffixof(ctx.string_val(".php"), x));
+  const SolverOutcome outcome = checker.check(
+      "(declare-fun x () String)\n(assert (str.suffixof \".php\" x))\n");
   EXPECT_EQ(outcome.result, SatResult::kSat);
   ASSERT_TRUE(outcome.model.has_value());
   EXPECT_TRUE(outcome.model->assignments.contains("x"));
@@ -24,49 +24,61 @@ TEST(Checker, SatWithModel) {
 
 TEST(Checker, Unsat) {
   Checker checker;
-  z3::context& ctx = checker.ctx();
-  const z3::expr x = ctx.int_const("x");
-  const SolverOutcome outcome = checker.check({x > 5, x < 3});
+  const SolverOutcome outcome = checker.check(
+      "(declare-fun x () Int)\n(assert (> x 5))\n(assert (< x 3))\n");
   EXPECT_EQ(outcome.result, SatResult::kUnsat);
   EXPECT_FALSE(outcome.model.has_value());
 }
 
 TEST(Checker, ConjunctionOfConstraints) {
   Checker checker;
-  z3::context& ctx = checker.ctx();
-  const z3::expr s = ctx.string_const("s");
   const SolverOutcome outcome = checker.check(
-      {z3::suffixof(ctx.string_val(".php"), s),
-       s.length() == 7});
+      "(declare-fun s () String)\n(assert (str.suffixof \".php\" s))\n"
+      "(assert (= (str.len s) 7))\n");
   EXPECT_EQ(outcome.result, SatResult::kSat);
 }
 
 TEST(Checker, StringTheoryOperations) {
   Checker checker;
-  z3::context& ctx = checker.ctx();
-  const z3::expr a = ctx.string_val("upload");
-  const z3::expr b = ctx.string_val(".php");
   // concat("upload", ".php") has length 10 and ends with ".php".
-  const z3::expr cat = z3::concat(a, b);
-  EXPECT_EQ(checker.check(cat.length() == 10).result, SatResult::kSat);
-  EXPECT_EQ(checker.check(cat.length() != 10).result, SatResult::kUnsat);
-  EXPECT_EQ(checker.check(!z3::suffixof(b, cat)).result, SatResult::kUnsat);
+  const std::string cat = "(str.++ \"upload\" \".php\")";
+  EXPECT_EQ(checker.check("(assert (= (str.len " + cat + ") 10))").result,
+            SatResult::kSat);
+  EXPECT_EQ(checker.check("(assert (distinct (str.len " + cat + ") 10))")
+                .result,
+            SatResult::kUnsat);
+  EXPECT_EQ(
+      checker.check("(assert (not (str.suffixof \".php\" " + cat + ")))")
+          .result,
+      SatResult::kUnsat);
 }
 
 TEST(Checker, CountsChecks) {
   Checker checker;
-  z3::context& ctx = checker.ctx();
   EXPECT_EQ(checker.check_count(), 0u);
-  (void)checker.check(ctx.bool_val(true));
-  (void)checker.check(ctx.bool_val(false));
+  (void)checker.check("(assert true)");
+  (void)checker.check("(assert false)");
   EXPECT_EQ(checker.check_count(), 2u);
 }
 
 TEST(Checker, TrivialBooleans) {
   Checker checker;
-  z3::context& ctx = checker.ctx();
-  EXPECT_EQ(checker.check(ctx.bool_val(true)).result, SatResult::kSat);
-  EXPECT_EQ(checker.check(ctx.bool_val(false)).result, SatResult::kUnsat);
+  EXPECT_EQ(checker.check("").result, SatResult::kSat);
+  EXPECT_EQ(checker.check("(assert false)").result, SatResult::kUnsat);
+}
+
+TEST(Checker, MalformedQueryIsUnknownWithoutRetry) {
+  // A parse error is deterministic: Z3's message comes back in `error`
+  // and the escalation loop does not try again.
+  Checker checker(100, 2);
+  const SolverOutcome outcome = checker.check("(assert (= undeclared 1))");
+  EXPECT_EQ(outcome.result, SatResult::kUnknown);
+  EXPECT_NE(outcome.error.find("unknown constant undeclared"),
+            std::string::npos)
+      << outcome.error;
+  EXPECT_FALSE(outcome.model.has_value());
+  EXPECT_EQ(outcome.attempts, 1u);
+  EXPECT_EQ(checker.retry_count(), 0u);
 }
 
 TEST(Model, ToStringIsStable) {
@@ -97,7 +109,7 @@ TEST_F(CheckerFaults, ExceptionPathPopulatesErrorWithoutRetry) {
                                 FaultInjector::Action::kThrow,
                                 std::chrono::milliseconds{0}, 1);
   Checker checker(100, 2);
-  const SolverOutcome outcome = checker.check(checker.ctx().bool_val(true));
+  const SolverOutcome outcome = checker.check("");
   EXPECT_EQ(outcome.result, SatResult::kUnknown);
   EXPECT_FALSE(outcome.error.empty());
   EXPECT_FALSE(outcome.model.has_value());
@@ -110,7 +122,7 @@ TEST_F(CheckerFaults, TransientFailureRetriesWithEscalatedTimeouts) {
                                 FaultInjector::Action::kThrowTransient,
                                 std::chrono::milliseconds{0}, /*max_hits=*/1);
   Checker checker(100, 2);
-  const SolverOutcome outcome = checker.check(checker.ctx().bool_val(true));
+  const SolverOutcome outcome = checker.check("");
   // Attempt 1 failed transiently; attempt 2 ran with a doubled timeout
   // and succeeded.
   EXPECT_EQ(outcome.result, SatResult::kSat);
@@ -127,7 +139,7 @@ TEST_F(CheckerFaults, RetryBudgetExhaustsAtOneTwoFourTimes) {
                                 FaultInjector::Action::kThrowTransient,
                                 std::chrono::milliseconds{0}, -1);
   Checker checker(100, 2);
-  const SolverOutcome outcome = checker.check(checker.ctx().bool_val(true));
+  const SolverOutcome outcome = checker.check("");
   EXPECT_EQ(outcome.result, SatResult::kUnknown);
   EXPECT_FALSE(outcome.error.empty());
   EXPECT_EQ(outcome.attempts, 3u);  // 1 initial + 2 retries
@@ -143,7 +155,7 @@ TEST_F(CheckerFaults, EscalationRespectsCap) {
                                 FaultInjector::Action::kThrowTransient,
                                 std::chrono::milliseconds{0}, -1);
   Checker checker(Checker::kTimeoutEscalationCap, 2);
-  const SolverOutcome outcome = checker.check(checker.ctx().bool_val(true));
+  const SolverOutcome outcome = checker.check("");
   ASSERT_EQ(outcome.attempt_timeouts_ms.size(), 3u);
   for (const unsigned t : outcome.attempt_timeouts_ms) {
     EXPECT_EQ(t, Checker::kTimeoutEscalationCap);
@@ -153,7 +165,7 @@ TEST_F(CheckerFaults, EscalationRespectsCap) {
 TEST(CheckerDeadline, ExpiredDeadlineShortCircuits) {
   Checker checker;
   checker.set_deadline(Deadline::after(std::chrono::milliseconds{0}));
-  const SolverOutcome outcome = checker.check(checker.ctx().bool_val(true));
+  const SolverOutcome outcome = checker.check("");
   EXPECT_EQ(outcome.result, SatResult::kUnknown);
   EXPECT_TRUE(outcome.deadline_exceeded);
   EXPECT_FALSE(outcome.error.empty());
@@ -165,7 +177,7 @@ TEST(CheckerDeadline, ExpiredDeadlineShortCircuits) {
 TEST(CheckerDeadline, RemainingTimeClampsAttemptTimeout) {
   Checker checker(5000, 2);
   checker.set_deadline(Deadline::after(std::chrono::milliseconds{50}));
-  const SolverOutcome outcome = checker.check(checker.ctx().bool_val(true));
+  const SolverOutcome outcome = checker.check("");
   EXPECT_EQ(outcome.result, SatResult::kSat);
   ASSERT_EQ(outcome.attempt_timeouts_ms.size(), 1u);
   EXPECT_LE(outcome.attempt_timeouts_ms[0], 50u);
@@ -179,7 +191,7 @@ TEST(CheckerDeadline, CancellationReportsCancelled) {
   Checker checker;
   checker.set_deadline(deadline);
   cancel.cancel();
-  const SolverOutcome outcome = checker.check(checker.ctx().bool_val(true));
+  const SolverOutcome outcome = checker.check("");
   EXPECT_EQ(outcome.result, SatResult::kUnknown);
   EXPECT_TRUE(outcome.deadline_exceeded);
   EXPECT_NE(outcome.error.find("cancelled"), std::string::npos);
@@ -191,12 +203,10 @@ TEST(Checker, GenuineTimeoutPopulatesError) {
   // minimum lengths. A 20 ms budget cancels the search; the cancellation
   // must surface as a retried kUnknown with a reason, never a hang.
   Checker checker(20, 1);
-  z3::context& ctx = checker.ctx();
-  const z3::expr x = ctx.string_const("x");
-  const z3::expr y = ctx.string_const("y");
   const SolverOutcome outcome = checker.check(
-      {z3::concat(x, x) == z3::concat(z3::concat(y, y), ctx.string_val("a")),
-       x.length() > 2000, y.length() > 1000});
+      "(declare-fun x () String)\n(declare-fun y () String)\n"
+      "(assert (= (str.++ x x) (str.++ (str.++ y y) \"a\")))\n"
+      "(assert (> (str.len x) 2000))\n(assert (> (str.len y) 1000))\n");
   if (outcome.result == SatResult::kUnknown) {
     EXPECT_FALSE(outcome.error.empty());
     EXPECT_GE(outcome.attempts, 1u);
@@ -206,12 +216,104 @@ TEST(Checker, GenuineTimeoutPopulatesError) {
 
 TEST(Checker, IntStringConversions) {
   Checker checker;
-  z3::context& ctx = checker.ctx();
-  const z3::expr n = ctx.int_val(42);
-  EXPECT_EQ(checker.check(n.itos() == ctx.string_val("42")).result,
+  EXPECT_EQ(checker.check("(assert (= (str.from_int 42) \"42\"))").result,
             SatResult::kSat);
-  EXPECT_EQ(checker.check(ctx.string_val("17").stoi() == 17).result,
+  EXPECT_EQ(checker.check("(assert (= (str.to_int \"17\") 17))").result,
             SatResult::kSat);
+}
+
+// ---------------------------------------------------------------------------
+// Query text (smtlib.h). The expected strings are what Z3 4.8.12's
+// benchmark printer produced for the same terms.
+
+TEST(TermGraph, DeclarationsInZ3VisitOrder) {
+  // Right-to-left preorder over the assertions, in assertion order.
+  TermGraph g;
+  const Term ext = g.constant("s_ext", Sort::kString);
+  const Term size = g.constant("s_size", Sort::kInt);
+  const Term isset = g.constant("u_isset_1", Sort::kBool);
+  const Term axiom = g.app(
+      Op::kNot, {g.app(Op::kContains, {ext, g.string_val(".")})});
+  const Term reach =
+      g.app(Op::kAnd, {g.app(Op::kGt, {size, g.int_val(2097152)}), isset});
+  EXPECT_EQ(g.query({axiom, reach}),
+            "(declare-fun s_ext () String)\n"
+            "(declare-fun u_isset_1 () Bool)\n"
+            "(declare-fun s_size () Int)\n"
+            "(assert (not (str.contains s_ext \".\")))\n"
+            "(assert (and (> s_size 2097152) u_isset_1))\n");
+}
+
+TEST(TermGraph, SharedSubtermIsPrintedOnceThroughLet) {
+  TermGraph g;
+  Term t = g.constant("x", Sort::kString);
+  // A chain of self-concatenations doubles in tree size at every step;
+  // as a DAG it stays linear.
+  for (int i = 0; i < 40; ++i) t = g.app(Op::kConcat, {t, t});
+  const std::string text = g.print(g.app(Op::kEq, {t, t}));
+  EXPECT_LT(text.size(), 4000u);
+  EXPECT_EQ(text.rfind("(let ((?x", 0), 0u);
+
+  TermGraph h;
+  const Term s = h.constant("s", Sort::kString);
+  const Term len = h.app(Op::kLength, {s});
+  EXPECT_EQ(h.print(h.app(Op::kAdd, {len, len})),
+            "(let ((?x1 (str.len s))) (+ ?x1 ?x1))");
+  // A term used once stays inline.
+  EXPECT_EQ(h.print(h.app(Op::kNeg, {len})), "(- (str.len s))");
+}
+
+TEST(TermGraph, LiteralsPrintAsZ3Does) {
+  TermGraph g;
+  EXPECT_EQ(g.print(g.int_val(-5)), "(- 5)");
+  EXPECT_EQ(g.print(g.int_val(std::numeric_limits<std::int64_t>::min())),
+            "(- 9223372036854775808)");
+  EXPECT_EQ(g.print(g.bool_val(false)), "false");
+  // Quotes double; control bytes and bytes >= 0x80 (sign-extended, as
+  // Z3_mk_string stores them) become \u{...}; DEL stays raw.
+  EXPECT_EQ(g.print(g.string_val("a\"b\x01\x7f\xe9")),
+            "\"a\"\"b\\u{1}\x7f\\u{ffffffe9}\"");
+  // Z3_mk_string decodes \u{...} (one to five hex digits) and \uXXXX.
+  EXPECT_EQ(g.print(g.string_val("\\u{41}\\u0042\\x43\\u{}")),
+            "\"AB\\x43\\u{}\"");
+  EXPECT_EQ(g.print(g.string_val(std::string("a\0b", 3))), "\"a\"");
+  EXPECT_THROW((void)g.string_val("\\u{30000}"), TermError);
+}
+
+TEST(TermGraph, SymbolsQuoteUnderZ3Renaming) {
+  TermGraph g;
+  EXPECT_EQ(g.print(g.constant("s_a.b'c", Sort::kInt)), "s_a.b'c");
+  EXPECT_EQ(g.print(g.constant("u_a-b_1", Sort::kInt)), "u_a-b_1");
+  EXPECT_EQ(g.print(g.constant("s_a b|c\\d", Sort::kInt)),
+            "|s_a b\\|c\\\\d|");
+  EXPECT_EQ(g.print(g.constant("s_files_attac\xa0ment_ext", Sort::kInt)),
+            "|s_files_attac\xa0ment_ext|");
+}
+
+TEST(TermGraph, DistinctAndTrailingTrue) {
+  TermGraph g;
+  const Term a = g.constant("a", Sort::kBool);
+  const Term b = g.constant("b", Sort::kBool);
+  EXPECT_EQ(g.print(g.app(Op::kDistinct, {a, b})),
+            "(and (distinct a b) true)");
+  // A last assertion of `true` is left out; an earlier one is kept.
+  EXPECT_EQ(g.query({g.bool_val(true), a, g.bool_val(true)}),
+            "(declare-fun a () Bool)\n(assert true)\n(assert a)\n");
+}
+
+TEST(TermGraph, TwoSortsOfOneSymbolAreTwoDeclarations) {
+  // Z3 rejects the ambiguous reference when it parses the query, which
+  // the checker reports as kUnknown.
+  TermGraph g;
+  const Term as_int = g.constant("v", Sort::kInt);
+  const Term as_str = g.constant("v", Sort::kString);
+  EXPECT_EQ(g.constant("v", Sort::kInt).id, as_int.id);
+  const std::string query = g.query(
+      {g.app(Op::kEq, {as_int, g.int_val(1)}),
+       g.app(Op::kEq, {as_str, g.string_val("1")})});
+  EXPECT_EQ(query.find("(declare-fun v () Int)"), 0u);
+  Checker checker;
+  EXPECT_EQ(checker.check(query).result, SatResult::kUnknown);
 }
 
 }  // namespace

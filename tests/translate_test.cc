@@ -1,27 +1,41 @@
-// Tests for the PHP -> Z3 translation rules of paper Table II. Each rule
-// is verified *semantically*: we build the heap-graph value, translate,
-// and let Z3 decide satisfiability of a characterizing constraint.
+// Tests for the PHP -> SMT-LIB translation rules of paper Table II. Each
+// rule pins the printed term and its sort, and is verified
+// *semantically*: Z3 decides a characterizing query built from it.
 #include "core/translate/translate.h"
 
 #include <gtest/gtest.h>
+
+#include <initializer_list>
+#include <string>
 
 #include "smt/solver.h"
 
 namespace uchecker::core {
 namespace {
 
+using smt::Op;
 using smt::SatResult;
+using smt::Term;
 
 class TranslateTest : public ::testing::Test {
  protected:
-  [[nodiscard]] SatResult check(const z3::expr& e) {
-    return checker_.check(e).result;
+  // The sort and the printed term, e.g. "String (str.++ a b)".
+  [[nodiscard]] std::string text(Term t) const {
+    return std::string(smt::sort_name(terms_.sort(t))) + " " +
+           terms_.print(t);
   }
-  [[nodiscard]] SatResult check(const std::vector<z3::expr>& es) {
-    return checker_.check(es).result;
+  [[nodiscard]] SatResult check(std::initializer_list<Term> assertions) {
+    return checker_.check(terms_.query(assertions)).result;
   }
+  [[nodiscard]] Term eq(Term a, Term b) { return terms_.app(Op::kEq, {a, b}); }
+  [[nodiscard]] Term ne(Term a, Term b) {
+    return terms_.app(Op::kDistinct, {a, b});
+  }
+  [[nodiscard]] Term str(const char* s) { return terms_.string_val(s); }
+  [[nodiscard]] Term num(std::int64_t v) { return terms_.int_val(v); }
 
   smt::Checker checker_;
+  smt::TermGraph terms_;
   HeapGraph graph_;
 };
 
@@ -29,32 +43,36 @@ class TranslateTest : public ::testing::Test {
 
 TEST_F(TranslateTest, ConcreteStringTranslatesToStringVal) {
   const Label l = graph_.add_concrete(Value(std::string("abc")));
-  Translator trl(checker_, graph_);
-  const z3::expr e = trl.translate(l, Type::kString);
-  EXPECT_EQ(check(e == checker_.ctx().string_val("abc")), SatResult::kSat);
-  EXPECT_EQ(check(e != checker_.ctx().string_val("abc")), SatResult::kUnsat);
+  Translator trl(terms_, graph_);
+  const Term e = trl.translate(l, Type::kString);
+  EXPECT_EQ(text(e), "String \"abc\"");
+  EXPECT_EQ(check({eq(e, str("abc"))}), SatResult::kSat);
+  EXPECT_EQ(check({ne(e, str("abc"))}), SatResult::kUnsat);
 }
 
 TEST_F(TranslateTest, ConcreteIntAndBool) {
   const Label i = graph_.add_concrete(Value(std::int64_t{42}));
   const Label b = graph_.add_concrete(Value(true));
-  Translator trl(checker_, graph_);
-  EXPECT_EQ(check(trl.translate(i, Type::kInt) == 42), SatResult::kSat);
-  EXPECT_EQ(check(!trl.translate(b, Type::kBool)), SatResult::kUnsat);
+  Translator trl(terms_, graph_);
+  EXPECT_EQ(text(trl.translate(i, Type::kInt)), "Int 42");
+  EXPECT_EQ(text(trl.translate(b, Type::kBool)), "Bool true");
+  EXPECT_EQ(check({terms_.app(Op::kNot, {trl.translate(b, Type::kBool)})}),
+            SatResult::kUnsat);
 }
 
 TEST_F(TranslateTest, SymbolKeepsItsName) {
   const Label s = graph_.add_symbol("s_ext", Type::kString);
-  Translator trl(checker_, graph_);
-  EXPECT_EQ(trl.translate(s, Type::kString).decl().name().str(), "s_ext");
+  Translator trl(terms_, graph_);
+  EXPECT_EQ(text(trl.translate(s, Type::kString)), "String s_ext");
 }
 
 TEST_F(TranslateTest, SameObjectTranslatesToSameTerm) {
   const Label s = graph_.add_symbol("shared", Type::kUnknown);
-  Translator trl(checker_, graph_);
-  const z3::expr a = trl.translate(s, Type::kString);
-  const z3::expr b = trl.translate(s, Type::kString);
-  EXPECT_EQ(check(a != b), SatResult::kUnsat);
+  Translator trl(terms_, graph_);
+  const Term a = trl.translate(s, Type::kString);
+  const Term b = trl.translate(s, Type::kString);
+  EXPECT_EQ(a.id, b.id);
+  EXPECT_EQ(text(a), "String shared");
 }
 
 // --- string concat (Table II row 3) ---------------------------------------------
@@ -67,16 +85,16 @@ TEST_F(TranslateTest, ConcatIsStrConcat) {
                                    {graph_.add_op(OpKind::kConcat, Type::kString,
                                                   {a, dot}),
                                     ext});
-  Translator trl(checker_, graph_);
-  const z3::expr n = trl.translate(name, Type::kString);
+  Translator trl(terms_, graph_);
+  const Term n = trl.translate(name, Type::kString);
+  EXPECT_EQ(text(n), "String (str.++ (str.++ a \".\") e)");
   // Can end with ".php":
-  EXPECT_EQ(check(z3::suffixof(checker_.ctx().string_val(".php"), n)),
-            SatResult::kSat);
+  const Term php_suffix = terms_.app(Op::kSuffixOf, {str(".php"), n});
+  EXPECT_EQ(check({php_suffix}), SatResult::kSat);
   // If ext is "jpg" it can NOT end with ".php" (given ext has no dot —
   // here ext is literally constrained):
-  const z3::expr ext_e = trl.translate(ext, Type::kString);
-  EXPECT_EQ(check({z3::suffixof(checker_.ctx().string_val(".php"), n),
-                   ext_e == checker_.ctx().string_val("jpg")}),
+  EXPECT_EQ(check({php_suffix, eq(trl.translate(ext, Type::kString),
+                                  str("jpg"))}),
             SatResult::kUnsat);
 }
 
@@ -85,9 +103,10 @@ TEST_F(TranslateTest, ConcatCoercesIntOperand) {
   const Label t = graph_.add_func("time", Type::kInt, {});
   const Label suffix = graph_.add_concrete(Value(std::string(".php")));
   const Label cat = graph_.add_op(OpKind::kConcat, Type::kString, {t, suffix});
-  Translator trl(checker_, graph_);
-  const z3::expr e = trl.translate(cat, Type::kString);
-  EXPECT_EQ(check(z3::suffixof(checker_.ctx().string_val(".php"), e)),
+  Translator trl(terms_, graph_);
+  const Term e = trl.translate(cat, Type::kString);
+  EXPECT_EQ(text(e), "String (str.++ (str.from_int u_time_1) \".php\")");
+  EXPECT_EQ(check({terms_.app(Op::kSuffixOf, {str(".php"), e})}),
             SatResult::kSat);
 }
 
@@ -95,39 +114,46 @@ TEST_F(TranslateTest, ConcatCoercesIntOperand) {
 
 TEST_F(TranslateTest, StrReplaceParameterOrder) {
   // str_replace('a', 'b', 'banana'): PHP arg order (search, replace,
-  // subject) maps to Z3 subject.replace(search, replace).
+  // subject) maps to (str.replace subject search replace).
   const Label search = graph_.add_concrete(Value(std::string("a")));
   const Label repl = graph_.add_concrete(Value(std::string("b")));
   const Label subject = graph_.add_concrete(Value(std::string("banana")));
   const Label call = graph_.add_func("str_replace", Type::kString,
                                      {search, repl, subject});
-  Translator trl(checker_, graph_);
-  const z3::expr e = trl.translate(call, Type::kString);
-  // Z3's str.replace replaces the FIRST occurrence: "bbnana".
-  EXPECT_EQ(check(e == checker_.ctx().string_val("bbnana")), SatResult::kSat);
+  Translator trl(terms_, graph_);
+  const Term e = trl.translate(call, Type::kString);
+  EXPECT_EQ(text(e), "String (str.replace \"banana\" \"a\" \"b\")");
+  // str.replace replaces the FIRST occurrence: "bbnana".
+  EXPECT_EQ(check({eq(e, str("bbnana"))}), SatResult::kSat);
 }
 
 TEST_F(TranslateTest, IntvalOnString) {
   const Label s = graph_.add_concrete(Value(std::string("42")));
   const Label call = graph_.add_func("intval", Type::kInt, {s});
-  Translator trl(checker_, graph_);
-  EXPECT_EQ(check(trl.translate(call, Type::kInt) == 42), SatResult::kSat);
-  EXPECT_EQ(check(trl.translate(call, Type::kInt) != 42), SatResult::kUnsat);
+  Translator trl(terms_, graph_);
+  const Term e = trl.translate(call, Type::kInt);
+  EXPECT_EQ(text(e), "Int (str.to_int \"42\")");
+  EXPECT_EQ(check({eq(e, num(42))}), SatResult::kSat);
+  EXPECT_EQ(check({ne(e, num(42))}), SatResult::kUnsat);
 }
 
 TEST_F(TranslateTest, StrposIsIndexof) {
   const Label hay = graph_.add_concrete(Value(std::string("abcdef")));
   const Label needle = graph_.add_concrete(Value(std::string("cd")));
   const Label call = graph_.add_func("strpos", Type::kInt, {hay, needle});
-  Translator trl(checker_, graph_);
-  EXPECT_EQ(check(trl.translate(call, Type::kInt) == 2), SatResult::kSat);
+  Translator trl(terms_, graph_);
+  const Term e = trl.translate(call, Type::kInt);
+  EXPECT_EQ(text(e), "Int (str.indexof \"abcdef\" \"cd\" 0)");
+  EXPECT_EQ(check({eq(e, num(2))}), SatResult::kSat);
 }
 
 TEST_F(TranslateTest, StrlenIsStrLen) {
   const Label s = graph_.add_concrete(Value(std::string("hello")));
   const Label call = graph_.add_func("strlen", Type::kInt, {s});
-  Translator trl(checker_, graph_);
-  EXPECT_EQ(check(trl.translate(call, Type::kInt) == 5), SatResult::kSat);
+  Translator trl(terms_, graph_);
+  const Term e = trl.translate(call, Type::kInt);
+  EXPECT_EQ(text(e), "Int (str.len \"hello\")");
+  EXPECT_EQ(check({eq(e, num(5))}), SatResult::kSat);
 }
 
 // --- logical not (row 8) --------------------------------------------------------
@@ -135,30 +161,30 @@ TEST_F(TranslateTest, StrlenIsStrLen) {
 TEST_F(TranslateTest, NotOnBool) {
   const Label b = graph_.add_symbol("b", Type::kBool);
   const Label n = graph_.add_op(OpKind::kNot, Type::kBool, {b});
-  Translator trl(checker_, graph_);
-  EXPECT_EQ(check({trl.translate(n, Type::kBool), trl.translate(b, Type::kBool)}),
-            SatResult::kUnsat);
+  Translator trl(terms_, graph_);
+  const Term e = trl.translate(n, Type::kBool);
+  EXPECT_EQ(text(e), "Bool (not b)");
+  EXPECT_EQ(check({e, trl.translate(b, Type::kBool)}), SatResult::kUnsat);
 }
 
 TEST_F(TranslateTest, NotOnIntIsZeroTest) {
   const Label i = graph_.add_symbol("i", Type::kInt);
   const Label n = graph_.add_op(OpKind::kNot, Type::kBool, {i});
-  Translator trl(checker_, graph_);
-  EXPECT_EQ(check({trl.translate(n, Type::kBool),
-                   trl.translate(i, Type::kInt) == 5}),
-            SatResult::kUnsat);
-  EXPECT_EQ(check({trl.translate(n, Type::kBool),
-                   trl.translate(i, Type::kInt) == 0}),
-            SatResult::kSat);
+  Translator trl(terms_, graph_);
+  const Term e = trl.translate(n, Type::kBool);
+  EXPECT_EQ(text(e), "Bool (not (and (distinct i 0) true))");
+  const Term iv = trl.translate(i, Type::kInt);
+  EXPECT_EQ(check({e, eq(iv, num(5))}), SatResult::kUnsat);
+  EXPECT_EQ(check({e, eq(iv, num(0))}), SatResult::kSat);
 }
 
 TEST_F(TranslateTest, NotOnStringIsEmptyTest) {
   const Label s = graph_.add_symbol("s", Type::kString);
   const Label n = graph_.add_op(OpKind::kNot, Type::kBool, {s});
-  Translator trl(checker_, graph_);
-  EXPECT_EQ(check({trl.translate(n, Type::kBool),
-                   trl.translate(s, Type::kString) ==
-                       checker_.ctx().string_val("x")}),
+  Translator trl(terms_, graph_);
+  const Term e = trl.translate(n, Type::kBool);
+  EXPECT_EQ(text(e), "Bool (not (> (str.len s) 0))");
+  EXPECT_EQ(check({e, eq(trl.translate(s, Type::kString), str("x"))}),
             SatResult::kUnsat);
 }
 
@@ -168,10 +194,11 @@ TEST_F(TranslateTest, AndMixedIntBool) {
   const Label i = graph_.add_symbol("i", Type::kInt);
   const Label b = graph_.add_symbol("b", Type::kBool);
   const Label a = graph_.add_op(OpKind::kAnd, Type::kBool, {i, b});
-  Translator trl(checker_, graph_);
+  Translator trl(terms_, graph_);
+  const Term e = trl.translate(a, Type::kBool);
+  EXPECT_EQ(text(e), "Bool (and (and (distinct i 0) true) b)");
   // and(i, b) with i == 0 is unsatisfiable.
-  EXPECT_EQ(check({trl.translate(a, Type::kBool),
-                   trl.translate(i, Type::kInt) == 0}),
+  EXPECT_EQ(check({e, eq(trl.translate(i, Type::kInt), num(0))}),
             SatResult::kUnsat);
 }
 
@@ -179,10 +206,10 @@ TEST_F(TranslateTest, AndMixedStringBool) {
   const Label s = graph_.add_symbol("s", Type::kString);
   const Label b = graph_.add_symbol("b", Type::kBool);
   const Label a = graph_.add_op(OpKind::kAnd, Type::kBool, {s, b});
-  Translator trl(checker_, graph_);
-  EXPECT_EQ(check({trl.translate(a, Type::kBool),
-                   trl.translate(s, Type::kString) ==
-                       checker_.ctx().string_val("")}),
+  Translator trl(terms_, graph_);
+  const Term e = trl.translate(a, Type::kBool);
+  EXPECT_EQ(text(e), "Bool (and (> (str.len s) 0) b)");
+  EXPECT_EQ(check({e, eq(trl.translate(s, Type::kString), str(""))}),
             SatResult::kUnsat);
 }
 
@@ -191,29 +218,32 @@ TEST_F(TranslateTest, AndMixedStringBool) {
 TEST_F(TranslateTest, EqualSameTypes) {
   const Label a = graph_.add_symbol("a", Type::kString);
   const Label lit = graph_.add_concrete(Value(std::string("php")));
-  const Label eq = graph_.add_op(OpKind::kEqual, Type::kBool, {a, lit});
-  Translator trl(checker_, graph_);
-  EXPECT_EQ(check({trl.translate(eq, Type::kBool),
-                   trl.translate(a, Type::kString) ==
-                       checker_.ctx().string_val("jpg")}),
+  const Label eqn = graph_.add_op(OpKind::kEqual, Type::kBool, {a, lit});
+  Translator trl(terms_, graph_);
+  const Term e = trl.translate(eqn, Type::kBool);
+  EXPECT_EQ(text(e), "Bool (= a \"php\")");
+  EXPECT_EQ(check({e, eq(trl.translate(a, Type::kString), str("jpg"))}),
             SatResult::kUnsat);
 }
 
 TEST_F(TranslateTest, EqualUnknownAdoptsSiblingType) {
   const Label unk = graph_.add_symbol("u", Type::kUnknown);
   const Label lit = graph_.add_concrete(Value(std::string("zip")));
-  const Label eq = graph_.add_op(OpKind::kEqual, Type::kBool, {unk, lit});
-  Translator trl(checker_, graph_);
-  EXPECT_EQ(check(trl.translate(eq, Type::kBool)), SatResult::kSat);
+  const Label eqn = graph_.add_op(OpKind::kEqual, Type::kBool, {unk, lit});
+  Translator trl(terms_, graph_);
+  const Term e = trl.translate(eqn, Type::kBool);
+  EXPECT_EQ(text(e), "Bool (= u \"zip\")");
+  EXPECT_EQ(check({e}), SatResult::kSat);
 }
 
 TEST_F(TranslateTest, NotEqualIsNegation) {
   const Label a = graph_.add_symbol("a", Type::kInt);
   const Label lit = graph_.add_concrete(Value(std::int64_t{3}));
-  const Label ne = graph_.add_op(OpKind::kNotEqual, Type::kBool, {a, lit});
-  Translator trl(checker_, graph_);
-  EXPECT_EQ(check({trl.translate(ne, Type::kBool),
-                   trl.translate(a, Type::kInt) == 3}),
+  const Label neq = graph_.add_op(OpKind::kNotEqual, Type::kBool, {a, lit});
+  Translator trl(terms_, graph_);
+  const Term e = trl.translate(neq, Type::kBool);
+  EXPECT_EQ(text(e), "Bool (not (= a 3))");
+  EXPECT_EQ(check({e, eq(trl.translate(a, Type::kInt), num(3))}),
             SatResult::kUnsat);
 }
 
@@ -223,23 +253,25 @@ TEST_F(TranslateTest, SubstrTwoArg) {
   const Label s = graph_.add_concrete(Value(std::string("hello.php")));
   const Label start = graph_.add_concrete(Value(std::int64_t{5}));
   const Label call = graph_.add_func("substr", Type::kString, {s, start});
-  Translator trl(checker_, graph_);
-  EXPECT_EQ(check(trl.translate(call, Type::kString) ==
-                  checker_.ctx().string_val(".php")),
-            SatResult::kSat);
+  Translator trl(terms_, graph_);
+  const Term e = trl.translate(call, Type::kString);
+  EXPECT_EQ(text(e),
+            "String (str.substr \"hello.php\" (ite (< 5 0) (+ (str.len "
+            "\"hello.php\") 5) 5) (str.len \"hello.php\"))");
+  EXPECT_EQ(check({eq(e, str(".php"))}), SatResult::kSat);
 }
 
 TEST_F(TranslateTest, SubstrNegativeStartCountsFromEnd) {
   const Label s = graph_.add_concrete(Value(std::string("x.php")));
   const Label start = graph_.add_concrete(Value(std::int64_t{-4}));
   const Label call = graph_.add_func("substr", Type::kString, {s, start});
-  Translator trl(checker_, graph_);
-  EXPECT_EQ(check(trl.translate(call, Type::kString) ==
-                  checker_.ctx().string_val(".php")),
-            SatResult::kSat);
-  EXPECT_EQ(check(trl.translate(call, Type::kString) !=
-                  checker_.ctx().string_val(".php")),
-            SatResult::kUnsat);
+  Translator trl(terms_, graph_);
+  const Term e = trl.translate(call, Type::kString);
+  EXPECT_EQ(text(e),
+            "String (str.substr \"x.php\" (ite (< (- 4) 0) (+ (str.len "
+            "\"x.php\") (- 4)) (- 4)) (str.len \"x.php\"))");
+  EXPECT_EQ(check({eq(e, str(".php"))}), SatResult::kSat);
+  EXPECT_EQ(check({ne(e, str(".php"))}), SatResult::kUnsat);
 }
 
 TEST_F(TranslateTest, SubstrThreeArg) {
@@ -247,10 +279,12 @@ TEST_F(TranslateTest, SubstrThreeArg) {
   const Label start = graph_.add_concrete(Value(std::int64_t{1}));
   const Label len = graph_.add_concrete(Value(std::int64_t{3}));
   const Label call = graph_.add_func("substr", Type::kString, {s, start, len});
-  Translator trl(checker_, graph_);
-  EXPECT_EQ(check(trl.translate(call, Type::kString) ==
-                  checker_.ctx().string_val("bcd")),
-            SatResult::kSat);
+  Translator trl(terms_, graph_);
+  const Term e = trl.translate(call, Type::kString);
+  EXPECT_EQ(text(e),
+            "String (str.substr \"abcdef\" (ite (< 1 0) (+ (str.len "
+            "\"abcdef\") 1) 1) (ite (< 3 0) (+ (str.len \"abcdef\") 3) 3))");
+  EXPECT_EQ(check({eq(e, str("bcd"))}), SatResult::kSat);
 }
 
 // --- identity builtins and basename (row 15) ---------------------------------------
@@ -258,30 +292,31 @@ TEST_F(TranslateTest, SubstrThreeArg) {
 TEST_F(TranslateTest, StrtolowerIsIdentity) {
   const Label s = graph_.add_symbol("s", Type::kString);
   const Label call = graph_.add_func("strtolower", Type::kString, {s});
-  Translator trl(checker_, graph_);
-  EXPECT_EQ(check(trl.translate(call, Type::kString) !=
-                  trl.translate(s, Type::kString)),
-            SatResult::kUnsat);
+  Translator trl(terms_, graph_);
+  const Term e = trl.translate(call, Type::kString);
+  EXPECT_EQ(text(e), "String s");
+  EXPECT_EQ(e.id, trl.translate(s, Type::kString).id);
 }
 
 TEST_F(TranslateTest, BasenameIsIdentityOnSymbolicName) {
   const Label s = graph_.add_symbol("name", Type::kString);
   const Label call = graph_.add_func("basename", Type::kString, {s});
-  Translator trl(checker_, graph_);
-  EXPECT_EQ(check(trl.translate(call, Type::kString) !=
-                  trl.translate(s, Type::kString)),
-            SatResult::kUnsat);
+  Translator trl(terms_, graph_);
+  const Term e = trl.translate(call, Type::kString);
+  EXPECT_EQ(text(e), "String name");
+  EXPECT_EQ(e.id, trl.translate(s, Type::kString).id);
 }
 
 // --- exception rule: unknowns become fresh symbols ----------------------------------
 
 TEST_F(TranslateTest, UnknownFuncBecomesFreshSymbol) {
   const Label call = graph_.add_func("wp_upload_dir", Type::kUnknown, {});
-  Translator trl(checker_, graph_);
+  Translator trl(terms_, graph_);
   const std::size_t before = trl.fallback_count();
-  const z3::expr e = trl.translate(call, Type::kString);
+  const Term e = trl.translate(call, Type::kString);
   EXPECT_GT(trl.fallback_count(), before);
-  EXPECT_EQ(check(e == checker_.ctx().string_val("anything")), SatResult::kSat);
+  EXPECT_EQ(text(e), "String u_wp_upload_dir_1");
+  EXPECT_EQ(check({eq(e, str("anything"))}), SatResult::kSat);
 }
 
 TEST_F(TranslateTest, ArrayAccessFallbackIsConsistent) {
@@ -289,11 +324,11 @@ TEST_F(TranslateTest, ArrayAccessFallbackIsConsistent) {
   const Label idx = graph_.add_concrete(Value(std::string("k")));
   const Label access = graph_.add_op(OpKind::kArrayAccess, Type::kUnknown,
                                      {arr, idx});
-  Translator trl(checker_, graph_);
+  Translator trl(terms_, graph_);
   // Same node translated twice denotes the same value.
-  EXPECT_EQ(check(trl.translate(access, Type::kString) !=
-                  trl.translate(access, Type::kString)),
-            SatResult::kUnsat);
+  const Term e = trl.translate(access, Type::kString);
+  EXPECT_EQ(text(e), "String u_array_access_1");
+  EXPECT_EQ(e.id, trl.translate(access, Type::kString).id);
 }
 
 // --- ternary and truthiness ----------------------------------------------------------
@@ -303,32 +338,37 @@ TEST_F(TranslateTest, TernaryIsIte) {
   const Label a = graph_.add_concrete(Value(std::string("A")));
   const Label b = graph_.add_concrete(Value(std::string("B")));
   const Label t = graph_.add_op(OpKind::kTernary, Type::kString, {c, a, b});
-  Translator trl(checker_, graph_);
-  EXPECT_EQ(check({trl.translate(t, Type::kString) ==
-                       checker_.ctx().string_val("A"),
-                   !trl.translate(c, Type::kBool)}),
+  Translator trl(terms_, graph_);
+  const Term e = trl.translate(t, Type::kString);
+  EXPECT_EQ(text(e), "String (ite c \"A\" \"B\")");
+  EXPECT_EQ(check({eq(e, str("A")),
+                   terms_.app(Op::kNot, {trl.translate(c, Type::kBool)})}),
             SatResult::kUnsat);
 }
 
 TEST_F(TranslateTest, TruthyOfConcreteValues) {
-  Translator trl(checker_, graph_);
-  EXPECT_EQ(check(trl.truthy(graph_.add_concrete(Value(std::int64_t{0})))),
-            SatResult::kUnsat);
-  EXPECT_EQ(check(trl.truthy(graph_.add_concrete(Value(std::int64_t{7})))),
-            SatResult::kSat);
-  EXPECT_EQ(check(trl.truthy(graph_.add_concrete(Value(std::string(""))))),
-            SatResult::kUnsat);
-  EXPECT_EQ(check(trl.truthy(graph_.add_concrete(Value(std::string("x"))))),
-            SatResult::kSat);
+  Translator trl(terms_, graph_);
+  const Term zero = trl.truthy(graph_.add_concrete(Value(std::int64_t{0})));
+  const Term seven = trl.truthy(graph_.add_concrete(Value(std::int64_t{7})));
+  const Term empty = trl.truthy(graph_.add_concrete(Value(std::string(""))));
+  const Term x = trl.truthy(graph_.add_concrete(Value(std::string("x"))));
+  EXPECT_EQ(text(zero), "Bool (and (distinct 0 0) true)");
+  EXPECT_EQ(text(seven), "Bool (and (distinct 7 0) true)");
+  EXPECT_EQ(text(empty), "Bool (> (str.len \"\") 0)");
+  EXPECT_EQ(text(x), "Bool (> (str.len \"x\") 0)");
+  EXPECT_EQ(check({zero}), SatResult::kUnsat);
+  EXPECT_EQ(check({seven}), SatResult::kSat);
+  EXPECT_EQ(check({empty}), SatResult::kUnsat);
+  EXPECT_EQ(check({x}), SatResult::kSat);
 }
 
 TEST_F(TranslateTest, EmptyFuncIsNegatedTruthiness) {
   const Label s = graph_.add_symbol("s", Type::kString);
-  const Label e = graph_.add_func("empty", Type::kBool, {s});
-  Translator trl(checker_, graph_);
-  EXPECT_EQ(check({trl.translate(e, Type::kBool),
-                   trl.translate(s, Type::kString) ==
-                       checker_.ctx().string_val("full")}),
+  const Label call = graph_.add_func("empty", Type::kBool, {s});
+  Translator trl(terms_, graph_);
+  const Term e = trl.translate(call, Type::kBool);
+  EXPECT_EQ(text(e), "Bool (not (> (str.len s) 0))");
+  EXPECT_EQ(check({e, eq(trl.translate(s, Type::kString), str("full"))}),
             SatResult::kUnsat);
 }
 
@@ -338,19 +378,21 @@ TEST_F(TranslateTest, DivisionByZeroGuarded) {
   const Label a = graph_.add_symbol("a", Type::kInt);
   const Label zero = graph_.add_concrete(Value(std::int64_t{0}));
   const Label div = graph_.add_op(OpKind::kDiv, Type::kInt, {a, zero});
-  Translator trl(checker_, graph_);
-  EXPECT_EQ(check(trl.translate(div, Type::kInt) ==
-                  trl.translate(a, Type::kInt)),
-            SatResult::kSat);  // guarded denominator -> well-defined term
+  Translator trl(terms_, graph_);
+  const Term e = trl.translate(div, Type::kInt);
+  EXPECT_EQ(text(e), "Int (div a (ite (= 0 0) 1 0))");
+  // Guarded denominator -> well-defined term.
+  EXPECT_EQ(check({eq(e, trl.translate(a, Type::kInt))}), SatResult::kSat);
 }
 
 TEST_F(TranslateTest, ComparisonOnInts) {
   const Label a = graph_.add_symbol("a", Type::kInt);
   const Label five = graph_.add_concrete(Value(std::int64_t{5}));
   const Label gt = graph_.add_op(OpKind::kGreater, Type::kBool, {a, five});
-  Translator trl(checker_, graph_);
-  EXPECT_EQ(check({trl.translate(gt, Type::kBool),
-                   trl.translate(a, Type::kInt) == 3}),
+  Translator trl(terms_, graph_);
+  const Term e = trl.translate(gt, Type::kBool);
+  EXPECT_EQ(text(e), "Bool (> a 5)");
+  EXPECT_EQ(check({e, eq(trl.translate(a, Type::kInt), num(3))}),
             SatResult::kUnsat);
 }
 
