@@ -16,8 +16,6 @@
 #include "core/interp/interp.h"
 #include "core/translate/translate.h"
 #include "core/vulnmodel/vulnmodel.h"
-#include "bench/prearena/lexer.h"
-#include "bench/prearena/parser.h"
 #include "corpus/corpus.h"
 #include "phplex/lexer.h"
 #include "phpparse/parse_pool.h"
@@ -103,9 +101,8 @@ Parsed parse_sample() {
 }
 
 // Arena front end over the sample app: per file, one fresh arena and a
-// full lex+parse. Mirrors BM_ParsePreArena exactly (files registered
-// once outside the loop, statements counted, nothing else) so the
-// BM_ParsePreArena / BM_Parse ratio isolates the front-end rebuild.
+// full lex+parse (files registered once outside the loop, statements
+// counted, nothing else).
 void BM_Parse(benchmark::State& state) {
   SourceManager sources;
   std::vector<const SourceFile*> files;
@@ -129,8 +126,8 @@ BENCHMARK(BM_Parse)->Unit(benchmark::kMillisecond);
 // Lexing alone, across every file of the sample app. The contract under
 // test: tokens are arena-backed views, so the only operator-new traffic
 // is the per-file token vector's growth — fractions of an allocation per
-// token, not one-plus (the pre-arena lexer paid a std::string per token
-// and per interpolation part).
+// token, not one-plus (EXPERIMENTS.md E5 records the last same-run
+// comparison with the old per-token std::string lexer).
 void BM_Lex(benchmark::State& state) {
   SourceManager sources;
   std::vector<const SourceFile*> files;
@@ -162,59 +159,6 @@ void BM_Lex(benchmark::State& state) {
                   : static_cast<double>(allocs) / static_cast<double>(tokens);
 }
 BENCHMARK(BM_Lex)->Unit(benchmark::kMillisecond);
-
-// The SAME app through the frozen pre-arena front end (bench/prearena/,
-// the PR7-era lexer/parser kept verbatim): per-token std::string copies,
-// unique_ptr AST nodes, per-node owned strings. The BM_Parse /
-// BM_ParsePreArena ratio is the arena speedup, measured in one run on
-// one machine — ci/check.sh step 10 gates it.
-void BM_ParsePreArena(benchmark::State& state) {
-  SourceManager sources;
-  std::vector<const SourceFile*> files;
-  for (const AppFile& f : sample_app().app.files) {
-    files.push_back(sources.file(sources.add_file(f.name, f.content)));
-  }
-  for (auto _ : state) {
-    std::size_t statements = 0;
-    for (const SourceFile* f : files) {
-      DiagnosticSink diags;
-      const prearena::phpast::PhpFile file =
-          prearena::phpparse::parse_php(*f, diags);
-      statements += file.statements.size();
-    }
-    benchmark::DoNotOptimize(statements);
-  }
-}
-BENCHMARK(BM_ParsePreArena)->Unit(benchmark::kMillisecond);
-
-// Pre-arena lexing alone: the per-token allocation churn BM_Lex proves
-// gone (compare the two allocs_per_token counters).
-void BM_LexPreArena(benchmark::State& state) {
-  SourceManager sources;
-  std::vector<const SourceFile*> files;
-  for (const AppFile& f : sample_app().app.files) {
-    files.push_back(sources.file(sources.add_file(f.name, f.content)));
-  }
-  std::uint64_t tokens = 0;
-  std::uint64_t allocs = 0;
-  for (auto _ : state) {
-    tokens = 0;
-    const std::uint64_t before = heap_allocs();
-    for (const SourceFile* f : files) {
-      DiagnosticSink diags;
-      const auto toks = prearena::phplex::lex_file(*f, diags);
-      tokens += toks.size();
-      benchmark::DoNotOptimize(toks.data());
-    }
-    allocs = heap_allocs() - before;
-  }
-  state.counters["tokens"] = static_cast<double>(tokens);
-  state.counters["heap_allocs"] = static_cast<double>(allocs);
-  state.counters["allocs_per_token"] =
-      tokens == 0 ? 0.0
-                  : static_cast<double>(allocs) / static_cast<double>(tokens);
-}
-BENCHMARK(BM_LexPreArena)->Unit(benchmark::kMillisecond);
 
 // Per-file parse fan-out on the same app: the parse pool with 1..N
 // workers, one arena per file. Thread count 1 is the serial baseline the

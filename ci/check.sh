@@ -2,30 +2,24 @@
 # The full CI gate, in dependency order:
 #
 #   1. configure + build the default tree, run the tier-1 test suite at
-#      -j$(nproc), then again pinned to one core (taskset -c 0, -j1)
+#      -j$(nproc), then again pinned to one core (taskset -c 0, -j1).
+#      Tier-1 includes the result oracle: corpus_verdicts --suite all
+#      must print tests/data/corpus_verdicts.golden byte for byte with
+#      each result-neutral toggle (plain, --explain, --parse-threads 4,
+#      --no-summaries, --crosscheck), and corpus_test pins the helper
+#      suite, the static-pass prune floor and the Cimy post-mortem
 #   2. clang-tidy over src/ with the repo .clang-tidy profile (skipped
 #      with a note when clang-tidy is not installed, like the python3
 #      checks below)
-#   3. sanitizer build + test suite (ci/sanitize.sh)
+#   3. sanitizer build + test suite (ci/sanitize.sh), golden rows included
 #   4. telemetry smoke: scan a known-vulnerable sample with
 #      --trace-out/--metrics-out and validate that both outputs are
 #      well-formed JSON with the expected pipeline phases
-#   5. telemetry + evidence overhead gate: bench_micro's unattached,
-#      explain-off end-to-end scan must stay within OVERHEAD_TOLERANCE
-#      of the recorded baseline (baseline is machine-local: recorded in
-#      the build dir on the first run, compared on later runs). The same
-#      number gates both zero-overhead contracts: no telemetry attached
-#      AND no evidence collection requested.
-#   6. perf baseline gate: BENCH_PR3.json must be valid (structure +
-#      required keys), and a fresh bench_fleet serial sweep must stay
-#      within 10% of the committed wall time. Wall time is machine-
-#      dependent, so a miss is a warning unless BENCH_STRICT=1.
-#   7. SARIF export gate: dump the corpus as PHP trees, scan each app
+#   5. SARIF export gate: dump the corpus as PHP trees, scan each app
 #      with --explain --sarif-out, and structurally validate every
 #      emitted SARIF file (vulnerable apps must carry results with
-#      codeFlows); plus prove evidence is purely additive by requiring
-#      corpus_verdicts output byte-identical with --explain on and off.
-#   8. scand service gate: start the daemon against a fresh state dir,
+#      codeFlows)
+#   6. scand service gate: start the daemon against a fresh state dir,
 #      scan the whole dumped corpus through scanctl and require every
 #      verdict to match single-shot scan_directory; scan it all again
 #      and require warm cache hits with reports byte-identical to the
@@ -33,42 +27,22 @@
 #      same state dir, and require it to recover and re-serve from the
 #      durable caches. (The durable-store and service suites also run
 #      under ASan/TSan via step 3.)
-#   9. observability gate: BENCH_PR7.json structure; a daemon corpus
-#      sweep with caller-supplied trace IDs asserting every ID lands in
-#      the response envelope, the report, the structured log, the
-#      Prometheus exemplars and the shutdown Chrome trace; every log
-#      line validates against the JSON schema; the Prometheus
-#      exposition passes a lint (TYPE coverage, counter naming,
-#      cumulative buckets, +Inf == _count); a SIGTERM drain must leave
-#      per-worker flight-recorder dumps; and the attached/unattached
-#      telemetry micro ratio is gated at OVERHEAD_TOLERANCE (absolute
-#      wall times vs. committed baselines warn unless BENCH_STRICT=1).
-#  10. arena front-end gate: BENCH_PR8.json structure; corpus_verdicts
-#      dumps must be byte-identical between --parse-threads 1 and
-#      --parse-threads 4 (parallel parsing is behaviorally invisible);
-#      and the same-run BM_ParsePreArena / BM_Parse ratio — the arena
-#      front end vs. the PR7-era front end frozen in bench/prearena/ —
-#      must be >= the committed arena_speedup_min (machine-independent
-#      because both sides run in the same process on the same input).
-#  11. inter-procedural summary gate: BENCH_PR9.json structure; the
-#      Table III + helper-chain corpus crosscheck (both engines on every
-#      root, summaries on) must report zero analysis disagreements; the
-#      corpus dump must be byte-identical with --no-summaries (summaries
-#      change pruning and lints, never verdicts); the helper-chain apps
-#      must land on their ground-truth verdicts; the fleet prune rate
-#      must stay >= the PR4-era 30% floor with summaries on; and the
-#      summary cache must actually get hits on the helper suite.
-#  12. engine introspection gate: BENCH_PR10.json structure; the bench
-#      trajectory (ci/bench_history.py --check) must match the committed
-#      BENCH_TRAJECTORY.json; a full-corpus --profile-out sweep must
-#      produce schema-valid profile JSON on every app; the Cimy
-#      budget-exhausted post-mortem must rank fork sites by paths
-#      spawned and name its dominating construct; reports must be
-#      byte-identical with profiling off (after dropping the profile
-#      object and normalizing wall times); and the profiling-off
-#      end-to-end scan must stay within OVERHEAD_TOLERANCE of the step-5
-#      machine-local baseline (absolute wall time vs. the committed
-#      number warns unless BENCH_STRICT=1).
+#   7. observability gate: a daemon corpus sweep with caller-supplied
+#      trace IDs asserting every ID lands in the response envelope, the
+#      report, the structured log, the Prometheus exemplars and the
+#      shutdown Chrome trace; every log line validates against the JSON
+#      schema; the Prometheus exposition passes a lint (TYPE coverage,
+#      counter naming, cumulative buckets, +Inf == _count); a SIGTERM
+#      drain must leave per-worker flight-recorder dumps; and the
+#      same-run attached/unattached telemetry micro ratio must stay
+#      within OVERHEAD_TOLERANCE
+#   8. engine introspection gate: a full-corpus --profile-out sweep must
+#      produce schema-valid profile JSON on every app, and every report
+#      must be byte-identical with profiling off (after dropping the
+#      profile object and normalizing wall times)
+#
+# Wall time across commits is not gated here: scanbench/ (see
+# BENCHMARK.json) compares paired runs of the parent and the change.
 #
 #   $ ci/check.sh            # everything
 #   $ SKIP_SANITIZE=1 ci/check.sh
@@ -78,9 +52,9 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR=build
-OVERHEAD_TOLERANCE=${OVERHEAD_TOLERANCE:-1.05}   # 5% regression budget
+OVERHEAD_TOLERANCE=${OVERHEAD_TOLERANCE:-1.05}   # 5% attached-telemetry budget
 
-echo "== [1/12] build + tier-1 tests =="
+echo "== [1/8] build + tier-1 tests =="
 cmake -B "$BUILD_DIR" -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON >/dev/null
 cmake --build "$BUILD_DIR" -j"$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)"
@@ -93,7 +67,7 @@ else
   echo "taskset not found; single-core tier-1 run skipped"
 fi
 
-echo "== [2/12] clang-tidy =="
+echo "== [2/8] clang-tidy =="
 if [[ "${SKIP_TIDY:-0}" == "1" ]]; then
   echo "skipped (SKIP_TIDY=1)"
 elif ! command -v clang-tidy >/dev/null; then
@@ -109,14 +83,14 @@ else
   fi
 fi
 
-echo "== [3/12] sanitizers =="
+echo "== [3/8] sanitizers =="
 if [[ "${SKIP_SANITIZE:-0}" == "1" ]]; then
   echo "skipped (SKIP_SANITIZE=1)"
 else
   ci/sanitize.sh
 fi
 
-echo "== [4/12] telemetry smoke: trace + metrics JSON =="
+echo "== [4/8] telemetry smoke: trace + metrics JSON =="
 SMOKE_DIR=$(mktemp -d)
 trap 'rm -rf "$SMOKE_DIR"' EXIT
 cat > "$SMOKE_DIR/upload.php" <<'PHP'
@@ -152,120 +126,10 @@ else
   echo "python3 not found; JSON structure check skipped"
 fi
 
-echo "== [5/12] telemetry overhead gate =="
-if [[ "${SKIP_BENCH:-0}" == "1" ]]; then
-  echo "skipped (SKIP_BENCH=1)"
-elif ! command -v python3 >/dev/null; then
-  echo "python3 not found; overhead gate skipped"
-else
-  BASELINE="$BUILD_DIR/bench_baseline_ms.txt"
-  "$BUILD_DIR/bench/bench_micro" \
-    --benchmark_filter='BM_EndToEnd$' \
-    --benchmark_repetitions=3 --benchmark_report_aggregates_only=true \
-    --benchmark_format=json > "$SMOKE_DIR/bench.json"
-  CURRENT=$(python3 - "$SMOKE_DIR/bench.json" <<'PY'
-import json, sys
-for b in json.load(open(sys.argv[1]))["benchmarks"]:
-    if b["name"].endswith("_median"):
-        print(b["real_time"])
-        break
-PY
-)
-  if [[ -z "$CURRENT" ]]; then
-    echo "FAIL: could not read BM_EndToEnd median from bench output" >&2
-    exit 1
-  fi
-  if [[ ! -f "$BASELINE" ]]; then
-    # First run on this machine/build dir: record, don't gate. The
-    # baseline is intentionally not committed — wall-time is machine-
-    # dependent, so the gate only compares runs on the same host.
-    echo "$CURRENT" > "$BASELINE"
-    echo "recorded baseline: ${CURRENT} ms (no gate on first run)"
-  else
-    python3 - "$BASELINE" "$CURRENT" "$OVERHEAD_TOLERANCE" <<'PY'
-import sys
-baseline = float(open(sys.argv[1]).read())
-current = float(sys.argv[2])
-tolerance = float(sys.argv[3])
-ratio = current / baseline if baseline > 0 else 1.0
-print(f"unattached scan: baseline {baseline:.3f} ms, "
-      f"current {current:.3f} ms, ratio {ratio:.3f} (limit {tolerance})")
-if ratio > tolerance:
-    sys.exit(f"FAIL: no-op telemetry overhead regression >"
-             f"{(tolerance - 1) * 100:.0f}%")
-PY
-  fi
-fi
-
-echo "== [6/12] perf baseline gate (BENCH_PR3.json) =="
-if ! command -v python3 >/dev/null; then
-  echo "python3 not found; perf baseline gate skipped"
-else
-  # Structure check is always fatal: a malformed committed baseline is a
-  # repo bug, not a machine difference.
-  python3 - BENCH_PR3.json <<'PY'
-import json, sys
-bench = json.load(open(sys.argv[1]))
-for key in ("fleet", "micro", "table3", "ci_gate"):
-    assert key in bench, f"BENCH_PR3.json missing section: {key}"
-for phase in ("pre", "post", "delta"):
-    assert phase in bench["fleet"], f"fleet section missing: {phase}"
-    assert phase in bench["micro"], f"micro section missing: {phase}"
-post = bench["fleet"]["post"]
-for key in ("serial_s", "parallel_s", "cons_hits", "solver_cache_hits"):
-    assert key in post, f"fleet.post missing: {key}"
-gate = bench["ci_gate"]
-assert float(gate["fleet_serial_s_committed"]) > 0, "bad committed wall time"
-assert 0 < float(gate["regression_tolerance"]) < 1, "bad tolerance"
-print(f"BENCH_PR3.json OK (committed serial sweep: "
-      f"{gate['fleet_serial_s_committed']}s)")
-PY
-  if [[ "${SKIP_BENCH:-0}" == "1" ]]; then
-    echo "fleet regression check skipped (SKIP_BENCH=1)"
-  else
-    FLEET_OUT="$SMOKE_DIR/fleet.txt"
-    "$BUILD_DIR/bench/bench_fleet" | tee "$FLEET_OUT"
-    rc=0
-    python3 - BENCH_PR3.json "$FLEET_OUT" <<'PY' || rc=$?
-import json, re, sys
-bench = json.load(open(sys.argv[1]))
-committed = float(bench["ci_gate"]["fleet_serial_s_committed"])
-tolerance = float(bench["ci_gate"]["regression_tolerance"])
-m = re.search(r"serial\s*:\s*([0-9.]+)s", open(sys.argv[2]).read())
-assert m, "could not parse serial wall time from bench_fleet output"
-current = float(m.group(1))
-ratio = current / committed
-print(f"fleet serial sweep: committed {committed:.2f}s, "
-      f"current {current:.2f}s, ratio {ratio:.2f} "
-      f"(limit {1 + tolerance:.2f})")
-if ratio > 1 + tolerance:
-    sys.exit(1)
-PY
-    if [[ "$rc" != "0" ]]; then
-      if [[ "${BENCH_STRICT:-0}" == "1" ]]; then
-        echo "FAIL: fleet wall time regressed >10% vs BENCH_PR3.json" >&2
-        exit 1
-      fi
-      echo "WARNING: fleet wall time >10% over the committed baseline" \
-           "(machine-dependent; set BENCH_STRICT=1 to make this fatal)"
-    fi
-  fi
-fi
-
-echo "== [7/12] SARIF export gate =="
+echo "== [5/8] SARIF export gate =="
 SARIF_DIR="$SMOKE_DIR/sarif"
 mkdir -p "$SARIF_DIR/corpus"
-# Evidence must be purely additive: same corpus dump byte-for-byte.
-"$BUILD_DIR/examples/corpus_verdicts" --dump "$SARIF_DIR/corpus" \
-  > "$SARIF_DIR/verdicts_plain.txt"
-"$BUILD_DIR/examples/corpus_verdicts" --explain \
-  > "$SARIF_DIR/verdicts_explain.txt"
-if ! cmp -s "$SARIF_DIR/verdicts_plain.txt" "$SARIF_DIR/verdicts_explain.txt"; then
-  echo "FAIL: corpus verdicts differ with --explain on vs off" >&2
-  diff "$SARIF_DIR/verdicts_plain.txt" "$SARIF_DIR/verdicts_explain.txt" | head >&2
-  exit 1
-fi
-echo "corpus verdicts byte-identical with --explain on/off"
+"$BUILD_DIR/examples/corpus_verdicts" --dump "$SARIF_DIR/corpus" >/dev/null
 SARIF_APPS=0
 SARIF_VULN=0
 while IFS= read -r -d '' appdir; do
@@ -294,7 +158,7 @@ if [[ "$SARIF_VULN" == "0" ]]; then
 fi
 echo "validated $SARIF_APPS SARIF file(s), $SARIF_VULN with codeFlows"
 
-echo "== [8/12] scand service gate =="
+echo "== [6/8] scand service gate =="
 SCAND_DIR="$SMOKE_DIR/scand"
 SCAND_SOCK="$SCAND_DIR/scand.sock"
 SCAND_STATE="$SCAND_DIR/state"
@@ -460,29 +324,10 @@ PY
 wait "$SCAND_PID" || { echo "FAIL: scand drain exited non-zero" >&2; exit 1; }
 SCAND_PID=
 
-echo "== [9/12] observability gate =="
+echo "== [7/8] observability gate =="
 if ! command -v python3 >/dev/null; then
   echo "python3 not found; observability gate skipped"
 else
-  # Committed baseline file must be structurally valid (always fatal: a
-  # malformed committed baseline is a repo bug, not a machine
-  # difference).
-  python3 - BENCH_PR7.json <<'PY'
-import json, sys
-bench = json.load(open(sys.argv[1]))
-for key in ("micro", "fleet", "observability", "ci_gate"):
-    assert key in bench, f"BENCH_PR7.json missing section: {key}"
-micro = bench["micro"]
-for key in ("BM_EndToEnd_ms", "BM_EndToEndTelemetry_ms",
-            "telemetry_attached_ratio"):
-    assert key in micro, f"micro section missing: {key}"
-gate = bench["ci_gate"]
-assert 1 < 1 + float(gate["telemetry_overhead_tolerance"]) < 2, "bad tolerance"
-assert float(gate["micro_end_to_end_ms_pr4_committed"]) > 0, "bad committed ms"
-print(f"BENCH_PR7.json OK (telemetry attached/unattached ratio committed: "
-      f"{micro['telemetry_attached_ratio']})")
-PY
-
   # Daemon sweep with caller-supplied trace IDs over the dumped corpus.
   OBS_DIR="$SMOKE_DIR/obs"
   OBS_SOCK="$OBS_DIR/scand.sock"
@@ -658,8 +503,6 @@ PY
 
   # Observability overhead: the attached/unattached micro ratio is
   # same-run and same-machine, so it gates hard at OVERHEAD_TOLERANCE.
-  # Absolute wall time vs. the PR4-era committed number is machine-
-  # dependent and only warns (BENCH_STRICT=1 to make it fatal).
   if [[ "${SKIP_BENCH:-0}" == "1" ]]; then
     echo "observability overhead gate skipped (SKIP_BENCH=1)"
   else
@@ -667,9 +510,7 @@ PY
       --benchmark_filter='BM_EndToEnd$|BM_EndToEndTelemetry$' \
       --benchmark_repetitions=3 --benchmark_report_aggregates_only=true \
       --benchmark_format=json > "$OBS_DIR/bench.json"
-    rc=0
-    python3 - "$OBS_DIR/bench.json" BENCH_PR7.json "$OVERHEAD_TOLERANCE" \
-      <<'PY' || rc=$?
+    python3 - "$OBS_DIR/bench.json" "$OVERHEAD_TOLERANCE" <<'PY'
 import json, sys
 medians = {}
 for b in json.load(open(sys.argv[1]))["benchmarks"]:
@@ -677,243 +518,23 @@ for b in json.load(open(sys.argv[1]))["benchmarks"]:
         medians[b["name"].removesuffix("_median")] = b["real_time"]
 plain = medians["BM_EndToEnd"]
 attached = medians["BM_EndToEndTelemetry"]
-tolerance = float(sys.argv[3])
+tolerance = float(sys.argv[2])
 ratio = attached / plain if plain > 0 else 1.0
 print(f"attached {attached:.2f} ms vs unattached {plain:.2f} ms: "
       f"ratio {ratio:.3f} (limit {tolerance})")
 if ratio > tolerance:
     sys.exit(f"FAIL: telemetry-attached scan > "
              f"{(tolerance - 1) * 100:.0f}% over unattached")
-committed = float(
-    json.load(open(sys.argv[2]))["ci_gate"]["micro_end_to_end_ms_pr4_committed"])
-if plain > committed * tolerance:
-    print(f"WARN: BM_EndToEnd {plain:.1f} ms exceeds PR4 committed "
-          f"{committed} ms by >{(tolerance - 1) * 100:.0f}% "
-          "(machine-dependent)")
-    sys.exit(2)
-PY
-    if [[ "$rc" == "2" && "${BENCH_STRICT:-0}" == "1" ]]; then
-      echo "FAIL: wall time regressed vs committed baseline (BENCH_STRICT=1)" >&2
-      exit 1
-    elif [[ "$rc" != "0" && "$rc" != "2" ]]; then
-      exit 1
-    fi
-  fi
-fi
-
-echo "== [10/12] arena front-end gate (BENCH_PR8.json) =="
-if ! command -v python3 >/dev/null; then
-  echo "python3 not found; arena front-end gate skipped"
-else
-  # Committed baseline structure (always fatal).
-  python3 - BENCH_PR8.json <<'PY'
-import json, sys
-bench = json.load(open(sys.argv[1]))
-for key in ("micro", "lex_allocation_contract", "parallel_parse",
-            "fleet", "pre_vs_post_arena", "ci_gate"):
-    assert key in bench, f"BENCH_PR8.json missing section: {key}"
-micro = bench["micro"]
-for key in ("BM_Parse_ms", "BM_ParsePreArena_ms", "arena_speedup"):
-    assert key in micro, f"micro section missing: {key}"
-contract = bench["lex_allocation_contract"]
-assert contract["heap_allocs_arena"] < contract["tokens"] / 1000, (
-    "committed lex allocation contract is not per-file")
-gate = bench["ci_gate"]
-assert float(gate["arena_speedup_min"]) >= 1, "bad arena_speedup_min"
-print(f"BENCH_PR8.json OK (committed arena speedup: "
-      f"{micro['arena_speedup']}x, gate >= {gate['arena_speedup_min']}x)")
-PY
-
-  # Parallel parsing must be behaviorally invisible: the corpus dump —
-  # verdicts, findings, s-exprs, witnesses, fingerprints on all 44 apps
-  # — must be byte-identical between a serial and a 4-thread parse.
-  PP_DIR="$SMOKE_DIR/parse_pool"
-  mkdir -p "$PP_DIR"
-  "$BUILD_DIR/examples/corpus_verdicts" --parse-threads 1 \
-    > "$PP_DIR/verdicts_serial.txt"
-  "$BUILD_DIR/examples/corpus_verdicts" --parse-threads 4 \
-    > "$PP_DIR/verdicts_parallel.txt"
-  if ! cmp -s "$PP_DIR/verdicts_serial.txt" "$PP_DIR/verdicts_parallel.txt"; then
-    echo "FAIL: corpus verdicts differ between serial and parallel parse" >&2
-    diff "$PP_DIR/verdicts_serial.txt" "$PP_DIR/verdicts_parallel.txt" | head >&2
-    exit 1
-  fi
-  APPS=$(grep -c '^app: ' "$PP_DIR/verdicts_serial.txt")
-  echo "corpus verdicts byte-identical, serial vs 4-thread parse ($APPS apps)"
-
-  # Same-run speedup gate: the frozen pre-arena front end and the arena
-  # front end parse the same app in the same process, so the ratio is
-  # machine-independent and gates hard.
-  if [[ "${SKIP_BENCH:-0}" == "1" ]]; then
-    echo "arena speedup gate skipped (SKIP_BENCH=1)"
-  else
-    "$BUILD_DIR/bench/bench_micro" \
-      --benchmark_filter='BM_Parse$|BM_ParsePreArena$' \
-      --benchmark_repetitions=3 --benchmark_report_aggregates_only=true \
-      --benchmark_format=json > "$PP_DIR/bench.json"
-    python3 - "$PP_DIR/bench.json" BENCH_PR8.json <<'PY'
-import json, sys
-medians = {}
-for b in json.load(open(sys.argv[1]))["benchmarks"]:
-    if b["name"].endswith("_median"):
-        medians[b["name"].removesuffix("_median")] = b["real_time"]
-arena = medians["BM_Parse"]
-prearena = medians["BM_ParsePreArena"]
-floor = float(json.load(open(sys.argv[2]))["ci_gate"]["arena_speedup_min"])
-ratio = prearena / arena if arena > 0 else 0.0
-print(f"arena front end {arena:.2f} ms vs pre-arena {prearena:.2f} ms: "
-      f"{ratio:.2f}x (gate >= {floor}x)")
-if ratio < floor:
-    sys.exit(f"FAIL: arena front end only {ratio:.2f}x faster than the "
-             f"frozen pre-arena baseline (floor {floor}x)")
 PY
   fi
 fi
 
-echo "== [11/12] inter-procedural summary gate (BENCH_PR9.json) =="
-SUM_DIR="$SMOKE_DIR/summaries"
-mkdir -p "$SUM_DIR"
-if command -v python3 >/dev/null; then
-  # Committed baseline structure (always fatal).
-  python3 - BENCH_PR9.json <<'PY'
-import json, sys
-bench = json.load(open(sys.argv[1]))
-for key in ("fleet", "helper_suite", "corpus", "ci_gate"):
-    assert key in bench, f"BENCH_PR9.json missing section: {key}"
-fleet = bench["fleet"]
-for key in ("roots", "pruned_roots", "prune_rate"):
-    assert key in fleet, f"fleet section missing: {key}"
-helper = bench["helper_suite"]
-assert int(helper["summary_cache_hits"]) > 0, (
-    "committed helper-suite run shows no summary cache hits")
-assert int(helper["summary_pruned_roots"]) > 0, (
-    "committed helper-suite run shows no summary-attributed prunes")
-gate = bench["ci_gate"]
-assert 0 < float(gate["fleet_prune_rate_min"]) <= 1, "bad prune-rate floor"
-print(f"BENCH_PR9.json OK (committed fleet prune rate: "
-      f"{fleet['prune_rate']}, gate >= {gate['fleet_prune_rate_min']})")
-PY
-else
-  echo "python3 not found; BENCH_PR9.json structure check skipped"
-fi
-
-# Verdict invariance: summaries must never change verdicts or findings,
-# on the 44 Table III apps AND the helper-chain suite.
-"$BUILD_DIR/examples/corpus_verdicts" --suite all \
-  > "$SUM_DIR/verdicts_on.txt"
-"$BUILD_DIR/examples/corpus_verdicts" --suite all --no-summaries \
-  > "$SUM_DIR/verdicts_off.txt"
-if ! cmp -s "$SUM_DIR/verdicts_on.txt" "$SUM_DIR/verdicts_off.txt"; then
-  echo "FAIL: corpus verdicts differ with summaries on vs off" >&2
-  diff "$SUM_DIR/verdicts_on.txt" "$SUM_DIR/verdicts_off.txt" | head >&2
-  exit 1
-fi
-echo "corpus verdicts byte-identical with summaries on/off"
-
-# Crosscheck oracle: both engines on every root, summaries on — any
-# summary-pruned root the symbolic engine flags surfaces here.
-"$BUILD_DIR/examples/corpus_verdicts" --suite all --crosscheck \
-  > "$SUM_DIR/verdicts_crosscheck.txt"
-if grep -q "analysis_disagreement" "$SUM_DIR/verdicts_crosscheck.txt"; then
-  echo "FAIL: corpus crosscheck found analysis disagreement(s):" >&2
-  grep -B 1 "analysis_disagreement" "$SUM_DIR/verdicts_crosscheck.txt" >&2
-  exit 1
-fi
-echo "corpus crosscheck (summaries on): zero disagreements"
-
-# Helper-chain apps: the sink is reachable only through user-defined
-# helpers, so detecting them exercises the summary layer end to end.
-"$BUILD_DIR/examples/corpus_verdicts" --suite helper --stats \
-  > "$SUM_DIR/helper.txt"
-if command -v python3 >/dev/null; then
-  python3 - "$SUM_DIR/helper.txt" <<'PY'
-import sys
-apps = {}
-cache_hits = 0
-summary_pruned = 0
-current = None
-for line in open(sys.argv[1]):
-    line = line.strip()
-    if line.startswith("app: "):
-        current = line[5:]
-    elif line.startswith("verdict: "):
-        apps[current] = line[9:]
-    elif line.startswith("summary_cache_hits: "):
-        cache_hits += int(line.split()[1])
-    elif "summary_pruned: " in line:
-        summary_pruned += int(line.split()[-1])
-assert len(apps) >= 3, f"expected >= 3 helper-suite apps, got {len(apps)}"
-vuln = [a for a, v in apps.items() if v == "vulnerable"]
-benign = [a for a, v in apps.items() if v == "not_vulnerable"]
-assert len(vuln) >= 2, f"helper-chain vulns not detected: {apps}"
-assert len(benign) >= 1, f"benign helper app not cleared: {apps}"
-assert len(vuln) + len(benign) == len(apps), f"indefinite verdicts: {apps}"
-assert cache_hits > 0, "summary cache got no hits on the helper suite"
-assert summary_pruned > 0, "no root was pruned via summary instantiation"
-print(f"helper suite OK: {len(vuln)} detected, {len(benign)} cleared, "
-      f"{cache_hits} cache hit(s), {summary_pruned} summary-pruned root(s)")
-PY
-else
-  grep -q "verdict: vulnerable" "$SUM_DIR/helper.txt" \
-    || { echo "FAIL: no helper-chain app detected" >&2; exit 1; }
-  echo "python3 not found; helper suite deep-checked by grep only"
-fi
-
-# Fleet prune rate with summaries on must stay >= the PR4-era 30% floor.
-"$BUILD_DIR/examples/corpus_verdicts" --suite full --stats \
-  > "$SUM_DIR/fleet_stats.txt"
-if command -v python3 >/dev/null; then
-  python3 - "$SUM_DIR/fleet_stats.txt" BENCH_PR9.json <<'PY'
-import json, sys
-roots = pruned = 0
-for line in open(sys.argv[1]):
-    if line.startswith("roots: "):
-        parts = line.split()
-        roots += int(parts[1])
-        pruned += int(parts[3])
-floor = float(json.load(open(sys.argv[2]))["ci_gate"]["fleet_prune_rate_min"])
-rate = pruned / roots if roots else 0.0
-print(f"fleet prune rate (summaries on): {pruned}/{roots} = {rate:.1%} "
-      f"(gate >= {floor:.0%})")
-if rate < floor:
-    sys.exit(f"FAIL: prune rate {rate:.1%} below the committed "
-             f"{floor:.0%} floor")
-PY
-else
-  echo "python3 not found; prune-rate gate skipped"
-fi
-
-echo "== [12/12] engine introspection gate (BENCH_PR10.json) =="
+echo "== [8/8] engine introspection gate =="
 PROF_DIR="$SMOKE_DIR/profile"
 mkdir -p "$PROF_DIR"
 if ! command -v python3 >/dev/null; then
   echo "python3 not found; engine introspection gate skipped"
 else
-  # Committed baseline structure (always fatal).
-  python3 - BENCH_PR10.json <<'PY'
-import json, sys
-bench = json.load(open(sys.argv[1]))
-for key in ("micro", "fleet", "profile", "ci_gate"):
-    assert key in bench, f"BENCH_PR10.json missing section: {key}"
-assert float(bench["micro"]["BM_EndToEnd_ms"]) > 0, "bad committed micro ms"
-cimy = bench["profile"]["cimy_post_mortem"]
-for key in ("reason", "peak_paths", "dominant_construct", "top_fork_site"):
-    assert key in cimy, f"cimy_post_mortem missing: {key}"
-assert cimy["reason"] == "budget_exhausted", "Cimy reason drifted"
-assert int(cimy["peak_paths"]) > 0, "bad Cimy peak_paths"
-top = cimy["top_fork_site"]
-assert top["site"] and int(top["paths_spawned"]) > 0, "bad top fork site"
-assert cimy["dominant_construct"], "no dominant construct committed"
-gate = bench["ci_gate"]
-assert 1 < 1 + float(gate["profile_overhead_tolerance"]) < 2, "bad tolerance"
-print(f"BENCH_PR10.json OK (Cimy died of {cimy['reason']} at "
-      f"{cimy['peak_paths']} live paths; dominant {cimy['dominant_construct']})")
-PY
-
-  # The committed trajectory must be regenerated whenever a BENCH file
-  # changes; bench_history also hard-fails on any malformed BENCH file.
-  python3 ci/bench_history.py --check
-
   # Fleet sweep with --profile-out: every app's profile JSON must
   # validate against the support/profile.h schema, and the report must
   # be byte-identical with profiling off once the profile object is
@@ -1011,92 +632,6 @@ PY
   fi
   echo "profiled sweep: $PROF_APPS apps, $PROF_ROOTS profiled root(s)," \
        "$PROF_INCOMPLETE incomplete; reports identical with profiling off"
-
-  # The paper's false negative must produce an actionable post-mortem:
-  # fork sites ranked by paths spawned, and a dominating construct named
-  # (Cimy's explosion is an if/elseif ladder, so the dominant-loop field
-  # exercises its any-kind fallback).
-  CIMY_PROFILE=$(find "$PROF_DIR" -name 'Cimy*.profile.json' | head -1)
-  if [[ -z "$CIMY_PROFILE" ]]; then
-    echo "FAIL: no Cimy profile in the corpus sweep" >&2
-    exit 1
-  fi
-  python3 - "$CIMY_PROFILE" BENCH_PR10.json <<'PY'
-import json, sys
-prof = json.load(open(sys.argv[1]))
-dead = [r for r in prof["roots"] if r["incomplete"]]
-assert dead, "Cimy recorded no incomplete root"
-root = max(dead, key=lambda r: r["peak_paths"])
-assert root["reason"] == "budget_exhausted", f"reason: {root['reason']}"
-pm = root["post_mortem"]
-assert pm["reason"] == "budget_exhausted", "post-mortem reason drifted"
-sites = pm["top_fork_sites"]
-assert sites, "post-mortem lists no fork sites"
-spawned = [s["paths_spawned"] for s in sites]
-assert spawned == sorted(spawned, reverse=True), (
-    "post-mortem sites not ranked by paths spawned")
-assert pm["dominant_loop"], "post-mortem names no dominating construct"
-named = {s["site"] for s in sites
-         if s["kind"] in ("loop", "foreach")} or {sites[0]["site"]}
-assert any(pm["dominant_loop"].startswith(site) for site in named), (
-    f"dominant construct {pm['dominant_loop']!r} is not a ranked site")
-assert pm["live_path_histogram"], "post-mortem has no live-path histogram"
-committed = json.load(open(sys.argv[2]))["profile"]["cimy_post_mortem"]
-assert pm["peak_paths"] == int(committed["peak_paths"]), (
-    f"peak paths {pm['peak_paths']} != committed {committed['peak_paths']}")
-assert pm["dominant_loop"] == committed["dominant_construct"], (
-    f"dominant {pm['dominant_loop']!r} != committed "
-    f"{committed['dominant_construct']!r}")
-print(f"Cimy post-mortem OK: died of {pm['reason']} at "
-      f"{pm['peak_paths']} live paths; top site {sites[0]['site']} "
-      f"({sites[0]['paths_spawned']} paths); dominant {pm['dominant_loop']}")
-PY
-
-  # Profiling-off overhead: the null-pointer hook contract. Same-machine
-  # gate against the step-5 baseline file; absolute wall time vs. the
-  # committed number is machine-dependent and only warns.
-  if [[ "${SKIP_BENCH:-0}" == "1" ]]; then
-    echo "profiling-off overhead gate skipped (SKIP_BENCH=1)"
-  else
-    "$BUILD_DIR/bench/bench_micro" \
-      --benchmark_filter='BM_EndToEnd$' \
-      --benchmark_repetitions=3 --benchmark_report_aggregates_only=true \
-      --benchmark_format=json > "$PROF_DIR/bench.json"
-    rc=0
-    python3 - "$PROF_DIR/bench.json" "$BUILD_DIR/bench_baseline_ms.txt" \
-      BENCH_PR10.json "$OVERHEAD_TOLERANCE" <<'PY' || rc=$?
-import json, os, sys
-current = None
-for b in json.load(open(sys.argv[1]))["benchmarks"]:
-    if b["name"].endswith("_median"):
-        current = b["real_time"]
-        break
-assert current is not None, "could not read BM_EndToEnd median"
-tolerance = float(sys.argv[4])
-if os.path.exists(sys.argv[2]):
-    baseline = float(open(sys.argv[2]).read())
-    ratio = current / baseline if baseline > 0 else 1.0
-    print(f"profiling-off scan: baseline {baseline:.3f} ms, current "
-          f"{current:.3f} ms, ratio {ratio:.3f} (limit {tolerance})")
-    if ratio > tolerance:
-        sys.exit(f"FAIL: profiling-off scan regressed >"
-                 f"{(tolerance - 1) * 100:.0f}% vs the machine baseline")
-else:
-    print("no machine-local baseline (step 5 skipped); hard gate skipped")
-committed = float(json.load(open(sys.argv[3]))["micro"]["BM_EndToEnd_ms"])
-if current > committed * tolerance:
-    print(f"WARN: BM_EndToEnd {current:.1f} ms exceeds the committed "
-          f"{committed} ms by >{(tolerance - 1) * 100:.0f}% "
-          "(machine-dependent)")
-    sys.exit(2)
-PY
-    if [[ "$rc" == "2" && "${BENCH_STRICT:-0}" == "1" ]]; then
-      echo "FAIL: wall time regressed vs committed baseline (BENCH_STRICT=1)" >&2
-      exit 1
-    elif [[ "$rc" != "0" && "$rc" != "2" ]]; then
-      exit 1
-    fi
-  fi
 fi
 
 echo "== all checks passed =="

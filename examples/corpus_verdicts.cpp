@@ -6,27 +6,26 @@
 // optimizations that must not change analysis results (hash-consing,
 // caching, interning).
 //
-//   $ ./build/examples/corpus_verdicts > verdicts.txt
+//   $ ./build/examples/corpus_verdicts --suite all > verdicts.txt
 //
-// --explain runs every scan with evidence collection on but prints the
-// same fields: diffing the two outputs proves evidence is purely
-// additive (CI does exactly that). --dump DIR additionally writes each
-// corpus app as a PHP tree under DIR/<app>/ so file-oriented tools
-// (scan_directory --sarif-out, external scanners) can run on the corpus.
-// --parse-threads N parses each app's files on an N-thread pool (0 =
-// auto); diffing against a --parse-threads 1 dump proves parallel
-// parsing is behaviorally invisible (CI does that too).
-//
-// PR9 knobs: --no-summaries disables the inter-procedural summary layer
-// (diffing against the default dump proves summaries never change
-// verdicts); --crosscheck runs both engines on every root so any
-// summary-pruned root the symbolic engine finds vulnerable surfaces as
-// an analysis_disagreement verdict; --suite full|helper|all selects the
-// Table III corpus, the PR9 helper-chain suite, or both; --stats appends
-// per-app prune/summary counters (off by default so the byte-identical
-// oracle stays stats-free).
+// --suite full|helper|all selects the Table III corpus (the default),
+// the helper-chain suite (uploads persisted through user-defined
+// helpers), or both. The remaining flags switch on machinery that must
+// never change a result, so each prints the same dump:
+//   --explain          evidence collection on every scan;
+//   --parse-threads N  each app's files parsed on an N-thread pool
+//                      (0 = auto; N must be a non-negative integer);
+//   --no-summaries     the inter-procedural summary layer off;
+//   --crosscheck       both engines on every root, so a summary-pruned
+//                      root the symbolic engine finds vulnerable turns
+//                      the verdict into analysis_disagreement.
+// tests/CMakeLists.txt diffs each of these against the one committed
+// golden, tests/data/corpus_verdicts.golden. --dump DIR additionally
+// writes each corpus app as a PHP tree under DIR/<app>/ so file-oriented
+// tools (scan_directory --sarif-out, external scanners) can run on the
+// corpus.
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -54,14 +53,21 @@ bool dump_app(const std::filesystem::path& dir, const Application& app) {
   return true;
 }
 
+// A whole-string non-negative decimal; std::atoi would read "x" and "-3"
+// as 0, which --parse-threads takes as "auto".
+bool parse_count(const char* text, std::size_t& out) {
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, out);
+  return ec == std::errc() && ptr == end && ptr != text;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   bool explain = false;
   bool crosscheck = false;
   bool summaries = true;
-  bool stats = false;
-  int parse_threads = 1;
+  std::size_t parse_threads = 1;
   std::string dump_dir;
   std::string suite = "full";
   for (int i = 1; i < argc; ++i) {
@@ -71,18 +77,20 @@ int main(int argc, char** argv) {
       crosscheck = true;
     } else if (std::strcmp(argv[i], "--no-summaries") == 0) {
       summaries = false;
-    } else if (std::strcmp(argv[i], "--stats") == 0) {
-      stats = true;
     } else if (std::strcmp(argv[i], "--suite") == 0 && i + 1 < argc) {
       suite = argv[++i];
     } else if (std::strcmp(argv[i], "--dump") == 0 && i + 1 < argc) {
       dump_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--parse-threads") == 0 && i + 1 < argc) {
-      parse_threads = std::atoi(argv[++i]);
+      if (!parse_count(argv[++i], parse_threads)) {
+        std::fprintf(stderr, "error: --parse-threads needs a non-negative "
+                     "integer, got '%s'\n", argv[i]);
+        return 2;
+      }
     } else {
       std::fprintf(stderr,
                    "usage: %s [--explain] [--crosscheck] [--no-summaries] "
-                   "[--stats] [--suite full|helper|all] [--dump DIR] "
+                   "[--suite full|helper|all] [--dump DIR] "
                    "[--parse-threads N]\n",
                    argv[0]);
       return 2;
@@ -97,8 +105,7 @@ int main(int argc, char** argv) {
   options.explain = explain;
   options.crosscheck = crosscheck;
   options.summaries = summaries;
-  options.parse_threads =
-      parse_threads > 0 ? static_cast<std::size_t>(parse_threads) : 0;
+  options.parse_threads = parse_threads;
   Detector detector(options);
   std::vector<uchecker::corpus::CorpusEntry> entries;
   if (suite == "full" || suite == "all") {
@@ -131,13 +138,6 @@ int main(int argc, char** argv) {
       std::printf("  reach: %s\n", f.reach_sexpr.c_str());
       std::printf("  witness: %s\n", f.witness.c_str());
       std::printf("  fingerprint: %s\n", f.fingerprint.c_str());
-    }
-    if (stats) {
-      std::printf("roots: %zu pruned: %zu summary_pruned: %zu\n",
-                  report.roots, report.pruned_roots,
-                  report.summary_pruned_roots);
-      std::printf("summary_cache_hits: %zu escaped_calls: %zu\n",
-                  report.summary_cache_hits, report.escaped_calls);
     }
     std::printf("\n");
   }

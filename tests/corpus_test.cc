@@ -10,6 +10,7 @@
 #include "core/detector/detector.h"
 #include "corpus/corpus.h"
 #include "phpparse/parser.h"
+#include "support/profile.h"
 
 namespace uchecker::corpus {
 namespace {
@@ -125,6 +126,45 @@ TEST(CorpusDetection, CimyFalseNegativeIsBudgetExhaustion) {
   EXPECT_GT(report.paths, 100'000u);  // the paper reports 248832 paths
 }
 
+TEST(CorpusDetection, CimyPostMortemNamesTheIfLadder) {
+  // The paper's one false negative must come with an actionable
+  // post-mortem. Cimy's explosion is a pure if/elseif ladder (2^10 * 3^5
+  // structural paths, no loop forks), so the dominating construct is the
+  // top fork site of any kind.
+  const auto& entries = corpus();
+  const auto cimy =
+      std::find_if(entries.begin(), entries.end(), [](const CorpusEntry& e) {
+        return e.app.name == "Cimy User Extra Fields 2.3.8";
+      });
+  ASSERT_NE(cimy, entries.end());
+  core::ScanOptions options;
+  options.profile = true;
+  const ScanReport report = Detector(options).scan(cimy->app);
+  ASSERT_TRUE(report.profiled);
+  const profile::RootProfile* dead = nullptr;
+  for (const profile::RootProfile& root : report.profile.roots) {
+    if (root.incomplete && (!dead || root.peak_paths > dead->peak_paths)) {
+      dead = &root;
+    }
+  }
+  ASSERT_NE(dead, nullptr) << "Cimy recorded no incomplete root";
+  EXPECT_EQ(dead->reason, "budget_exhausted");
+  ASSERT_TRUE(dead->post_mortem.has_value());
+  const profile::PostMortem& pm = *dead->post_mortem;
+  EXPECT_EQ(pm.reason, "budget_exhausted");
+  EXPECT_EQ(pm.peak_paths, 124416u);
+  EXPECT_EQ(pm.dominant_loop, "cimy_uef_register.php:67 (conditional if)");
+  EXPECT_FALSE(pm.live_path_histogram.empty());
+  ASSERT_FALSE(pm.top_sites.empty());
+  EXPECT_EQ(pm.top_sites[0].site, "cimy_uef_register.php:67");
+  EXPECT_EQ(pm.top_sites[0].cumulative_paths, 82944u);
+  for (std::size_t i = 1; i < pm.top_sites.size(); ++i) {
+    EXPECT_GE(pm.top_sites[i - 1].cumulative_paths,
+              pm.top_sites[i].cumulative_paths)
+        << "post-mortem sites not ranked by paths spawned";
+  }
+}
+
 TEST(CorpusDetection, AvatarUploaderPathCountExact) {
   // Table III: 9216 paths (2^10 * 9).
   EXPECT_EQ(reports().at("Avatar Uploader 6.x-1.2").paths, 9216u);
@@ -146,6 +186,18 @@ TEST(CorpusDetection, LocalityReductionShapeHolds) {
     if (report.roots == 0) continue;
     EXPECT_LT(report.analyzed_percent, 55.0) << entry.app.name;
   }
+}
+
+TEST(CorpusDetection, StaticPassPrunesAtLeastThirtyPercentOfRoots) {
+  // The static pre-pass (summaries on) must discharge at least 30% of
+  // the Table III analysis roots before symbolic execution.
+  std::size_t roots = 0, pruned = 0;
+  for (const auto& [name, report] : reports()) {
+    roots += report.roots;
+    pruned += report.pruned_roots;
+  }
+  ASSERT_GT(roots, 0u);
+  EXPECT_GE(pruned * 10, roots * 3) << pruned << "/" << roots << " pruned";
 }
 
 TEST(CorpusDetection, FindingsCiteRealSourceLines) {
@@ -250,6 +302,17 @@ TEST(CorpusExtension, HelperSuiteBenignPrunesOnlyViaSummaries) {
   EXPECT_EQ(without.summary_pruned_roots, 0u);
   EXPECT_GT(without.paths, 0u) << "without summaries the root must fall "
       "through to symbolic execution";
+}
+
+TEST(CorpusExtension, HelperSuiteHitsTheSummaryCache) {
+  // One Detector over the whole suite, as corpus_verdicts scans it: the
+  // helper chains must reuse memoized summary instantiations.
+  Detector detector;
+  std::size_t hits = 0;
+  for (const CorpusEntry& entry : helper_sink_suite()) {
+    hits += detector.scan(entry.app).summary_cache_hits;
+  }
+  EXPECT_GT(hits, 0u);
 }
 
 TEST(CorpusExtension, HelperSuiteCrosscheckAgreesEverywhere) {
