@@ -21,6 +21,7 @@
 #include "phpparse/parse_pool.h"
 #include "phpparse/parser.h"
 #include "smt/solver.h"
+#include "support/scan_events.h"
 #include "support/telemetry.h"
 
 // Binary-wide allocation counter so BM_Lex can prove the "lexing never
@@ -348,29 +349,32 @@ void BM_EvidenceExtraction(benchmark::State& state) {
 }
 BENCHMARK(BM_EvidenceExtraction)->Unit(benchmark::kMicrosecond);
 
-// Cost of one disarmed SpanScope: what every instrumentation site pays
-// when no telemetry is attached. Should be on the order of a branch.
-void BM_SpanScopeNull(benchmark::State& state) {
-  uchecker::telemetry::ScanTrace* trace = nullptr;
-  benchmark::DoNotOptimize(trace);
+// Cost of one disarmed PhaseScope: what every engine emission site pays
+// when no consumer is attached. Should be on the order of a branch.
+void BM_PhaseScopeNull(benchmark::State& state) {
+  uchecker::telemetry::ScanEvents* events = nullptr;
+  benchmark::DoNotOptimize(events);
   for (auto _ : state) {
-    const uchecker::telemetry::SpanScope span(trace, "parse");
-    benchmark::DoNotOptimize(&span);
+    const uchecker::telemetry::PhaseScope phase(events, "parse");
+    benchmark::DoNotOptimize(&phase);
   }
 }
-BENCHMARK(BM_SpanScopeNull);
+BENCHMARK(BM_PhaseScopeNull);
 
-// Cost of one live span begin/end pair against a real trace.
-void BM_SpanScopeLive(benchmark::State& state) {
+// Cost of one live phase begin/end pair through the hook into a real
+// trace.
+void BM_PhaseScopeLive(benchmark::State& state) {
   uchecker::telemetry::Telemetry telemetry;
   uchecker::telemetry::ScanTrace& trace = telemetry.begin_scan("bench");
+  uchecker::telemetry::ScanEvents events(&trace, &telemetry.metrics(),
+                                         nullptr, /*profile=*/false);
   for (auto _ : state) {
-    const uchecker::telemetry::SpanScope span(&trace, "parse");
-    benchmark::DoNotOptimize(&span);
+    const uchecker::telemetry::PhaseScope phase(&events, "parse");
+    benchmark::DoNotOptimize(&phase);
   }
   state.counters["spans"] = static_cast<double>(trace.spans().size());
 }
-BENCHMARK(BM_SpanScopeLive);
+BENCHMARK(BM_PhaseScopeLive);
 
 // Histogram hot path: one observe() on a default latency histogram.
 void BM_HistogramObserve(benchmark::State& state) {

@@ -6,12 +6,15 @@
 #      Tier-1 includes the result oracle: corpus_verdicts --suite all
 #      must print tests/data/corpus_verdicts.golden byte for byte with
 #      each result-neutral toggle (plain, --explain, --parse-threads 4,
-#      --no-summaries, --crosscheck), and corpus_test pins the helper
-#      suite, the static-pass prune floor and the Cimy post-mortem
+#      --no-summaries, --crosscheck, --observe), and corpus_test pins
+#      the helper suite, the static-pass prune floor and the Cimy
+#      post-mortem
 #   2. clang-tidy over src/ with the repo .clang-tidy profile (skipped
 #      with a note when clang-tidy is not installed, like the python3
 #      checks below)
-#   3. sanitizer build + test suite (ci/sanitize.sh), golden rows included
+#   3. sanitizers: the ASan+UBSan build runs the whole test suite
+#      (ci/sanitize.sh), golden rows included; the ThreadSanitizer build
+#      runs the concurrency suites (ci/sanitize.sh --tsan)
 #   4. telemetry smoke: scan a known-vulnerable sample with
 #      --trace-out/--metrics-out and validate that both outputs are
 #      well-formed JSON with the expected pipeline phases
@@ -88,6 +91,7 @@ if [[ "${SKIP_SANITIZE:-0}" == "1" ]]; then
   echo "skipped (SKIP_SANITIZE=1)"
 else
   ci/sanitize.sh
+  ci/sanitize.sh --tsan
 fi
 
 echo "== [4/8] telemetry smoke: trace + metrics JSON =="

@@ -18,7 +18,10 @@
 //   --no-summaries     the inter-procedural summary layer off;
 //   --crosscheck       both engines on every root, so a summary-pruned
 //                      root the symbolic engine finds vulnerable turns
-//                      the verdict into analysis_disagreement.
+//                      the verdict into analysis_disagreement;
+//   --observe          every scan event consumer attached to the one
+//                      Detector: a Telemetry (trace + metrics), a
+//                      4096-slot flight ring and the path profiler.
 // tests/CMakeLists.txt diffs each of these against the one committed
 // golden, tests/data/corpus_verdicts.golden. --dump DIR additionally
 // writes each corpus app as a PHP tree under DIR/<app>/ so file-oriented
@@ -33,6 +36,8 @@
 #include "core/detector/detector.h"
 #include "core/detector/report_io.h"
 #include "corpus/corpus.h"
+#include "support/flight_recorder.h"
+#include "support/telemetry.h"
 
 using namespace uchecker::core;  // NOLINT
 
@@ -67,6 +72,7 @@ int main(int argc, char** argv) {
   bool explain = false;
   bool crosscheck = false;
   bool summaries = true;
+  bool observe = false;
   std::size_t parse_threads = 1;
   std::string dump_dir;
   std::string suite = "full";
@@ -77,6 +83,8 @@ int main(int argc, char** argv) {
       crosscheck = true;
     } else if (std::strcmp(argv[i], "--no-summaries") == 0) {
       summaries = false;
+    } else if (std::strcmp(argv[i], "--observe") == 0) {
+      observe = true;
     } else if (std::strcmp(argv[i], "--suite") == 0 && i + 1 < argc) {
       suite = argv[++i];
     } else if (std::strcmp(argv[i], "--dump") == 0 && i + 1 < argc) {
@@ -90,7 +98,7 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--explain] [--crosscheck] [--no-summaries] "
-                   "[--suite full|helper|all] [--dump DIR] "
+                   "[--observe] [--suite full|helper|all] [--dump DIR] "
                    "[--parse-threads N]\n",
                    argv[0]);
       return 2;
@@ -106,6 +114,13 @@ int main(int argc, char** argv) {
   options.crosscheck = crosscheck;
   options.summaries = summaries;
   options.parse_threads = parse_threads;
+  uchecker::telemetry::Telemetry telemetry;
+  uchecker::telemetry::FlightRecorder flight(4096);
+  if (observe) {
+    options.telemetry = &telemetry;
+    options.flight = &flight;
+    options.profile = true;
+  }
   Detector detector(options);
   std::vector<uchecker::corpus::CorpusEntry> entries;
   if (suite == "full" || suite == "all") {

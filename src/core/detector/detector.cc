@@ -1,7 +1,6 @@
 #include "core/detector/detector.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <new>
 #include <optional>
@@ -12,42 +11,12 @@
 #include "support/strutil.h"
 #include "smt/solver.h"
 #include "support/fault_injector.h"
-#include "support/flight_recorder.h"
+#include "support/scan_events.h"
+#include "support/store.h"
 #include "support/telemetry.h"
 
 namespace uchecker::core {
 namespace {
-
-// Mints a process-unique 16-hex-digit trace ID for scans that arrive
-// without one (direct Detector::scan calls with telemetry attached, as
-// opposed to scand requests, which carry the client's ID). FNV-1a 64
-// over the app name, a monotone counter and the clock, so concurrent
-// scans of the same app still get distinct IDs.
-std::string mint_trace_id(std::string_view app_name) {
-  static std::atomic<std::uint64_t> sequence{0};
-  std::uint64_t h = 1469598103934665603ULL;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= v & 0xFF;
-      h *= 1099511628211ULL;
-      v >>= 8;
-    }
-  };
-  for (const char c : app_name) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  mix(sequence.fetch_add(1, std::memory_order_relaxed));
-  mix(static_cast<std::uint64_t>(
-      std::chrono::steady_clock::now().time_since_epoch().count()));
-  static const char* kHex = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = kHex[h & 0xF];
-    h >>= 4;
-  }
-  return out;
-}
 
 // Display name of an analysis root for error attribution.
 std::string root_name(const AnalysisRoot& root) {
@@ -139,29 +108,17 @@ std::string_view verdict_name(Verdict v) {
 
 std::string finding_fingerprint(std::string_view app, std::string_view sink,
                                 std::string_view dst_sexpr) {
-  // FNV-1a 64 over the identity triple, fields separated by a byte that
-  // cannot occur in any of them. The dst s-expression is canonical
+  // FNV-1a 64 over the identity triple, each field terminated by a byte
+  // that cannot occur in any of them. The dst s-expression is canonical
   // (hash-consed graph → one rendering per term), so the hash is stable
-  // across line-number churn from unrelated edits.
+  // across line-number churn from unrelated edits. The seed is this
+  // scheme's own (not store::kFnvOffset): changing it would re-key every
+  // fingerprint already stored in SARIF baselines.
   std::uint64_t h = 1469598103934665603ULL;
-  const auto mix = [&h](std::string_view s) {
-    for (const char c : s) {
-      h ^= static_cast<unsigned char>(c);
-      h *= 1099511628211ULL;
-    }
-    h ^= 0x1f;
-    h *= 1099511628211ULL;
-  };
-  mix(app);
-  mix(sink);
-  mix(dst_sexpr);
-  static const char* kHex = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<std::size_t>(i)] = kHex[h & 0xF];
-    h >>= 4;
+  for (const std::string_view field : {app, sink, dst_sexpr}) {
+    h = store::fnv1a64("\x1f", store::fnv1a64(field, h));
   }
-  return out;
+  return store::hex64(h);
 }
 
 Detector::Detector(ScanOptions options) : options_(std::move(options)) {}
@@ -186,23 +143,21 @@ ScanReport Detector::scan(const Application& app,
   // zero-overhead contract.
   std::string trace_id = options_.trace_id;
   if (trace_id.empty() && options_.telemetry != nullptr) {
-    trace_id = mint_trace_id(app.name);
+    trace_id = telemetry::mint_trace_id(app.name);
   }
-  telemetry::ScanTrace* trace =
-      options_.telemetry != nullptr
-          ? &options_.telemetry->begin_scan(app.name, trace_id)
-          : nullptr;
-  if (trace != nullptr && options_.flight != nullptr) {
-    trace->set_flight_recorder(options_.flight);
-  }
+  telemetry::Telemetry* const tel = options_.telemetry;
+  telemetry::ScanEvents events(
+      tel != nullptr ? &tel->begin_scan(app.name, trace_id) : nullptr,
+      tel != nullptr ? &tel->metrics() : nullptr, options_.flight,
+      options_.profile);
 
   ScanReport report;
   report.app_name = app.name;
   report.trace_id = trace_id;
   {
-    const telemetry::SpanScope scan_span(trace, "scan", app.name);
+    const telemetry::PhaseScope scan_span(&events, "scan", app.name);
     try {
-      scan_impl(app, effective, report, trace);
+      scan_impl(app, effective, report, &events);
     } catch (...) {
       // Last-resort containment: scan() must never throw (workers run it
       // on noexcept thread boundaries). Phase-level handlers in scan_impl
@@ -291,7 +246,7 @@ ScanReport Detector::scan(const Application& app,
 
 void Detector::scan_impl(const Application& app, const Deadline& deadline,
                          ScanReport& report,
-                         telemetry::ScanTrace* trace) const {
+                         telemetry::ScanEvents* events) const {
   // Phase 1: parsing. A file whose parse *throws* (as opposed to
   // reporting diagnostics) is dropped and recorded; the rest of the app
   // is still analyzed.
@@ -334,19 +289,17 @@ void Detector::scan_impl(const Application& app, const Deadline& deadline,
       options_.parse_threads, source_files.size());
   std::vector<phpparse::ParsedUnit> units;
   {
-    const telemetry::SpanScope parse_span(trace, "parse");
+    const telemetry::PhaseScope parse_span(events, "parse");
     units = phpparse::parse_files(source_files, parse_threads, &deadline);
     for (std::size_t i = 0; i < units.size(); ++i) {
       phpparse::ParsedUnit& unit = units[i];
       if (!unit.attempted) {
         report.deadline_exceeded = true;
-        if (trace != nullptr) {
-          trace->record_event("deadline_exceeded", "during parse");
-        }
+        events->event("deadline_exceeded", "during parse");
         break;
       }
-      const telemetry::SpanScope file_span(trace, "parse.file",
-                                           app.files[i].name);
+      const telemetry::PhaseScope file_span(events, "parse.file",
+                                            app.files[i].name);
       diags.merge(unit.diags);
       if (unit.error != nullptr) {
         try {
@@ -377,7 +330,7 @@ void Detector::scan_impl(const Application& app, const Deadline& deadline,
   const CallGraph call_graph = build_call_graph(program, options_.sinks);
   LocalityResult locality;
   try {
-    const telemetry::SpanScope locality_span(trace, "locality");
+    const telemetry::PhaseScope locality_span(events, "locality");
     if (options_.run_locality) {
       locality =
           analyze_locality(program, call_graph, sources, options_.locality);
@@ -434,7 +387,7 @@ void Detector::scan_impl(const Application& app, const Deadline& deadline,
     diags.set_phase("staticpass");
     const CostClock::time_point staticpass_start = CostClock::now();
     try {
-      const telemetry::SpanScope staticpass_span(trace, "staticpass");
+      const telemetry::PhaseScope staticpass_span(events, "staticpass");
       staticpass::StaticPassOptions pass_options;
       pass_options.executable_extensions =
           options_.vuln.executable_extensions;
@@ -480,18 +433,14 @@ void Detector::scan_impl(const Application& app, const Deadline& deadline,
   // recorded and skipped; remaining roots still run, so one hostile
   // root degrades the verdict instead of erasing the whole app.
   diags.set_phase("interp");
+  // The engines get a null hook when no consumer is attached, so each
+  // of their emission sites costs one pointer test. Roots pruned by the
+  // static pass never begin: they fork no paths and issue no queries.
+  telemetry::ScanEvents* const engine_events =
+      events->attached() ? events : nullptr;
   smt::Checker checker(options_.vuln.solver_timeout_ms);
   checker.set_deadline(deadline);
-  checker.set_telemetry(options_.telemetry, trace);
-  // Engine introspection (ScanOptions::profile): one recorder for the
-  // whole scan, threaded through Budget (fork sites, path samples) and
-  // the checker (solver attribution). Roots pruned by the static pass
-  // never begin_root — they fork no paths and issue no queries.
-  std::optional<profile::PathProfiler> profiler;
-  if (options_.profile) {
-    profiler.emplace();
-    checker.set_profiler(&*profiler);
-  }
+  checker.set_events(engine_events);
   std::size_t env_bytes_total = 0;
   std::size_t graph_bytes_total = 0;
   for (std::size_t ri = 0; ri < locality.roots.size(); ++ri) {
@@ -502,9 +451,7 @@ void Detector::scan_impl(const Application& app, const Deadline& deadline,
     if (proven_safe) {
       report.pruned_roots += 1;
       if (options_.prefilter && !options_.crosscheck) {
-        if (trace != nullptr) {
-          trace->record_event("staticpass_pruned", root_name(root));
-        }
+        events->root_end(cost.root, telemetry::RootOutcome::kPruned);
         cost.pruned = true;
         report.root_costs.push_back(std::move(cost));
         continue;
@@ -512,28 +459,23 @@ void Detector::scan_impl(const Application& app, const Deadline& deadline,
     }
     if (deadline.expired()) {
       report.deadline_exceeded = true;
-      if (trace != nullptr) {
-        trace->record_event("deadline_exceeded", "before " + root_name(root));
-      }
+      events->event("deadline_exceeded", "before " + cost.root);
       break;
     }
-    const telemetry::SpanScope root_span(trace, "root", root_name(root));
-    if (profiler.has_value()) profiler->begin_root(root_name(root));
+    events->root_begin(cost.root);
 
     InterpResult exec;
     const CostClock::time_point interp_start = CostClock::now();
     try {
-      const telemetry::SpanScope interp_span(trace, "interp");
+      const telemetry::PhaseScope interp_span(events, "interp");
       Budget budget = options_.budget;
       budget.deadline = deadline;
-      budget.trace = trace;
-      budget.profiler = profiler.has_value() ? &*profiler : nullptr;
+      budget.events = engine_events;
       Interpreter interp(program, diags, budget, options_.sinks);
       exec = interp.run(root);
     } catch (...) {
-      report.errors.push_back(
-          describe_current_exception("interp", root_name(root)));
-      if (profiler.has_value()) profiler->end_root(true, "analysis_error");
+      report.errors.push_back(describe_current_exception("interp", cost.root));
+      events->root_end(cost.root, telemetry::RootOutcome::kAnalysisError);
       cost.interp_ms = ms_since(interp_start);
       report.root_costs.push_back(std::move(cost));
       continue;
@@ -555,11 +497,10 @@ void Detector::scan_impl(const Application& app, const Deadline& deadline,
       // The paper's behaviour: the run that exhausts memory produces no
       // verdict for this root (Cimy FN). Continue with other roots
       // (deadline expiry ends the loop at the next iteration's check).
-      if (profiler.has_value()) {
-        profiler->end_root(true, exec.stats.budget_exhausted
-                                     ? "budget_exhausted"
-                                     : "deadline_exceeded");
-      }
+      events->root_end(cost.root,
+                       exec.stats.budget_exhausted
+                           ? telemetry::RootOutcome::kBudgetExhausted
+                           : telemetry::RootOutcome::kDeadlineExceeded);
       report.root_costs.push_back(std::move(cost));
       continue;
     }
@@ -571,9 +512,8 @@ void Detector::scan_impl(const Application& app, const Deadline& deadline,
       vuln_options.collect_evidence = options_.explain;
       vuln = check_sinks(exec, checker, vuln_options, &query_cache());
     } catch (...) {
-      report.errors.push_back(
-          describe_current_exception("solve", root_name(root)));
-      if (profiler.has_value()) profiler->end_root(true, "analysis_error");
+      report.errors.push_back(describe_current_exception("solve", cost.root));
+      events->root_end(cost.root, telemetry::RootOutcome::kAnalysisError);
       cost.solve_ms = ms_since(solve_start);
       report.root_costs.push_back(std::move(cost));
       continue;
@@ -587,7 +527,7 @@ void Detector::scan_impl(const Application& app, const Deadline& deadline,
     if (options_.crosscheck && proven_safe && vuln.vulnerable) {
       ScanError disagreement;
       disagreement.phase = "crosscheck";
-      disagreement.root = root_name(root);
+      disagreement.root = cost.root;
       disagreement.message =
           "static pass proved this root safe (" + pre[ri].reason +
           ") but the symbolic engine found it vulnerable";
@@ -616,7 +556,7 @@ void Detector::scan_impl(const Application& app, const Deadline& deadline,
         report.findings.push_back(std::move(finding));
       }
     }
-    if (profiler.has_value()) profiler->end_root(false, "");
+    events->root_end(cost.root, telemetry::RootOutcome::kCompleted);
     report.root_costs.push_back(std::move(cost));
   }
   report.solver_retries = checker.retry_count();
@@ -643,8 +583,9 @@ void Detector::scan_impl(const Application& app, const Deadline& deadline,
                      (1024.0 * 1024.0);
   report.accounted_bytes = graph_bytes_total + env_bytes_total;
 
-  if (profiler.has_value()) {
-    report.profile = profiler->take();
+  if (std::optional<profile::ExplosionProfile> profile =
+          events->take_profile()) {
+    report.profile = std::move(*profile);
     // The interpreter records raw (FileId, line) pairs; resolve them to
     // the "name:line" form humans (and the post-mortem) read. FileId 0
     // is the invalid id — leave the raw rendering in place.

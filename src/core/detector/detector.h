@@ -25,7 +25,7 @@
 
 namespace uchecker::telemetry {
 class FlightRecorder;
-class ScanTrace;
+class ScanEvents;
 class Telemetry;
 }  // namespace uchecker::telemetry
 
@@ -100,10 +100,9 @@ struct ScanOptions {
   // diagnostics, or their order — only wall-clock time.
   std::size_t parse_threads = 0;
   // Optional per-worker flight recorder (support/flight_recorder.h):
-  // phase transitions, progress samples and solver calls are mirrored
-  // into its lock-free ring so a watchdog can dump what a wedged scan
-  // was doing. Requires telemetry to be attached (events flow through
-  // the scan trace). The pointee must outlive the scan.
+  // phase transitions, progress samples, solver calls and events are
+  // recorded into its lock-free ring so a watchdog can dump what a
+  // wedged scan was doing. The pointee must outlive the scan.
   telemetry::FlightRecorder* flight = nullptr;
 };
 
@@ -340,7 +339,7 @@ class Detector {
 
  private:
   void scan_impl(const Application& app, const Deadline& deadline,
-                 ScanReport& report, telemetry::ScanTrace* trace) const;
+                 ScanReport& report, telemetry::ScanEvents* events) const;
 
   ScanOptions options_;
   // Solver outcomes shared across every scan this detector runs (and, in

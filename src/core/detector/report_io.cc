@@ -1,6 +1,6 @@
 #include "core/detector/report_io.h"
 
-#include <cmath>
+#include <cstdio>
 
 #include "support/jsonlite.h"
 #include "support/profile.h"
@@ -8,13 +8,6 @@
 
 namespace uchecker::core {
 namespace {
-
-std::string json_number(double value) {
-  if (!std::isfinite(value)) return "0";
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.6g", value);
-  return buffer;
-}
 
 // Serializes one finding's provenance bundle (ScanOptions::explain).
 std::string evidence_json(const FindingEvidence& ev) {
@@ -63,36 +56,11 @@ std::string evidence_json(const FindingEvidence& ev) {
 // or mistyped field, so one bad byte fails the whole parse (and the
 // caller recomputes) instead of yielding a half-filled report.
 
-bool get_string(const jsonlite::Value& obj, std::string_view key,
-                std::string& out) {
-  const jsonlite::Value* v = obj.find(key);
-  if (v == nullptr || !v->is_string()) return false;
-  out = v->str();
-  return true;
-}
-
-bool get_double(const jsonlite::Value& obj, std::string_view key,
-                double& out) {
-  const jsonlite::Value* v = obj.find(key);
-  if (v == nullptr || !v->is_number()) return false;
-  out = v->number();
-  return true;
-}
-
-bool get_bool(const jsonlite::Value& obj, std::string_view key, bool& out) {
-  const jsonlite::Value* v = obj.find(key);
-  if (v == nullptr || !v->is_bool()) return false;
-  out = v->boolean();
-  return true;
-}
-
-template <typename UInt>
-bool get_uint(const jsonlite::Value& obj, std::string_view key, UInt& out) {
-  double d = 0.0;
-  if (!get_double(obj, key, d) || d < 0.0) return false;
-  out = static_cast<UInt>(d);
-  return true;
-}
+using jsonlite::format_number;
+using jsonlite::get_bool;
+using jsonlite::get_double;
+using jsonlite::get_string;
+using jsonlite::get_uint;
 
 bool parse_verdict(std::string_view slug, Verdict& out) {
   for (const Verdict v :
@@ -342,12 +310,12 @@ std::string to_json(const ScanReport& report) {
   out += "\"stats\": {";
   out += "\"total_loc\": " + std::to_string(report.total_loc) + ", ";
   out += "\"analyzed_loc\": " + std::to_string(report.analyzed_loc) + ", ";
-  out += "\"analyzed_percent\": " + json_number(report.analyzed_percent) + ", ";
+  out += "\"analyzed_percent\": " + format_number(report.analyzed_percent) + ", ";
   out += "\"paths\": " + std::to_string(report.paths) + ", ";
   out += "\"objects\": " + std::to_string(report.objects) + ", ";
-  out += "\"objects_per_path\": " + json_number(report.objects_per_path) + ", ";
-  out += "\"memory_mb\": " + json_number(report.memory_mb) + ", ";
-  out += "\"seconds\": " + json_number(report.seconds) + ", ";
+  out += "\"objects_per_path\": " + format_number(report.objects_per_path) + ", ";
+  out += "\"memory_mb\": " + format_number(report.memory_mb) + ", ";
+  out += "\"seconds\": " + format_number(report.seconds) + ", ";
   out += "\"roots\": " + std::to_string(report.roots) + ", ";
   out += "\"sink_hits\": " + std::to_string(report.sink_hits) + ", ";
   out += "\"solver_calls\": " + std::to_string(report.solver_calls) + ", ";
@@ -382,7 +350,7 @@ std::string to_json(const ScanReport& report) {
     for (const auto& [phase, ms] : report.phase_ms) {
       if (!first_cost) out += ", ";
       first_cost = false;
-      out += strutil::quote(phase) + ": " + json_number(ms);
+      out += strutil::quote(phase) + ": " + format_number(ms);
     }
     out += "}, \"roots\": [";
     for (std::size_t i = 0; i < report.root_costs.size(); ++i) {
@@ -390,8 +358,8 @@ std::string to_json(const ScanReport& report) {
       if (i != 0) out += ", ";
       out += "{";
       out += "\"root\": " + strutil::quote(rc.root) + ", ";
-      out += "\"interp_ms\": " + json_number(rc.interp_ms) + ", ";
-      out += "\"solve_ms\": " + json_number(rc.solve_ms) + ", ";
+      out += "\"interp_ms\": " + format_number(rc.interp_ms) + ", ";
+      out += "\"solve_ms\": " + format_number(rc.solve_ms) + ", ";
       out += "\"paths\": " + std::to_string(rc.paths) + ", ";
       out += "\"objects\": " + std::to_string(rc.objects) + ", ";
       out += "\"solver_calls\": " + std::to_string(rc.solver_calls) + ", ";

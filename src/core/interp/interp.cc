@@ -6,9 +6,8 @@
 #include "core/interp/builtins.h"
 #include "phpast/visitor.h"
 #include "support/fault_injector.h"
-#include "support/profile.h"
+#include "support/scan_events.h"
 #include "support/strutil.h"
-#include "support/telemetry.h"
 
 namespace uchecker::core {
 
@@ -98,30 +97,29 @@ Type result_type_for(OpKind op, Type lhs, Type rhs) {
   return Type::kUnknown;
 }
 
-// RAII fork-site attribution (Budget::profiler). Enters the site on
-// construct entry and attributes the env-count delta on every exit
-// path — normal completion, early break, or budget abort — so the
-// cumulative/self bookkeeping stays balanced. One null test when no
-// profiler is attached.
+// RAII fork-site event (Budget::events). Enters the site on construct
+// entry and exits it on every exit path -- normal completion, early
+// break, or budget abort -- so the profiler's cumulative/self
+// bookkeeping stays balanced. One null test when no hook is attached.
 class ForkSiteScope {
  public:
-  ForkSiteScope(profile::PathProfiler* profiler, const std::vector<Env>& envs,
+  ForkSiteScope(telemetry::ScanEvents* events, const std::vector<Env>& envs,
                 profile::ForkKind kind, SourceLoc loc,
                 std::string_view detail)
-      : profiler_(profiler), envs_(envs) {
-    if (profiler_ != nullptr) {
-      profiler_->enter_site(kind, loc.file.value, loc.line, detail,
-                            envs_.size());
+      : events_(events), envs_(envs) {
+    if (events_ != nullptr) {
+      events_->fork_enter(kind, loc.file.value, loc.line, detail,
+                          envs_.size());
     }
   }
   ForkSiteScope(const ForkSiteScope&) = delete;
   ForkSiteScope& operator=(const ForkSiteScope&) = delete;
   ~ForkSiteScope() {
-    if (profiler_ != nullptr) profiler_->exit_site(envs_.size());
+    if (events_ != nullptr) events_->fork_exit(envs_.size());
   }
 
  private:
-  profile::PathProfiler* profiler_;
+  telemetry::ScanEvents* events_;
   const std::vector<Env>& envs_;
 };
 
@@ -150,8 +148,8 @@ void Interpreter::check_budget() {
   if (envs_.size() > budget_.max_paths ||
       graph_.object_count() > budget_.max_objects) {
     aborted_ = true;
-    if (!stats_.budget_exhausted && budget_.trace != nullptr) {
-      budget_.trace->record_event(
+    if (!stats_.budget_exhausted && budget_.events != nullptr) {
+      budget_.events->event(
           "budget_exhausted", std::to_string(envs_.size()) + " paths, " +
                                   std::to_string(graph_.object_count()) +
                                   " objects");
@@ -161,26 +159,19 @@ void Interpreter::check_budget() {
   // Wall-clock deadline, polled on a stride so the steady_clock read
   // stays off the per-statement fast path. 16 keeps worst-case overshoot
   // small (a handful of statements), which matters for tight deadlines.
-  // Telemetry progress samples share the stride (and its decimation in
-  // ScanTrace), so an attached trace adds no extra clock reads to the
-  // fast path and an unattached one costs a single null test.
+  // Progress samples share the stride (the trace decimates them
+  // further), so an attached hook adds no extra clock reads to the fast
+  // path and an unattached one costs a single null test.
   if ((deadline_poll_++ & 0xF) == 0) {
     if (budget_.deadline.expired()) {
       aborted_ = true;
-      if (!stats_.deadline_exceeded && budget_.trace != nullptr) {
-        budget_.trace->record_event("deadline_exceeded");
+      if (!stats_.deadline_exceeded && budget_.events != nullptr) {
+        budget_.events->event("deadline_exceeded");
       }
       stats_.deadline_exceeded = true;
     }
-    if (budget_.trace != nullptr) {
-      budget_.trace->sample_progress(envs_.size(), graph_.object_count(),
-                                     graph_.memory_bytes());
-    }
-    // The explosion profiler shares the stride too: the same sample
-    // feeds the live-path histogram and attributes heap growth to the
-    // current fork depth.
-    if (budget_.profiler != nullptr) {
-      budget_.profiler->sample(envs_.size(), graph_.object_count(),
+    if (budget_.events != nullptr) {
+      budget_.events->progress(envs_.size(), graph_.object_count(),
                                graph_.memory_bytes());
     }
   }
@@ -458,7 +449,7 @@ void Interpreter::exec_stmt(const Stmt& stmt) {
       // Fork: the no-exception path runs the try body; one alternative
       // path per catch clause runs its handler with a fresh exception.
       const auto& s = static_cast<const phpast::TryCatch&>(stmt);
-      const ForkSiteScope fork_scope(budget_.profiler, envs_,
+      const ForkSiteScope fork_scope(budget_.events, envs_,
                                      profile::ForkKind::kTryCatch, stmt.loc(),
                                      "try");
       std::vector<Env> base = envs_;  // pre-try snapshot
@@ -524,7 +515,7 @@ void Interpreter::exec_branch(const std::vector<Label>& cond_labels,
 }
 
 void Interpreter::exec_if(const phpast::If& stmt) {
-  const ForkSiteScope fork_scope(budget_.profiler, envs_,
+  const ForkSiteScope fork_scope(budget_.events, envs_,
                                  profile::ForkKind::kConditional, stmt.loc(),
                                  "if");
   // Normalize the elseif chain: execute it as a nested if in the else
@@ -591,7 +582,7 @@ void Interpreter::exec_if(const phpast::If& stmt) {
 }
 
 void Interpreter::exec_switch(const phpast::Switch& stmt) {
-  const ForkSiteScope fork_scope(budget_.profiler, envs_,
+  const ForkSiteScope fork_scope(budget_.events, envs_,
                                  profile::ForkKind::kSwitch, stmt.loc(),
                                  "switch");
   eval_expr(*stmt.subject);
@@ -674,7 +665,7 @@ void Interpreter::exec_loop(const Expr* cond,
                             Span<const phpast::StmtPtr> body,
                             const phpast::ExprList* step, SourceLoc loc,
                             std::string_view kind_detail) {
-  const ForkSiteScope fork_scope(budget_.profiler, envs_,
+  const ForkSiteScope fork_scope(budget_.events, envs_,
                                  profile::ForkKind::kLoop, loc, kind_detail);
   // Approximate `while (c) S` as a bounded unrolling that forks into a
   // skip path (NOT c) and an enter path (c asserted, S executed once per
@@ -739,7 +730,7 @@ void Interpreter::exec_loop(const Expr* cond,
 }
 
 void Interpreter::exec_foreach(const phpast::Foreach& stmt) {
-  const ForkSiteScope fork_scope(budget_.profiler, envs_,
+  const ForkSiteScope fork_scope(budget_.events, envs_,
                                  profile::ForkKind::kForeach, stmt.loc(),
                                  "foreach");
   // kNoVar encodes "no binding": key/value targets that are absent or
@@ -1652,7 +1643,7 @@ void Interpreter::eval_user_function(const Program::FunctionInfo& info,
     return;
   }
 
-  const ForkSiteScope fork_scope(budget_.profiler, envs_,
+  const ForkSiteScope fork_scope(budget_.events, envs_,
                                  profile::ForkKind::kCall, loc, info.name);
   call_chain_.push_back(info.name);
   const phpast::FunctionDecl& fn = *info.decl;

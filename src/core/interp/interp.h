@@ -36,12 +36,8 @@
 #include "support/diag.h"
 
 namespace uchecker::telemetry {
-class ScanTrace;
+class ScanEvents;
 }  // namespace uchecker::telemetry
-
-namespace uchecker::profile {
-class PathProfiler;
-}  // namespace uchecker::profile
 
 namespace uchecker::core {
 
@@ -67,18 +63,11 @@ struct Budget {
   // by the detector (from time_limit and any fleet-level deadline);
   // user code configures time_limit instead.
   Deadline deadline;
-  // Per-scan telemetry trace, set by the detector when a Telemetry is
-  // attached to ScanOptions. When non-null, the interpreter samples
-  // progress (live paths, heap-graph objects, bytes) next to the
-  // deadline poll and records budget/deadline exhaustion events. Null
-  // (the default) costs one pointer test per poll.
-  telemetry::ScanTrace* trace = nullptr;
-  // Per-scan path-explosion profiler (ScanOptions::profile). When
-  // non-null the interpreter attributes forked paths to source fork
-  // sites and samples live-path/heap growth on the deadline-poll
-  // stride. Null (the default) costs one pointer test per fork
-  // construct — the same zero-overhead contract as `trace`.
-  profile::PathProfiler* profiler = nullptr;
+  // Per-scan event hook (support/scan_events.h), set by the detector
+  // when an observability consumer is attached: receives fork
+  // enter/exit, a progress sample per deadline poll and budget/deadline
+  // exhaustion events. Null (the default) costs one pointer test.
+  telemetry::ScanEvents* events = nullptr;
 };
 
 // One reachable invocation of a file-upload sink, with everything the

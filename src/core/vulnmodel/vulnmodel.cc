@@ -9,9 +9,8 @@
 #include "core/interp/builtins.h"
 #include "core/translate/translate.h"
 #include "support/jsonlite.h"
-#include "support/profile.h"
+#include "support/scan_events.h"
 #include "support/strutil.h"
-#include "support/telemetry.h"
 
 namespace uchecker::core {
 namespace {
@@ -430,6 +429,7 @@ VulnModelResult check_sinks(const InterpResult& interp, smt::Checker& checker,
         }
       };
 
+  telemetry::ScanEvents* const events = checker.events();
   for (const SinkHit& sink : interp.sinks) {
     if (checker.deadline().expired()) {
       // Degrade instead of hanging: unchecked sinks get no verdicts and
@@ -441,8 +441,9 @@ VulnModelResult check_sinks(const InterpResult& interp, smt::Checker& checker,
     verdict.sink = sink;
     // Attribute everything the solver does for this sink — including the
     // warm memo/query-cache hits below — to the sink occurrence.
-    checker.set_query_origin(sink.sink_name, sink.loc.file.value,
-                             sink.loc.line);
+    if (events != nullptr) {
+      events->sink_origin(sink.sink_name, sink.loc.file.value, sink.loc.line);
+    }
 
     // Constraint-1: the uploaded content must come from $_FILES.
     verdict.taint_ok =
@@ -459,11 +460,7 @@ VulnModelResult check_sinks(const InterpResult& interp, smt::Checker& checker,
 
     const auto memo_key = std::make_pair(sink.dst, sink.reachability);
     if (const auto it = memo.find(memo_key); it != memo.end()) {
-      if (checker.profiler() != nullptr) {
-        checker.profiler()->record_solver(sink.sink_name, sink.loc.file.value,
-                                          sink.loc.line, 0.0,
-                                          /*cache_hit=*/true);
-      }
+      if (events != nullptr) events->solver_query({.cache_hit = true});
       verdict.constraints = it->second.result;
       verdict.witness = it->second.witness;
       attach_evidence(verdict, it->second.bindings);
@@ -487,11 +484,7 @@ VulnModelResult check_sinks(const InterpResult& interp, smt::Checker& checker,
       cache_key += verdict.reach_sexpr;
       if (const std::optional<SolverQueryCache::Outcome> hit =
               query_cache->lookup(cache_key)) {
-        if (checker.profiler() != nullptr) {
-          checker.profiler()->record_solver(sink.sink_name,
-                                            sink.loc.file.value, sink.loc.line,
-                                            0.0, /*cache_hit=*/true);
-        }
+        if (events != nullptr) events->solver_query({.cache_hit = true});
         verdict.constraints = hit->result;
         verdict.witness = hit->witness;
         attach_evidence(verdict, hit->bindings);
@@ -511,8 +504,8 @@ VulnModelResult check_sinks(const InterpResult& interp, smt::Checker& checker,
     // per-phase breakdown separates query printing from Z3 search.
     std::string query;
     try {
-      const telemetry::SpanScope translate_span(checker.trace(), "translate",
-                                                sink.sink_name);
+      const telemetry::PhaseScope translate_span(events, "translate",
+                                                 sink.sink_name);
       if (!domain_axioms.has_value()) {
         Translator axiom_trl(terms, interp.graph);
         std::vector<smt::Term> axioms;

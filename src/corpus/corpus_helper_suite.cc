@@ -3,7 +3,8 @@
 // safe-pruning) depends on the inter-procedural summary layer rather
 // than on a lexical sink in the analysis root. Kept out of full_corpus()
 // — Table III's counts are pinned by tests — and exposed as a separate
-// suite for the crosscheck/prune gates (ci/check.sh step 11).
+// suite, checked by the corpus_verdicts golden rows (--suite all,
+// crosscheck included) and by corpus_test's helper-suite cases.
 #include "corpus/corpus.h"
 #include "corpus/corpus_util.h"
 

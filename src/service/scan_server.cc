@@ -5,7 +5,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <cstdio>
 #include <cstring>
 
 #include "core/detector/report_io.h"
@@ -75,11 +74,7 @@ std::optional<core::Application> request_application(
   return result;
 }
 
-std::string fmt_double(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  return buf;
-}
+using jsonlite::format_number;
 
 }  // namespace
 
@@ -197,7 +192,7 @@ std::string ScanServer::handle_request(const std::string& line) {
             .count();
     return "\"version\": " + strutil::quote(core::kEngineVersion) +
            ", \"pid\": " + std::to_string(static_cast<long long>(::getpid())) +
-           ", \"uptime_s\": " + fmt_double(uptime_s);
+           ", \"uptime_s\": " + format_number(uptime_s);
   };
 
   if (op->str() == "ping") {
@@ -236,15 +231,15 @@ std::string ScanServer::handle_request(const std::string& line) {
       out += "{\"app\": " + strutil::quote(c.app) +
              ", \"trace_id\": " + strutil::quote(c.trace_id) +
              ", \"verdict\": " + strutil::quote(c.verdict) +
-             ", \"total_ms\": " + fmt_double(c.total_ms) +
-             ", \"parse_ms\": " + fmt_double(c.parse_ms) +
-             ", \"interp_ms\": " + fmt_double(c.interp_ms) +
-             ", \"solve_ms\": " + fmt_double(c.solve_ms) +
+             ", \"total_ms\": " + format_number(c.total_ms) +
+             ", \"parse_ms\": " + format_number(c.parse_ms) +
+             ", \"interp_ms\": " + format_number(c.interp_ms) +
+             ", \"solve_ms\": " + format_number(c.solve_ms) +
              ", \"solver_calls\": " + std::to_string(c.solver_calls) +
              ", \"cached\": " + (c.from_cache ? "true" : "false") +
              ", \"quarantined\": " + (c.quarantined ? "true" : "false") +
              ", \"top_root\": " + strutil::quote(c.top_root) +
-             ", \"top_root_ms\": " + fmt_double(c.top_root_ms) + "}";
+             ", \"top_root_ms\": " + format_number(c.top_root_ms) + "}";
     }
     out += "]}";
     return out;

@@ -58,19 +58,6 @@ RequestCost cost_from_report(const core::ScanReport& report) {
 
 }  // namespace
 
-std::string mint_trace_id(std::string_view hint) {
-  static std::atomic<std::uint64_t> sequence{0};
-  std::uint64_t h = store::fnv1a64(hint);
-  h = store::fnv1a64(store::hex64(static_cast<std::uint64_t>(
-                         std::chrono::steady_clock::now()
-                             .time_since_epoch()
-                             .count())),
-                     h);
-  h = store::fnv1a64(
-      store::hex64(sequence.fetch_add(1, std::memory_order_relaxed)), h);
-  return store::hex64(h);
-}
-
 ScanService::ScanService(ServiceOptions options)
     : options_(std::move(options)) {
   if (options_.workers == 0) options_.workers = 1;
@@ -213,8 +200,8 @@ std::future<ScanOutcome> ScanService::submit(core::Application app,
   auto flight = std::make_shared<InFlight>();
   flight->app_name = app.name;
   flight->key = verdict_key(app, options_.scan);
-  flight->trace_id =
-      trace_id.empty() ? mint_trace_id(app.name) : std::move(trace_id);
+  flight->trace_id = trace_id.empty() ? telemetry::mint_trace_id(app.name)
+                                      : std::move(trace_id);
   flight->has_deadline = options_.request_timeout.count() > 0;
   std::future<ScanOutcome> future = flight->promise.get_future();
   {

@@ -280,10 +280,6 @@ class ScanService {
   std::chrono::steady_clock::time_point started_at_{};
 };
 
-// Mints a fresh trace ID (16 lowercase hex chars): time + a process-
-// wide sequence + `hint`, FNV-mixed. Collisions across processes are
-// harmless (trace IDs label, they don't key).
-[[nodiscard]] std::string mint_trace_id(std::string_view hint);
 
 // Recursively collects *.php / *.module / *.inc files under `root`
 // (or the single file itself) into an Application named after the

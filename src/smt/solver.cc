@@ -6,8 +6,7 @@
 #include <chrono>
 
 #include "support/fault_injector.h"
-#include "support/profile.h"
-#include "support/telemetry.h"
+#include "support/scan_events.h"
 
 namespace uchecker::smt {
 namespace {
@@ -52,7 +51,7 @@ SolverOutcome Checker::check(const std::string& query) {
   // below, so tests can prove the detector's own per-root recovery path.
   FaultInjector::checkpoint("solve");
 
-  const telemetry::SpanScope span(trace_, "solve");
+  const telemetry::PhaseScope span(events_, "solve");
   const auto solve_start = std::chrono::steady_clock::now();
   const std::uint64_t retries_before = retry_count_;
 
@@ -129,36 +128,16 @@ SolverOutcome Checker::check(const std::string& query) {
     }
   }
 
-  if (telemetry_ != nullptr || trace_ != nullptr || profiler_ != nullptr) {
-    const auto dur_us = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - solve_start)
-            .count());
-    const auto escalations =
-        static_cast<unsigned>(retry_count_ - retries_before);
-    if (profiler_ != nullptr) {
-      profiler_->record_solver(origin_sink_, origin_file_, origin_line_,
-                               static_cast<double>(dur_us) / 1000.0,
-                               /*cache_hit=*/false);
-    }
-    if (trace_ != nullptr) {
-      trace_->record_solver_call(dur_us, outcome.attempts, escalations,
-                                 outcome.deadline_exceeded,
-                                 sat_result_name(outcome.result));
-    }
-    if (telemetry_ != nullptr) {
-      telemetry::MetricsRegistry& m = telemetry_->metrics();
-      m.counter("solver.checks").add(1);
-      m.counter(std::string("solver.") +
-                std::string(sat_result_name(outcome.result)))
-          .add(1);
-      if (escalations > 0) m.counter("solver.retries").add(escalations);
-      if (outcome.deadline_exceeded) {
-        m.counter("solver.deadline_exceeded").add(1);
-      }
-      m.histogram("solver.latency_ms")
-          .observe(static_cast<double>(dur_us) / 1000.0);
-    }
+  if (events_ != nullptr) {
+    events_->solver_query(telemetry::SolverQuery{
+        .dur_us = static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::microseconds>(
+                std::chrono::steady_clock::now() - solve_start)
+                .count()),
+        .attempts = outcome.attempts,
+        .escalations = static_cast<unsigned>(retry_count_ - retries_before),
+        .deadline_exceeded = outcome.deadline_exceeded,
+        .result = sat_result_name(outcome.result)});
   }
   return outcome;
 }

@@ -25,13 +25,8 @@
 #include "support/deadline.h"
 
 namespace uchecker::telemetry {
-class ScanTrace;
-class Telemetry;
+class ScanEvents;
 }  // namespace uchecker::telemetry
-
-namespace uchecker::profile {
-class PathProfiler;
-}  // namespace uchecker::profile
 
 namespace uchecker::smt {
 
@@ -63,8 +58,8 @@ struct SolverOutcome {
 };
 
 // Solves SMT-LIB queries with retry, deadline and telemetry handling.
-// Not thread-safe (it keeps counters and the query origin); create one
-// Checker per scan thread.
+// Not thread-safe (it keeps counters); create one Checker per scan
+// thread.
 class Checker {
  public:
   // Escalated per-attempt timeouts never exceed this.
@@ -81,35 +76,10 @@ class Checker {
   void set_deadline(Deadline deadline) { deadline_ = std::move(deadline); }
   [[nodiscard]] const Deadline& deadline() const { return deadline_; }
 
-  // Attaches telemetry (both optional, default detached). With a trace,
-  // every check() records a "solve" span plus a latency sample carrying
-  // attempt count and timeout escalations; with a Telemetry, solver
-  // counters (checks, sat/unsat/unknown, retries) and the
-  // "solver.latency_ms" histogram are updated.
-  void set_telemetry(telemetry::Telemetry* telemetry,
-                     telemetry::ScanTrace* trace) {
-    telemetry_ = telemetry;
-    trace_ = trace;
-  }
-  [[nodiscard]] telemetry::ScanTrace* trace() const { return trace_; }
-
-  // Attaches the path-explosion profiler (null detaches — the default,
-  // one pointer test per check). With a profiler, every check()'s wall
-  // time and query count are attributed to the origin set by
-  // set_query_origin; the vulnerability model also records its warm
-  // SolverQueryCache/memo hits against the same origins.
-  void set_profiler(profile::PathProfiler* profiler) { profiler_ = profiler; }
-  [[nodiscard]] profile::PathProfiler* profiler() const { return profiler_; }
-
-  // Names the sink occurrence issuing subsequent check() calls: the
-  // sink function plus the raw (file id, line) of the call site. The
-  // vulnerability model sets this before each sink's constraint checks.
-  void set_query_origin(std::string sink, std::uint32_t file,
-                        std::uint32_t line) {
-    origin_sink_ = std::move(sink);
-    origin_file_ = file;
-    origin_line_ = line;
-  }
+  // Attaches the scan event hook (null, the default, detaches): every
+  // check() then emits a "solve" phase and one solver query.
+  void set_events(telemetry::ScanEvents* events) { events_ = events; }
+  [[nodiscard]] telemetry::ScanEvents* events() const { return events_; }
 
   // Checks the conjunction of the assertions in `query`, an SMT-LIB
   // script of declarations and asserts. Any z3::exception (including a
@@ -127,12 +97,7 @@ class Checker {
   unsigned timeout_ms_;
   unsigned max_retries_;
   Deadline deadline_;
-  telemetry::Telemetry* telemetry_ = nullptr;
-  telemetry::ScanTrace* trace_ = nullptr;
-  profile::PathProfiler* profiler_ = nullptr;
-  std::string origin_sink_;
-  std::uint32_t origin_file_ = 0;
-  std::uint32_t origin_line_ = 0;
+  telemetry::ScanEvents* events_ = nullptr;
   std::uint64_t check_count_ = 0;
   std::uint64_t retry_count_ = 0;
 };

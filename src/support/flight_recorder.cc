@@ -1,8 +1,6 @@
 #include "support/flight_recorder.h"
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
 
 #include "support/strutil.h"
 
@@ -14,12 +12,6 @@ std::size_t round_up_pow2(std::size_t n) {
   std::size_t p = 16;
   while (p < n) p <<= 1;
   return p;
-}
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  out += buf;
 }
 
 }  // namespace
@@ -152,9 +144,9 @@ std::string FlightRecorder::to_json() const {
   std::string out;
   out.reserve(events.size() * 96 + 256);
   out += "{\"total_recorded\": ";
-  append_u64(out, total);
+  out += std::to_string(total);
   out += ", \"dropped\": ";
-  append_u64(out, dropped);
+  out += std::to_string(dropped);
   out += ", \"wedged_phase\": ";
   if (phase_stack.empty()) {
     out += "null";
@@ -166,11 +158,11 @@ std::string FlightRecorder::to_json() const {
     out += "null";
   } else {
     out += "{\"t_us\": ";
-    append_u64(out, last_progress->t_us);
+    out += std::to_string(last_progress->t_us);
     out += ", \"live_paths\": ";
-    append_u64(out, last_progress->a);
+    out += std::to_string(last_progress->a);
     out += ", \"objects\": ";
-    append_u64(out, last_progress->b);
+    out += std::to_string(last_progress->b);
     out += '}';
   }
   out += ", \"events\": [";
@@ -179,15 +171,15 @@ std::string FlightRecorder::to_json() const {
     if (!first) out += ", ";
     first = false;
     out += "{\"t_us\": ";
-    append_u64(out, ev.t_us);
+    out += std::to_string(ev.t_us);
     out += ", \"kind\": ";
     out += strutil::quote(flight_kind_name(ev.kind));
     out += ", \"detail\": ";
     out += strutil::quote(ev.detail);
     out += ", \"a\": ";
-    append_u64(out, ev.a);
+    out += std::to_string(ev.a);
     out += ", \"b\": ";
-    append_u64(out, ev.b);
+    out += std::to_string(ev.b);
     out += '}';
   }
   out += "]}";

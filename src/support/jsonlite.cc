@@ -1,6 +1,8 @@
 #include "support/jsonlite.h"
 
 #include <cctype>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 
 namespace uchecker::jsonlite {
@@ -369,6 +371,34 @@ std::optional<Value> parse(std::string_view text) {
   p.skip_ws();
   if (!p.at_end()) return std::nullopt;
   return root;
+}
+
+bool get_string(const Value& obj, std::string_view key, std::string& out) {
+  const Value* v = obj.find(key);
+  if (v == nullptr || !v->is_string()) return false;
+  out = v->str();
+  return true;
+}
+
+bool get_double(const Value& obj, std::string_view key, double& out) {
+  const Value* v = obj.find(key);
+  if (v == nullptr || !v->is_number()) return false;
+  out = v->number();
+  return true;
+}
+
+bool get_bool(const Value& obj, std::string_view key, bool& out) {
+  const Value* v = obj.find(key);
+  if (v == nullptr || !v->is_bool()) return false;
+  out = v->boolean();
+  return true;
+}
+
+std::string format_number(double value) {
+  if (!std::isfinite(value)) return "0";
+  char buffer[64];
+  std::snprintf(buffer, sizeof(buffer), "%.6g", value);
+  return buffer;
 }
 
 }  // namespace uchecker::jsonlite

@@ -80,4 +80,22 @@ class Value {
 // accepted by parse() is also accepted by valid() and vice versa.
 [[nodiscard]] std::optional<Value> parse(std::string_view text);
 
+// Typed member readers for strict parsers: false when `key` is missing
+// from `obj` or holds another type, so one bad field fails the parse.
+bool get_string(const Value& obj, std::string_view key, std::string& out);
+bool get_double(const Value& obj, std::string_view key, double& out);
+bool get_bool(const Value& obj, std::string_view key, bool& out);
+// A non-negative number, truncated to UInt.
+template <typename UInt>
+bool get_uint(const Value& obj, std::string_view key, UInt& out) {
+  double d = 0.0;
+  if (!get_double(obj, key, d) || d < 0.0) return false;
+  out = static_cast<UInt>(d);
+  return true;
+}
+
+// `value` as "%.6g", the one number format of every report and
+// observability export; NaN and the infinities (not JSON) render as 0.
+[[nodiscard]] std::string format_number(double value);
+
 }  // namespace uchecker::jsonlite

@@ -6,6 +6,7 @@
 
 #include <chrono>
 
+#include "support/jsonlite.h"
 #include "support/strutil.h"
 
 namespace uchecker::logging {
@@ -33,12 +34,6 @@ std::int64_t steady_ms() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-void append_number(std::string& out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  out += buf;
 }
 
 }  // namespace
@@ -73,7 +68,7 @@ void Field::append_to(std::string& out) const {
       out += bool_ ? "true" : "false";
       break;
     case Kind::kDouble:
-      append_number(out, num_);
+      out += jsonlite::format_number(num_);
       break;
     case Kind::kInt: {
       char buf[24];

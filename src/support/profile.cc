@@ -12,13 +12,6 @@ namespace {
 
 constexpr std::size_t kPostMortemTopSites = 10;
 
-std::string json_number(double value) {
-  if (!(value == value) || value > 1e300 || value < -1e300) return "0";
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.6g", value);
-  return buffer;
-}
-
 // Unresolved rendering of a site: the detector replaces this with the
 // SourceManager's "name:line" once file ids can be resolved.
 std::string raw_site(std::uint32_t file, std::uint32_t line) {
@@ -46,7 +39,7 @@ std::string fork_site_json(const ForkSiteStats& s) {
   return out;
 }
 
-std::string sample_json(const PathSample& s) {
+std::string sample_json(const telemetry::ProgressSample& s) {
   std::string out = "{";
   out += "\"t_us\": " + std::to_string(s.t_us) + ", ";
   out += "\"live_paths\": " + std::to_string(s.live_paths) + ", ";
@@ -56,36 +49,11 @@ std::string sample_json(const PathSample& s) {
   return out;
 }
 
-bool get_string(const jsonlite::Value& obj, std::string_view key,
-                std::string& out) {
-  const jsonlite::Value* v = obj.find(key);
-  if (v == nullptr || !v->is_string()) return false;
-  out = v->str();
-  return true;
-}
-
-bool get_double(const jsonlite::Value& obj, std::string_view key,
-                double& out) {
-  const jsonlite::Value* v = obj.find(key);
-  if (v == nullptr || !v->is_number()) return false;
-  out = v->number();
-  return true;
-}
-
-bool get_bool(const jsonlite::Value& obj, std::string_view key, bool& out) {
-  const jsonlite::Value* v = obj.find(key);
-  if (v == nullptr || !v->is_bool()) return false;
-  out = v->boolean();
-  return true;
-}
-
-template <typename UInt>
-bool get_uint(const jsonlite::Value& obj, std::string_view key, UInt& out) {
-  double d = 0.0;
-  if (!get_double(obj, key, d) || d < 0.0) return false;
-  out = static_cast<UInt>(d);
-  return true;
-}
+using jsonlite::format_number;
+using jsonlite::get_bool;
+using jsonlite::get_double;
+using jsonlite::get_string;
+using jsonlite::get_uint;
 
 bool parse_fork_site(const jsonlite::Value& v, ForkSiteStats& out) {
   std::string kind;
@@ -102,7 +70,7 @@ bool parse_fork_site(const jsonlite::Value& v, ForkSiteStats& out) {
   return true;
 }
 
-bool parse_sample(const jsonlite::Value& v, PathSample& out) {
+bool parse_sample(const jsonlite::Value& v, telemetry::ProgressSample& out) {
   return v.is_object() && get_uint(v, "t_us", out.t_us) &&
          get_uint(v, "live_paths", out.live_paths) &&
          get_uint(v, "objects", out.objects) &&
@@ -227,7 +195,7 @@ std::string to_json(const ExplosionProfile& profile) {
       out += "\"origin\": " + strutil::quote(s.origin) + ", ";
       out += "\"queries\": " + std::to_string(s.queries) + ", ";
       out += "\"cache_hits\": " + std::to_string(s.cache_hits) + ", ";
-      out += "\"wall_ms\": " + json_number(s.wall_ms);
+      out += "\"wall_ms\": " + format_number(s.wall_ms);
       out += "}";
     }
     out += "], \"heap_by_depth\": [";
@@ -332,7 +300,7 @@ std::optional<ExplosionProfile> from_json(const jsonlite::Value& value) {
         post.top_sites.push_back(std::move(site));
       }
       for (const jsonlite::Value& sv : histogram->items()) {
-        PathSample s;
+        telemetry::ProgressSample s;
         if (!parse_sample(sv, s)) return std::nullopt;
         post.live_path_histogram.push_back(s);
       }
@@ -423,7 +391,7 @@ void PathProfiler::sample(std::size_t live_paths, std::size_t objects,
                           std::size_t heap_bytes) {
   const std::scoped_lock lock(mutex_);
   if (!state_.active) return;
-  PathSample s;
+  telemetry::ProgressSample s;
   s.t_us = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - root_epoch_)

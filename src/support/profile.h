@@ -23,11 +23,11 @@
 // budget post-mortem (top-10 fork sites, live-path histogram over
 // time, the dominant loop) attached to the verdict.
 //
-// Overhead contract: profiling is opt-in. When no PathProfiler is
-// attached every hook is a single null-pointer test, exactly like the
-// telemetry trace hooks. When attached, the recorder is guarded by one
-// mutex so snapshot() can race the interpreter thread (TSan-clean);
-// contention is nil because one root is interpreted by one thread.
+// Profiling is opt-in: the scan event hook (support/scan_events.h,
+// which holds the overhead contract) owns one PathProfiler per profiled
+// scan and feeds it. The recorder is guarded by one mutex so snapshot()
+// can race the interpreter thread (TSan-clean); contention is nil
+// because one root is interpreted by one thread.
 #pragma once
 
 #include <chrono>
@@ -38,6 +38,8 @@
 #include <string_view>
 #include <unordered_map>
 #include <vector>
+
+#include "support/telemetry.h"
 
 namespace uchecker::jsonlite {
 class Value;
@@ -97,14 +99,6 @@ struct HeapDepthStats {
   std::uint64_t bytes = 0;
 };
 
-// One live-path timeline sample (the deadline-poll stride).
-struct PathSample {
-  std::uint64_t t_us = 0;  // since begin_root
-  std::uint64_t live_paths = 0;
-  std::uint64_t objects = 0;
-  std::uint64_t heap_bytes = 0;
-};
-
 // The budget post-mortem: why an incomplete root died.
 struct PostMortem {
   std::string reason;  // budget_exhausted | deadline_exceeded | analysis_error
@@ -116,7 +110,7 @@ struct PostMortem {
   // only when the root recorded no fork at all.
   std::string dominant_loop;
   std::vector<ForkSiteStats> top_sites;  // <= 10, ranked
-  std::vector<PathSample> live_path_histogram;
+  std::vector<telemetry::ProgressSample> live_path_histogram;
 };
 
 // Everything attributed for one analysis root.
@@ -128,7 +122,9 @@ struct RootProfile {
   std::vector<ForkSiteStats> fork_sites;  // ranked by cumulative desc
   std::vector<SolverSiteStats> solver;    // ranked by wall_ms desc
   std::vector<HeapDepthStats> heap_by_depth;  // ascending depth
-  std::vector<PathSample> samples;
+  // Live-path timeline on the deadline-poll stride; t_us counts from
+  // begin_root.
+  std::vector<telemetry::ProgressSample> samples;
   std::optional<PostMortem> post_mortem;
 };
 
@@ -161,8 +157,9 @@ void rank_root_profile(RootProfile& root);
 [[nodiscard]] std::optional<ExplosionProfile> from_json(
     const jsonlite::Value& value);
 
-// The recorder. The detector owns one per scan and threads a pointer
-// through Budget (interpreter hooks) and smt::Checker (solver hooks).
+// The recorder. The scan event hook owns one per profiled scan and
+// forwards the interpreter's fork/sample events and the solver's
+// queries to it.
 class PathProfiler {
  public:
   PathProfiler();

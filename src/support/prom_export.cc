@@ -1,10 +1,8 @@
 #include "support/prom_export.h"
 
-#include <cinttypes>
-#include <cstdio>
-
 #include <map>
 
+#include "support/jsonlite.h"
 #include "support/telemetry.h"
 
 #if defined(__linux__)
@@ -14,18 +12,6 @@
 namespace uchecker::telemetry {
 
 namespace {
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  out += buf;
-}
-
-void append_double(std::string& out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  out += buf;
-}
 
 void append_exemplar(std::string& out, const std::string& trace_id) {
   if (trace_id.empty()) return;
@@ -82,7 +68,7 @@ std::string to_prometheus_text(const Telemetry& telemetry,
     const std::string prom = prom_sanitize_name(name) + "_total";
     out += "# TYPE " + prom + " counter\n";
     out += prom + " ";
-    append_u64(out, value);
+    out += std::to_string(value);
     append_exemplar(out, exemplar_for(name));
     out += '\n';
   }
@@ -91,7 +77,7 @@ std::string to_prometheus_text(const Telemetry& telemetry,
     const std::string prom = prom_sanitize_name(name);
     out += "# TYPE " + prom + " gauge\n";
     out += prom + " ";
-    append_double(out, value);
+    out += jsonlite::format_number(value);
     out += '\n';
   }
 
@@ -103,20 +89,20 @@ std::string to_prometheus_text(const Telemetry& telemetry,
     const std::string exemplar = exemplar_for(name);
     for (std::size_t i = 0; i < bounds.size(); ++i) {
       out += prom + "_bucket{le=\"";
-      append_double(out, bounds[i]);
+      out += jsonlite::format_number(bounds[i]);
       out += "\"} ";
-      append_u64(out, cumulative[i]);
+      out += std::to_string(cumulative[i]);
       out += '\n';
     }
     out += prom + "_bucket{le=\"+Inf\"} ";
-    append_u64(out, cumulative.back());
+    out += std::to_string(cumulative.back());
     append_exemplar(out, exemplar);
     out += '\n';
     out += prom + "_sum ";
-    append_double(out, hist->sum());
+    out += jsonlite::format_number(hist->sum());
     out += '\n';
     out += prom + "_count ";
-    append_u64(out, hist->count());
+    out += std::to_string(hist->count());
     out += '\n';
   }
 
@@ -133,13 +119,13 @@ std::string to_prometheus_text(const Telemetry& telemetry,
               .count();
       out += "# TYPE uchecker_process_uptime_seconds gauge\n";
       out += "uchecker_process_uptime_seconds ";
-      append_double(out, uptime);
+      out += jsonlite::format_number(uptime);
       out += '\n';
     }
     if (const std::uint64_t rss = resident_bytes(); rss > 0) {
       out += "# TYPE uchecker_process_resident_memory_bytes gauge\n";
       out += "uchecker_process_resident_memory_bytes ";
-      append_u64(out, rss);
+      out += std::to_string(rss);
       out += '\n';
     }
   }

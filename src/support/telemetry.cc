@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "support/flight_recorder.h"
+#include "support/store.h"
 
 namespace uchecker::telemetry {
 
@@ -181,11 +181,6 @@ std::uint64_t ScanTrace::now_us() const {
           .count());
 }
 
-void ScanTrace::set_flight_recorder(FlightRecorder* recorder) {
-  std::lock_guard<std::mutex> lock(mu_);
-  flight_ = recorder;
-}
-
 SpanId ScanTrace::begin_span(std::string_view name, std::string_view detail) {
   std::lock_guard<std::mutex> lock(mu_);
   Span span;
@@ -196,9 +191,6 @@ SpanId ScanTrace::begin_span(std::string_view name, std::string_view detail) {
   span.start_us = now_us();
   open_stack_.push_back(span.id);
   spans_.push_back(std::move(span));
-  if (flight_ != nullptr) {
-    flight_->record(FlightKind::kPhaseBegin, name);
-  }
   return spans_.back().id;
 }
 
@@ -216,9 +208,6 @@ void ScanTrace::end_span(SpanId id) {
     if (span.open) {
       span.open = false;
       span.dur_us = now - span.start_us;
-      if (flight_ != nullptr) {
-        flight_->record(FlightKind::kPhaseEnd, span.name, span.dur_us);
-      }
     }
     if (top == id) return;
   }
@@ -228,9 +217,6 @@ void ScanTrace::end_span(SpanId id) {
 void ScanTrace::sample_progress(std::uint64_t live_paths, std::uint64_t objects,
                                 std::uint64_t heap_bytes) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (flight_ != nullptr) {
-    flight_->record(FlightKind::kProgress, {}, live_paths, objects);
-  }
   if (progress_skip_ > 0) {
     --progress_skip_;
     return;
@@ -250,9 +236,6 @@ void ScanTrace::sample_progress(std::uint64_t live_paths, std::uint64_t objects,
 
 void ScanTrace::record_event(std::string_view name, std::string_view detail) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (flight_ != nullptr) {
-    flight_->record(FlightKind::kEvent, name);
-  }
   events_.push_back(
       TraceEvent{now_us(), std::string(name), std::string(detail)});
 }
@@ -262,9 +245,6 @@ void ScanTrace::record_solver_call(std::uint64_t dur_us, unsigned attempts,
                                    bool deadline_exceeded,
                                    std::string_view result) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (flight_ != nullptr) {
-    flight_->record(FlightKind::kSolverCall, result, dur_us, attempts);
-  }
   SolverCallSample s;
   s.dur_us = dur_us;
   const std::uint64_t now = now_us();
@@ -287,6 +267,19 @@ TraceSnapshot ScanTrace::snapshot() const {
   snap.solver_calls = solver_calls_;
   snap.events = events_;
   return snap;
+}
+
+std::string mint_trace_id(std::string_view hint) {
+  static std::atomic<std::uint64_t> sequence{0};
+  std::uint64_t h = store::fnv1a64(hint);
+  h = store::fnv1a64(store::hex64(static_cast<std::uint64_t>(
+                         std::chrono::steady_clock::now()
+                             .time_since_epoch()
+                             .count())),
+                     h);
+  h = store::fnv1a64(
+      store::hex64(sequence.fetch_add(1, std::memory_order_relaxed)), h);
+  return store::hex64(h);
 }
 
 // ---------------------------------------------------------------------------

@@ -14,12 +14,10 @@
 //    and aggregates completed traces into fleet-level per-phase latency
 //    percentiles.
 //
-// Overhead contract: everything is driven through nullable pointers.
-// With no Telemetry attached (the default), SpanScope construction and
-// destruction, progress sampling and event recording each reduce to one
-// branch on a null pointer — no allocation, no clock read, no lock
-// (bench_micro's telemetry-overhead case pins this down). Export lives
-// in trace_export.h so this header stays cheap to include.
+// The engines never call a trace directly: they emit through the scan
+// event hook (support/scan_events.h), whose header holds the overhead
+// contract. Export lives in trace_export.h so this header stays cheap
+// to include.
 #pragma once
 
 #include <atomic>
@@ -34,8 +32,6 @@
 #include <vector>
 
 namespace uchecker::telemetry {
-
-class FlightRecorder;
 
 // ---------------------------------------------------------------------------
 // Metrics
@@ -154,9 +150,11 @@ struct Span {
   bool open = true;
 };
 
-// Interpreter hot-loop progress sample.
+// Interpreter hot-loop progress sample, shared by the trace and the
+// path-explosion profiler.
 struct ProgressSample {
-  std::uint64_t t_us = 0;
+  std::uint64_t t_us = 0;  // trace: since the Telemetry epoch;
+                           // profile: since the root began
   std::uint64_t live_paths = 0;
   std::uint64_t objects = 0;     // heap-graph objects
   std::uint64_t heap_bytes = 0;  // heap-graph accounted bytes
@@ -205,11 +203,6 @@ class ScanTrace {
   // Chrome trace "tid" used on export; unique per trace within a Telemetry.
   [[nodiscard]] std::uint32_t tid() const { return tid_; }
 
-  // Mirrors phase transitions, progress samples, solver calls and events
-  // into `recorder` (a per-worker flight-recorder ring) in addition to
-  // recording them here. Null detaches. Set before the scan starts.
-  void set_flight_recorder(FlightRecorder* recorder);
-
   // Opens a span as a child of the innermost still-open span.
   SpanId begin_span(std::string_view name, std::string_view detail = {});
   // Closes `id` (and, defensively, any still-open descendants of it).
@@ -254,7 +247,6 @@ class ScanTrace {
   std::string trace_id_;
   std::chrono::steady_clock::time_point epoch_;
   std::uint32_t tid_ = 0;
-  FlightRecorder* flight_ = nullptr;
   mutable std::mutex mu_;
   std::vector<Span> spans_;
   std::vector<SpanId> open_stack_;
@@ -264,6 +256,11 @@ class ScanTrace {
   std::vector<SolverCallSample> solver_calls_;
   std::vector<TraceEvent> events_;
 };
+
+// Mints a fresh trace ID (16 lowercase hex chars): time + a process-
+// wide sequence + `hint`, FNV-mixed. Collisions across processes are
+// harmless (trace IDs label, they don't key).
+[[nodiscard]] std::string mint_trace_id(std::string_view hint);
 
 // ---------------------------------------------------------------------------
 // Telemetry handle
@@ -312,10 +309,6 @@ class Telemetry {
   void set_progress_sink(std::function<void(const std::string&)> sink);
   void emit_progress(const std::string& json_line);
 
-  [[nodiscard]] std::chrono::steady_clock::time_point epoch() const {
-    return epoch_;
-  }
-
  private:
   std::chrono::steady_clock::time_point epoch_;
   MetricsRegistry metrics_;
@@ -323,33 +316,6 @@ class Telemetry {
   std::vector<std::unique_ptr<ScanTrace>> traces_;
   std::mutex sink_mu_;
   std::function<void(const std::string&)> progress_sink_;
-};
-
-// ---------------------------------------------------------------------------
-// RAII span
-
-// Opens a span on construction and closes it on destruction. A null
-// trace makes both operations a single pointer test — this is the
-// "telemetry unattached" fast path.
-class SpanScope {
- public:
-  SpanScope(ScanTrace* trace, std::string_view name,
-            std::string_view detail = {})
-      : trace_(trace) {
-    if (trace_ != nullptr) id_ = trace_->begin_span(name, detail);
-  }
-  ~SpanScope() {
-    if (trace_ != nullptr) trace_->end_span(id_);
-  }
-
-  SpanScope(const SpanScope&) = delete;
-  SpanScope& operator=(const SpanScope&) = delete;
-
-  [[nodiscard]] SpanId id() const { return id_; }
-
- private:
-  ScanTrace* trace_;
-  SpanId id_ = kNoSpan;
 };
 
 }  // namespace uchecker::telemetry

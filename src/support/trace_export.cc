@@ -1,19 +1,12 @@
 #include "support/trace_export.h"
 
-#include <cmath>
-#include <cstdio>
-
+#include "support/jsonlite.h"
 #include "support/strutil.h"
 
 namespace uchecker::telemetry {
 namespace {
 
-std::string num(double value) {
-  if (!std::isfinite(value)) return "0";
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.6g", value);
-  return buffer;
-}
+using jsonlite::format_number;
 
 // One trace-event object. `extra` is appended verbatim after the common
 // fields (leading ", " included by the caller when non-empty).
@@ -127,7 +120,7 @@ std::string to_chrome_trace_json(const Telemetry& telemetry,
           ", \"visits\": " + std::to_string(site.visits) + "}";
       append_event(out, first, name, "fork_site", 'C', 0, tid, extra);
     }
-    for (const uchecker::profile::PathSample& p : root.samples) {
+    for (const ProgressSample& p : root.samples) {
       const std::uint64_t ts = options.zero_times ? 0 : p.t_us;
       const std::string extra =
           ", \"args\": {\"live_paths\": " + std::to_string(p.live_paths) +
@@ -156,7 +149,7 @@ std::string metrics_to_json(const Telemetry& telemetry) {
   for (const auto& [name, value] : m.gauges()) {
     if (!first) out += ", ";
     first = false;
-    out += strutil::quote(name) + ": " + num(value);
+    out += strutil::quote(name) + ": " + format_number(value);
   }
   out += "}, \"exemplars\": {";
   first = true;
@@ -171,9 +164,10 @@ std::string metrics_to_json(const Telemetry& telemetry) {
     if (!first) out += ", ";
     first = false;
     out += strutil::quote(name) + ": {\"count\": " +
-           std::to_string(hist->count()) + ", \"sum\": " + num(hist->sum()) +
-           ", \"min\": " + num(hist->min()) + ", \"max\": " + num(hist->max()) +
-           ", \"buckets\": [";
+           std::to_string(hist->count()) +
+           ", \"sum\": " + format_number(hist->sum()) +
+           ", \"min\": " + format_number(hist->min()) +
+           ", \"max\": " + format_number(hist->max()) + ", \"buckets\": [";
     const std::vector<double>& bounds = hist->bounds();
     // Cumulative le-convention counts — the same numbers the Prometheus
     // exposition serves, so the two surfaces agree on boundary-exact
@@ -182,7 +176,7 @@ std::string metrics_to_json(const Telemetry& telemetry) {
     for (std::size_t i = 0; i < counts.size(); ++i) {
       if (i != 0) out += ", ";
       out += "{\"le\": ";
-      out += i < bounds.size() ? num(bounds[i]) : std::string("\"inf\"");
+      out += i < bounds.size() ? format_number(bounds[i]) : "\"inf\"";
       out += ", \"count\": " + std::to_string(counts[i]) + "}";
     }
     out += "]}";
@@ -194,10 +188,11 @@ std::string metrics_to_json(const Telemetry& telemetry) {
     first = false;
     out += "{\"phase\": " + strutil::quote(s.phase) +
            ", \"count\": " + std::to_string(s.count) +
-           ", \"total_ms\": " + num(s.total_ms) +
-           ", \"p50_ms\": " + num(s.p50_ms) + ", \"p95_ms\": " + num(s.p95_ms) +
-           ", \"p99_ms\": " + num(s.p99_ms) + ", \"max_ms\": " + num(s.max_ms) +
-           "}";
+           ", \"total_ms\": " + format_number(s.total_ms) +
+           ", \"p50_ms\": " + format_number(s.p50_ms) +
+           ", \"p95_ms\": " + format_number(s.p95_ms) +
+           ", \"p99_ms\": " + format_number(s.p99_ms) +
+           ", \"max_ms\": " + format_number(s.max_ms) + "}";
   }
   out += "]}";
   return out;

@@ -1,6 +1,7 @@
 // Tests for the observability layer: structured JSON-lines logging,
-// the per-worker flight recorder, the Prometheus text exposition, and
-// the concurrency contracts that back live export (trace snapshots and
+// the per-worker flight recorder, the Prometheus text exposition, the
+// scan event hook that feeds every per-scan consumer, and the
+// concurrency contracts that back live export (trace snapshots and
 // metrics reads racing a running scan — run under TSan by
 // ci/sanitize.sh --tsan).
 //
@@ -16,6 +17,8 @@
 #include <thread>
 #include <vector>
 
+#include "core/detector/detector.h"
+#include "corpus/corpus.h"
 #include "service/scan_service.h"
 #include "support/flight_recorder.h"
 #include "support/jsonlite.h"
@@ -216,6 +219,77 @@ TEST(FlightRecorderTest, SnapshotRacesWriterSafely) {
 }
 
 // ---------------------------------------------------------------------------
+// Scan event hook
+
+// The flight ring is fed by the hook directly, so a scan that attaches
+// only a ring (no Telemetry) still records its phases.
+TEST(ScanEventsTest, FlightAloneRecordsTheScanPhase) {
+  core::Application app;
+  app.name = "upload";
+  app.files.push_back(core::AppFile{
+      "upload.php",
+      "<?php\nmove_uploaded_file($_FILES['f']['tmp_name'], '/u/' . "
+      "$_FILES['f']['name']);\n"});
+  telemetry::FlightRecorder ring(1024);
+  core::ScanOptions options;
+  options.flight = &ring;
+  const core::ScanReport report = core::Detector(options).scan(app);
+  ASSERT_EQ(report.verdict, core::Verdict::kVulnerable);
+
+  bool began = false;
+  bool ended = false;
+  for (const telemetry::FlightEvent& e : ring.snapshot()) {
+    if (e.detail != "scan") continue;
+    began |= e.kind == telemetry::FlightKind::kPhaseBegin;
+    ended |= e.kind == telemetry::FlightKind::kPhaseEnd;
+  }
+  EXPECT_TRUE(began);
+  EXPECT_TRUE(ended);
+  EXPECT_EQ(ring.wedged_phase(), "");
+}
+
+// Every consumer attached at once: each solver query and each progress
+// sample must reach each consumer exactly once.
+TEST(ScanEventsTest, EachConsumerSeesEachEventOnce) {
+  const corpus::CorpusEntry entry = corpus::known_vulnerable().front();
+  telemetry::Telemetry telemetry;
+  telemetry::FlightRecorder ring(1 << 16);
+  core::ScanOptions options;
+  options.telemetry = &telemetry;
+  options.flight = &ring;
+  options.profile = true;
+  const core::ScanReport report = core::Detector(options).scan(entry.app);
+  ASSERT_TRUE(report.vulnerable()) << entry.app.name;
+  ASSERT_LE(ring.total_recorded(), ring.capacity()) << "ring overwrote events";
+
+  std::uint64_t profile_queries = 0;
+  std::uint64_t profile_samples = 0;
+  for (const profile::RootProfile& root : report.profile.roots) {
+    for (const profile::SolverSiteStats& site : root.solver) {
+      profile_queries += site.queries;
+    }
+    profile_samples += root.samples.size();
+  }
+  std::uint64_t flight_solver_calls = 0;
+  std::uint64_t flight_progress = 0;
+  for (const telemetry::FlightEvent& e : ring.snapshot()) {
+    flight_solver_calls += e.kind == telemetry::FlightKind::kSolverCall;
+    flight_progress += e.kind == telemetry::FlightKind::kProgress;
+  }
+  ASSERT_EQ(telemetry.traces().size(), 1u);
+  const std::uint64_t trace_solver_calls =
+      telemetry.traces()[0]->solver_calls().size();
+
+  EXPECT_GT(trace_solver_calls, 0u);
+  EXPECT_EQ(profile_queries, trace_solver_calls);
+  EXPECT_EQ(flight_solver_calls, trace_solver_calls);
+  EXPECT_EQ(telemetry.metrics().counter("solver.checks").value(),
+            trace_solver_calls);
+  EXPECT_GT(flight_progress, 0u);
+  EXPECT_EQ(flight_progress, profile_samples);
+}
+
+// ---------------------------------------------------------------------------
 // Histogram boundary consistency (regression) + Prometheus exposition
 
 TEST(PromExportTest, BoundaryExactSamplesAgreeAcrossSurfaces) {
@@ -372,7 +446,7 @@ TEST(ConcurrentExportTest, ExportWhileScanWritesStaysValidJson) {
 TEST(TraceIdTest, MintedIdsAreHexAndDistinct) {
   std::set<std::string> seen;
   for (int i = 0; i < 64; ++i) {
-    const std::string id = service::mint_trace_id("hint");
+    const std::string id = telemetry::mint_trace_id("hint");
     ASSERT_EQ(id.size(), 16u);
     for (const char c : id) {
       EXPECT_TRUE((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')) << id;

@@ -13,6 +13,7 @@
 #include "core/detector/scan_many.h"
 #include "corpus/corpus.h"
 #include "support/jsonlite.h"
+#include "support/scan_events.h"
 #include "support/trace_export.h"
 
 namespace uchecker::telemetry {
@@ -58,10 +59,11 @@ TEST(ScanTrace, EndSpanClosesOpenDescendants) {
   for (const Span& s : trace.spans()) EXPECT_FALSE(s.open);
 }
 
-TEST(ScanTrace, SpanScopeIsNoopOnNullTrace) {
+TEST(ScanEvents, PhaseScopeIsNoopOnNullHook) {
   // The unattached fast path: must not crash, must not record anything.
-  const SpanScope scope(nullptr, "parse", "x");
-  EXPECT_EQ(scope.id(), kNoSpan);
+  { const PhaseScope scope(nullptr, "parse", "x"); }
+  const ScanEvents detached(nullptr, nullptr, nullptr, /*profile=*/false);
+  EXPECT_FALSE(detached.attached());
 }
 
 TEST(ScanTrace, TimestampsAreMonotonic) {
