@@ -6,9 +6,10 @@
 #      Tier-1 includes the result oracle: corpus_verdicts --suite all
 #      must print tests/data/corpus_verdicts.golden byte for byte with
 #      each result-neutral toggle (plain, --explain, --parse-threads 4,
-#      --no-summaries, --crosscheck, --observe), and corpus_test pins
+#      --no-summaries, --crosscheck, --observe), corpus_test pins
 #      the helper suite, the static-pass prune floor and the Cimy
-#      post-mortem
+#      post-mortem, and the sarif_sweep row validates the SARIF of every
+#      dumped corpus app
 #   2. clang-tidy over src/ with the repo .clang-tidy profile (skipped
 #      with a note when clang-tidy is not installed, like the python3
 #      checks below)
@@ -18,19 +19,16 @@
 #   4. telemetry smoke: scan a known-vulnerable sample with
 #      --trace-out/--metrics-out and validate that both outputs are
 #      well-formed JSON with the expected pipeline phases
-#   5. SARIF export gate: dump the corpus as PHP trees, scan each app
-#      with --explain --sarif-out, and structurally validate every
-#      emitted SARIF file (vulnerable apps must carry results with
-#      codeFlows)
-#   6. scand service gate: start the daemon against a fresh state dir,
-#      scan the whole dumped corpus through scanctl and require every
-#      verdict to match single-shot scan_directory; scan it all again
-#      and require warm cache hits with reports byte-identical to the
-#      first pass; then kill -9 the daemon mid-scan, restart it on the
-#      same state dir, and require it to recover and re-serve from the
-#      durable caches. (The durable-store and service suites also run
-#      under ASan/TSan via step 3.)
-#   7. observability gate: a daemon corpus sweep with caller-supplied
+#   5. scand service gate: dump the corpus as PHP trees, start the
+#      daemon against a fresh state dir, scan the whole dumped corpus
+#      through scanctl and require every verdict to match single-shot
+#      scan_directory; scan it all again and require warm cache hits
+#      with reports byte-identical to the first pass; then kill -9 the
+#      daemon mid-scan, restart it on the same state dir, and require it
+#      to recover and re-serve from the durable caches. (The
+#      durable-store and service suites also run under ASan/TSan via
+#      step 3.)
+#   6. observability gate: a daemon corpus sweep with caller-supplied
 #      trace IDs asserting every ID lands in the response envelope, the
 #      report, the structured log, the Prometheus exemplars and the
 #      shutdown Chrome trace; every log line validates against the JSON
@@ -39,7 +37,7 @@
 #      drain must leave per-worker flight-recorder dumps; and the
 #      same-run attached/unattached telemetry micro ratio must stay
 #      within OVERHEAD_TOLERANCE
-#   8. engine introspection gate: a full-corpus --profile-out sweep must
+#   7. engine introspection gate: a full-corpus --profile-out sweep must
 #      produce schema-valid profile JSON on every app, and every report
 #      must be byte-identical with profiling off (after dropping the
 #      profile object and normalizing wall times)
@@ -57,7 +55,7 @@ cd "$(dirname "$0")/.."
 BUILD_DIR=build
 OVERHEAD_TOLERANCE=${OVERHEAD_TOLERANCE:-1.05}   # 5% attached-telemetry budget
 
-echo "== [1/8] build + tier-1 tests =="
+echo "== [1/7] build + tier-1 tests =="
 cmake -B "$BUILD_DIR" -S . -DCMAKE_EXPORT_COMPILE_COMMANDS=ON >/dev/null
 cmake --build "$BUILD_DIR" -j"$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)"
@@ -70,7 +68,7 @@ else
   echo "taskset not found; single-core tier-1 run skipped"
 fi
 
-echo "== [2/8] clang-tidy =="
+echo "== [2/7] clang-tidy =="
 if [[ "${SKIP_TIDY:-0}" == "1" ]]; then
   echo "skipped (SKIP_TIDY=1)"
 elif ! command -v clang-tidy >/dev/null; then
@@ -86,7 +84,7 @@ else
   fi
 fi
 
-echo "== [3/8] sanitizers =="
+echo "== [3/7] sanitizers =="
 if [[ "${SKIP_SANITIZE:-0}" == "1" ]]; then
   echo "skipped (SKIP_SANITIZE=1)"
 else
@@ -94,7 +92,7 @@ else
   ci/sanitize.sh --tsan
 fi
 
-echo "== [4/8] telemetry smoke: trace + metrics JSON =="
+echo "== [4/7] telemetry smoke: trace + metrics JSON =="
 SMOKE_DIR=$(mktemp -d)
 trap 'rm -rf "$SMOKE_DIR"' EXIT
 cat > "$SMOKE_DIR/upload.php" <<'PHP'
@@ -130,39 +128,10 @@ else
   echo "python3 not found; JSON structure check skipped"
 fi
 
-echo "== [5/8] SARIF export gate =="
-SARIF_DIR="$SMOKE_DIR/sarif"
-mkdir -p "$SARIF_DIR/corpus"
-"$BUILD_DIR/examples/corpus_verdicts" --dump "$SARIF_DIR/corpus" >/dev/null
-SARIF_APPS=0
-SARIF_VULN=0
-while IFS= read -r -d '' appdir; do
-  name=$(basename "$appdir")
-  out="$SARIF_DIR/${name// /_}.sarif"
-  rc=0
-  "$BUILD_DIR/examples/scan_directory" "$appdir" --quiet --explain \
-    --all-findings --sarif-out="$out" >/dev/null || rc=$?
-  if [[ "$rc" != "0" && "$rc" != "1" ]]; then
-    echo "FAIL: scan_directory exited $rc on $name" >&2
-    exit 1
-  fi
-  if [[ "$rc" == "1" ]]; then
-    # Vulnerable: the SARIF must carry results with full provenance.
-    "$BUILD_DIR/examples/validate_sarif" "$out" \
-      --require-result --require-codeflow >/dev/null
-    SARIF_VULN=$((SARIF_VULN + 1))
-  else
-    "$BUILD_DIR/examples/validate_sarif" "$out" >/dev/null
-  fi
-  SARIF_APPS=$((SARIF_APPS + 1))
-done < <(find "$SARIF_DIR/corpus" -mindepth 1 -maxdepth 1 -type d -print0)
-if [[ "$SARIF_VULN" == "0" ]]; then
-  echo "FAIL: no corpus app produced a vulnerable SARIF result" >&2
-  exit 1
-fi
-echo "validated $SARIF_APPS SARIF file(s), $SARIF_VULN with codeFlows"
-
-echo "== [6/8] scand service gate =="
+echo "== [5/7] scand service gate =="
+CORPUS_DIR="$SMOKE_DIR/corpus"
+mkdir -p "$CORPUS_DIR"
+"$BUILD_DIR/examples/corpus_verdicts" --dump "$CORPUS_DIR" >/dev/null
 SCAND_DIR="$SMOKE_DIR/scand"
 SCAND_SOCK="$SCAND_DIR/scand.sock"
 SCAND_STATE="$SCAND_DIR/state"
@@ -227,7 +196,7 @@ bfp = [f["fingerprint"] for f in batch["findings"]]
 assert dfp == bfp, f"finding fingerprints differ: {dfp} vs {bfp}"
 PY
   SCAND_APPS=$((SCAND_APPS + 1))
-done < <(find "$SARIF_DIR/corpus" -mindepth 1 -maxdepth 1 -type d -print0)
+done < <(find "$CORPUS_DIR" -mindepth 1 -maxdepth 1 -type d -print0)
 echo "cold pass: $SCAND_APPS daemon verdicts match scan_directory"
 
 # Pass 2 (warm): every clean report must replay from the durable
@@ -269,7 +238,7 @@ PY
     WARM_HITS=$((WARM_HITS + 1))
     CACHED_APP="$appdir"
   fi
-done < <(find "$SARIF_DIR/corpus" -mindepth 1 -maxdepth 1 -type d -print0)
+done < <(find "$CORPUS_DIR" -mindepth 1 -maxdepth 1 -type d -print0)
 if [[ "$WARM_HITS" == "0" || -z "$CACHED_APP" ]]; then
   echo "FAIL: no corpus app replayed from the verdict cache" >&2
   exit 1
@@ -328,7 +297,7 @@ PY
 wait "$SCAND_PID" || { echo "FAIL: scand drain exited non-zero" >&2; exit 1; }
 SCAND_PID=
 
-echo "== [7/8] observability gate =="
+echo "== [6/7] observability gate =="
 if ! command -v python3 >/dev/null; then
   echo "python3 not found; observability gate skipped"
 else
@@ -377,7 +346,7 @@ assert resp["report"]["trace_id"] == tid, "report trace_id drifted"
 PY
     echo "$tid" >> "$OBS_DIR/ids.txt"
     OBS_APPS=$((OBS_APPS + 1))
-  done < <(find "$SARIF_DIR/corpus" -mindepth 1 -maxdepth 1 -type d -print0)
+  done < <(find "$CORPUS_DIR" -mindepth 1 -maxdepth 1 -type d -print0)
   echo "trace sweep: $OBS_APPS apps, envelope + report carry the caller's ID"
 
   # Prometheus exposition lint + exemplar correlation.
@@ -533,7 +502,7 @@ PY
   fi
 fi
 
-echo "== [8/8] engine introspection gate =="
+echo "== [7/7] engine introspection gate =="
 PROF_DIR="$SMOKE_DIR/profile"
 mkdir -p "$PROF_DIR"
 if ! command -v python3 >/dev/null; then
@@ -629,7 +598,7 @@ assert json.dumps(on, sort_keys=True) == json.dumps(off, sort_keys=True), (
     "report differs with profiling on vs off beyond wall times")
 PY
     PROF_APPS=$((PROF_APPS + 1))
-  done < <(find "$SARIF_DIR/corpus" -mindepth 1 -maxdepth 1 -type d -print0)
+  done < <(find "$CORPUS_DIR" -mindepth 1 -maxdepth 1 -type d -print0)
   if [[ "$PROF_ROOTS" == "0" ]]; then
     echo "FAIL: profiled sweep attributed no analysis roots" >&2
     exit 1

@@ -35,7 +35,7 @@ namespace uchecker::core {
 // JSON schema. Persistent caches (scand's verdict and solver stores)
 // key on it, so an engine upgrade cold-starts them instead of replaying
 // stale analysis results.
-inline constexpr std::string_view kEngineVersion = "uchecker-pr10";
+inline constexpr std::string_view kEngineVersion = "uchecker-pr16";
 
 struct ScanOptions {
   Budget budget;
@@ -150,7 +150,7 @@ struct EvidenceGuard {
 struct FindingEvidence {
   std::vector<EvidenceHop> taint_path;  // ordered $_FILES source → sink
   std::vector<EvidenceGuard> guards;    // path constraint, program order
-  std::vector<WitnessBinding> bindings; // decoded Z3 model assignments
+  std::vector<WitnessBinding> bindings; // decoded model assignments
   std::string upload_filename;          // e.g. payload.php5
   std::string destination;              // resolved destination string
   bool destination_complete = false;

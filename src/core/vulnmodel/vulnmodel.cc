@@ -8,6 +8,7 @@
 #include "core/heapgraph/sexpr.h"
 #include "core/interp/builtins.h"
 #include "core/translate/translate.h"
+#include "smt/smtlib.h"
 #include "support/jsonlite.h"
 #include "support/scan_events.h"
 #include "support/strutil.h"
@@ -174,7 +175,7 @@ struct DestinationResolver {
       case Object::Kind::kSymbol: {
         const auto it = assignments.find(obj->name);
         if (it != assignments.end()) {
-          out += decode_z3_value(it->second);
+          out += smt::decode_value(it->second);
           return;
         }
         if (obj->files_tainted) {
@@ -222,60 +223,6 @@ struct DestinationResolver {
 
 }  // namespace
 
-std::string decode_z3_value(std::string_view raw) {
-  if (raw.size() < 2 || raw.front() != '"' || raw.back() != '"') {
-    return std::string(raw);  // numeral / boolean / uninterpreted
-  }
-  const std::string_view body = raw.substr(1, raw.size() - 2);
-  std::string out;
-  out.reserve(body.size());
-  for (std::size_t i = 0; i < body.size(); ++i) {
-    const char c = body[i];
-    if (c == '"' && i + 1 < body.size() && body[i + 1] == '"') {
-      out += '"';  // SMT-LIB doubles quotes inside string literals
-      ++i;
-      continue;
-    }
-    if (c == '\\' && i + 1 < body.size()) {
-      // Z3 renders non-printables as \xNN or \u{NN...}.
-      const auto hex = [](char h) -> int {
-        if (h >= '0' && h <= '9') return h - '0';
-        if (h >= 'a' && h <= 'f') return h - 'a' + 10;
-        if (h >= 'A' && h <= 'F') return h - 'A' + 10;
-        return -1;
-      };
-      if (body[i + 1] == 'x' && i + 3 < body.size() && hex(body[i + 2]) >= 0 &&
-          hex(body[i + 3]) >= 0) {
-        out += static_cast<char>(hex(body[i + 2]) * 16 + hex(body[i + 3]));
-        i += 3;
-        continue;
-      }
-      if (body[i + 1] == 'u' && i + 2 < body.size() && body[i + 2] == '{') {
-        const std::size_t close = body.find('}', i + 3);
-        if (close != std::string_view::npos && close - i - 3 <= 6) {
-          unsigned code = 0;
-          bool ok = true;
-          for (std::size_t j = i + 3; j < close; ++j) {
-            const int h = hex(body[j]);
-            if (h < 0) {
-              ok = false;
-              break;
-            }
-            code = code * 16 + static_cast<unsigned>(h);
-          }
-          if (ok && code < 0x80) {
-            out += static_cast<char>(code);
-            i = close;
-            continue;
-          }
-        }
-      }
-    }
-    out += c;
-  }
-  return out;
-}
-
 AttackWitness decode_witness(
     const HeapGraph& graph, Label dst,
     const std::map<std::string, std::string>& assignments,
@@ -292,7 +239,7 @@ AttackWitness decode_witness(
     WitnessBinding binding;
     binding.symbol = symbol;
     binding.raw = raw;
-    binding.decoded = decode_z3_value(raw);
+    binding.decoded = smt::decode_value(raw);
     if (symbol.find("_ext") != std::string::npos && ext_value.empty()) {
       ext_value = binding.decoded;
     }
@@ -404,12 +351,9 @@ VulnModelResult check_sinks(const InterpResult& interp, smt::Checker& checker,
   // the identical solver query; memoize outcomes. The witness and model
   // bindings ride along so a memoized duplicate carries the same
   // evidence bundle as the sink that actually solved.
-  struct MemoOutcome {
-    smt::SatResult result = smt::SatResult::kUnknown;
-    std::string witness;
-    std::map<std::string, std::string> bindings;
-  };
-  std::unordered_map<std::pair<Label, Label>, MemoOutcome, LabelPairHash> memo;
+  std::unordered_map<std::pair<Label, Label>, SolverQueryCache::Outcome,
+                     LabelPairHash>
+      memo;
 
   // Provenance is additive-only: attached after the verdict is decided,
   // never consulted before, so collect_evidence cannot change results.
@@ -489,8 +433,7 @@ VulnModelResult check_sinks(const InterpResult& interp, smt::Checker& checker,
         verdict.witness = hit->witness;
         attach_evidence(verdict, hit->bindings);
         ++result.query_cache_hits;
-        memo.emplace(memo_key, MemoOutcome{hit->result, hit->witness,
-                                           hit->bindings});
+        memo.emplace(memo_key, *hit);
         if (verdict.exploitable()) result.vulnerable = true;
         const bool stop =
             verdict.exploitable() && options.stop_at_first_finding;
@@ -503,7 +446,7 @@ VulnModelResult check_sinks(const InterpResult& interp, smt::Checker& checker,
     // Translation gets its own phase span (per sink) so the fleet's
     // per-phase breakdown separates query printing from Z3 search.
     std::string query;
-    try {
+    {
       const telemetry::PhaseScope translate_span(events, "translate",
                                                  sink.sink_name);
       if (!domain_axioms.has_value()) {
@@ -560,30 +503,24 @@ VulnModelResult check_sinks(const InterpResult& interp, smt::Checker& checker,
         constraints.push_back(trl.truthy(sink.reachability));
       }
       query = terms.query(constraints);
-    } catch (const smt::TermError& e) {
-      // A literal Z3 cannot represent is treated like the paper's
-      // exception rule at whole-sink scope.
-      verdict.constraints = smt::SatResult::kUnknown;
-      verdict.witness = std::string("translation error: ") + e.what();
-      result.verdicts.push_back(std::move(verdict));
-      continue;
     }
 
     const smt::SolverOutcome outcome = checker.check(query);
     ++result.solver_calls;
-    verdict.constraints = outcome.result;
     result.deadline_exceeded |= outcome.deadline_exceeded;
-    static const std::map<std::string, std::string> kNoBindings;
-    const std::map<std::string, std::string>& bindings =
-        outcome.model.has_value() ? outcome.model->assignments : kNoBindings;
-    if (outcome.model.has_value()) verdict.witness = outcome.model->to_string();
-    memo.emplace(memo_key,
-                 MemoOutcome{outcome.result, verdict.witness, bindings});
-    attach_evidence(verdict, bindings);
+    SolverQueryCache::Outcome solved{outcome.result, {}, {}};
+    if (outcome.model.has_value()) {
+      solved.witness = outcome.model->to_string();
+      solved.bindings = outcome.model->assignments;
+    }
+    verdict.constraints = solved.result;
+    verdict.witness = solved.witness;
+    attach_evidence(verdict, solved.bindings);
     if (query_cache != nullptr && (outcome.result == smt::SatResult::kSat ||
                                    outcome.result == smt::SatResult::kUnsat)) {
-      query_cache->store(cache_key, {outcome.result, verdict.witness, bindings});
+      query_cache->store(cache_key, solved);
     }
+    memo.emplace(memo_key, std::move(solved));
     if (verdict.exploitable()) result.vulnerable = true;
     const bool stop = verdict.exploitable() && options.stop_at_first_finding;
     result.verdicts.push_back(std::move(verdict));

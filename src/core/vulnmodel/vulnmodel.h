@@ -33,7 +33,7 @@ namespace uchecker::core {
 // fingerprint, so a hit implies the *whole* constraint set is textually
 // identical — lets later queries reuse the earlier verdict and witness
 // without calling Z3. Only definitive kSat/kUnsat outcomes are stored;
-// kUnknown (timeouts, translation gaps) is always re-attempted.
+// kUnknown (timeouts, queries Z3 rejects) is always re-attempted.
 // Thread-safe: parallel fleet drivers share one detector across workers.
 class SolverQueryCache {
  public:
@@ -95,11 +95,11 @@ struct VulnModelOptions {
   bool collect_evidence = false;
 };
 
-// One Z3 model assignment, decoded for human consumption.
+// One model assignment, decoded for human consumption.
 struct WitnessBinding {
   std::string symbol;   // e.g. s_files_f_ext
-  std::string raw;      // Z3 rendering, e.g. "\"php\""
-  std::string decoded;  // e.g. php
+  std::string raw;      // as smt::string_literal() prints it, e.g. "\"php\""
+  std::string decoded;  // smt::decode_value(raw), e.g. php
 };
 
 // The concrete attack a SAT model describes, reconstructed against the
@@ -118,12 +118,7 @@ struct AttackWitness {
   bool destination_complete = false;  // no unresolved subterm remains
 };
 
-// Unescapes one Z3 value rendering: strips surrounding quotes and
-// decodes SMT-LIB string escapes ("" and \xNN / \uNNNN). Non-string
-// renderings (numerals, booleans) pass through unchanged.
-[[nodiscard]] std::string decode_z3_value(std::string_view raw);
-
-// Decodes `assignments` (a Z3 model, as rendered by smt::Model) into an
+// Decodes `assignments` (a model, as rendered by smt::Model) into an
 // AttackWitness for the sink destination `dst`. Pure; safe to replay on
 // SolverQueryCache hits because symbol names are pinned by the cache key.
 [[nodiscard]] AttackWitness decode_witness(

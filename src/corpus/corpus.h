@@ -63,7 +63,8 @@ struct CorpusEntry {
 // upload taint reaches a copy()/rename() sink only through user-defined
 // helper functions, so there is no lexical sink in the analysis root.
 // Deliberately NOT part of full_corpus() — Table III's counts are pinned
-// by tests; ci/check.sh gates on this suite separately.
+// by tests; corpus_test and the corpus_verdicts golden rows (--suite
+// all) cover this suite separately.
 [[nodiscard]] std::vector<CorpusEntry> helper_sink_suite();
 
 // Deterministic filler: syntactically valid, upload-free PHP functions

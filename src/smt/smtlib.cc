@@ -1,6 +1,8 @@
 #include "smt/smtlib.h"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <unordered_map>
 
 namespace uchecker::smt {
@@ -54,30 +56,18 @@ Sort result_sort(Op op, std::initializer_list<Term> args,
   }
 }
 
-// Z3's smt_renaming: a symbol made only of these characters (and not
-// only of digits) prints bare.
-bool renaming_legal(char c) {
-  return c == '.' || c == '_' || c == '\'' || c == '?' || c == '!' ||
-         std::isalnum(static_cast<unsigned char>(c)) != 0;
-}
-
-// SMT-LIB simple-symbol characters (Z3's is_smt2_simple_symbol_char).
-bool smt2_simple(char c) {
+// SMT-LIB simple-symbol characters.
+bool simple_symbol_char(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) != 0 ||
          std::string_view("~!@$%^&*_-+=<>.?/").find(c) !=
              std::string_view::npos;
 }
 
 std::string print_symbol(const std::string& name) {
-  bool all_digits = !name.empty();
-  bool all_legal = !name.empty();
-  bool quote = !name.empty() && name[0] >= '0' && name[0] <= '9';
-  for (const char c : name) {
-    all_digits = all_digits && c >= '0' && c <= '9';
-    all_legal = all_legal && renaming_legal(c);
-    quote = quote || !smt2_simple(c);
+  if (!name.empty() && std::isdigit(static_cast<unsigned char>(name[0])) == 0 &&
+      std::all_of(name.begin(), name.end(), simple_symbol_char)) {
+    return name;
   }
-  if ((all_legal && !all_digits) || !quote) return name;
   std::string out = "|";
   for (const char c : name) {
     if (c == '|' || c == '\\') out += '\\';
@@ -87,87 +77,62 @@ std::string print_symbol(const std::string& name) {
   return out;
 }
 
-int hex_digit(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
-}
+}  // namespace
 
-// Z3 4.8.12's string theory holds characters up to this code point.
-constexpr unsigned kMaxChar = 0x2ffff;
-
-// Matches a \u{h..h} (one to five hex digits) or \uhhhh escape at the
-// start of `s`; on success stores the character and the escape length.
-bool match_escape(std::string_view s, unsigned& ch, std::size_t& len) {
-  if (s.size() < 3 || s[0] != '\\' || s[1] != 'u') return false;
-  if (s[2] == '{') {
-    unsigned value = 0;
-    for (std::size_t i = 3; i < s.size() && i < 9; ++i) {
-      if (s[i] == '}') {
-        if (i == 3) return false;
-        if (value > kMaxChar) {
-          throw TermError(
-              "unicode characters outside of byte range are not supported");
-        }
-        ch = value;
-        len = i + 1;
-        return true;
-      }
-      const int d = hex_digit(s[i]);
-      if (d < 0 || i == 8) return false;
-      value = value * 16 + static_cast<unsigned>(d);
-    }
-    return false;
-  }
-  if (s.size() < 6) return false;
-  unsigned value = 0;
-  for (std::size_t i = 2; i < 6; ++i) {
-    const int d = hex_digit(s[i]);
-    if (d < 0) return false;
-    value = value * 16 + static_cast<unsigned>(d);
-  }
-  ch = value;
-  len = 6;
-  return true;
-}
-
-// Z3_mk_string's reading of a C string (it stops at the first NUL), then
-// Z3's printing of the resulting characters as an SMT-LIB literal.
-std::string print_string_literal(std::string_view s) {
+std::string string_literal(std::string_view bytes) {
+  static constexpr char kHex[] = "0123456789abcdef";
   std::string out = "\"";
-  const auto emit = [&out](unsigned ch) {
-    if (ch < 32 || ch >= 128) {
-      static constexpr char kHex[] = "0123456789abcdef";
-      std::string digits;
-      do {
-        digits.insert(digits.begin(), kHex[ch % 16]);
-        ch /= 16;
-      } while (ch != 0);
-      out += "\\u{" + digits + "}";
-    } else if (ch == '"') {
-      out += "\"\"";
+  for (const char c : bytes) {
+    const auto byte = static_cast<unsigned char>(c);
+    if (byte >= 0x20 && byte < 0x7f && c != '\\') {
+      out += c;
+      if (c == '"') out += '"';
     } else {
-      out += static_cast<char>(ch);
+      out += "\\u{";
+      if (byte >= 0x10) out += kHex[byte >> 4];
+      out += kHex[byte & 0xf];
+      out += '}';
     }
-  };
-  for (std::size_t i = 0; i < s.size() && s[i] != '\0';) {
-    unsigned ch = 0;
-    std::size_t len = 0;
-    if (match_escape(s.substr(i), ch, len)) {
-      i += len;
-    } else {
-      // A plain char: sign-extended, as Z3 stores it.
-      ch = static_cast<unsigned>(static_cast<int>(static_cast<signed char>(s[i])));
-      ++i;
-    }
-    emit(ch);
   }
   out += '"';
   return out;
 }
 
-}  // namespace
+std::string decode_value(std::string_view text) {
+  if (text.size() < 2 || text.front() != '"' || text.back() != '"') {
+    return std::string(text);
+  }
+  const std::string_view body = text.substr(1, text.size() - 2);
+  std::string out;
+  for (std::size_t i = 0; i < body.size(); ++i) {
+    if (body.substr(i, 2) == "\"\"") {
+      ++i;
+    } else if (body.substr(i, 3) == "\\u{") {
+      // One or two hex digits, then the closing brace.
+      const char* digits = body.data() + i + 3;
+      const char* last = body.data() + std::min(body.size(), i + 5);
+      unsigned byte = 0;
+      const auto [end, ec] = std::from_chars(digits, last, byte, 16);
+      if (ec == std::errc() && end != body.data() + body.size() &&
+          *end == '}') {
+        out += static_cast<char>(byte);
+        i = static_cast<std::size_t>(end - body.data());
+        continue;
+      }
+    }
+    out += body[i];
+  }
+  return out;
+}
+
+std::string symbol_name(std::string_view z3_name) {
+  std::string out;
+  for (std::size_t i = 0; i < z3_name.size(); ++i) {
+    if (z3_name[i] == '\\' && i + 1 < z3_name.size()) ++i;
+    out += z3_name[i];
+  }
+  return out;
+}
 
 std::string_view sort_name(Sort s) {
   switch (s) {
@@ -196,14 +161,12 @@ Term TermGraph::int_val(std::int64_t v) {
   return add(Node{Kind::kLiteral, Sort::kInt, Op::kNot, std::move(text), {}});
 }
 
-Term TermGraph::string_val(std::string_view s) {
+Term TermGraph::string_val(std::string_view bytes) {
   return add(Node{Kind::kLiteral, Sort::kString, Op::kNot,
-                  print_string_literal(s), {}});
+                  string_literal(bytes), {}});
 }
 
-Term TermGraph::constant(const std::string& raw_name, Sort sort) {
-  // Z3 symbols are C strings: a name ends at its first NUL.
-  const std::string name(raw_name.c_str());
+Term TermGraph::constant(const std::string& name, Sort sort) {
   const auto key = std::make_pair(name, sort);
   if (const auto it = constants_.find(key); it != constants_.end()) {
     return it->second;
@@ -227,10 +190,8 @@ void TermGraph::print_node(Term t,
     out += n.text;
     return;
   }
-  // Z3 prints a two-argument distinct as a conjunction with `true`.
-  const bool distinct = n.op == Op::kDistinct;
-  out += distinct ? "(and (distinct" : "(";
-  if (!distinct) out += op_name(n.op);
+  out += '(';
+  out += op_name(n.op);
   for (const Term arg : n.args) {
     out += ' ';
     if (bound.contains(arg.id)) {
@@ -240,7 +201,7 @@ void TermGraph::print_node(Term t,
       print_node(arg, bound, out);
     }
   }
-  out += distinct ? ") true)" : ")";
+  out += ')';
 }
 
 std::string TermGraph::print(Term t) const {
@@ -279,8 +240,8 @@ std::string TermGraph::print(Term t) const {
 
 std::string TermGraph::query(const std::vector<Term>& assertions) const {
   std::string out;
-  // Z3's decl_collector: a stack walk over the assertions in order,
-  // pushing operands left to right, so the last operand is seen first.
+  // Declarations in a stack walk over the assertions in order, pushing
+  // operands left to right, so the last operand is seen first.
   std::unordered_set<std::uint32_t> seen;
   std::vector<Term> stack;
   for (const Term a : assertions) {
@@ -298,15 +259,7 @@ std::string TermGraph::query(const std::vector<Term>& assertions) const {
       stack.insert(stack.end(), n.args.begin(), n.args.end());
     }
   }
-  for (std::size_t i = 0; i < assertions.size(); ++i) {
-    const Node& n = nodes_[assertions[i].id];
-    // Z3 prints the last assertion only when it is not `true`.
-    if (i + 1 == assertions.size() && n.kind == Kind::kLiteral &&
-        n.text == "true") {
-      break;
-    }
-    out += "(assert " + print(assertions[i]) + ")\n";
-  }
+  for (const Term a : assertions) out += "(assert " + print(a) + ")\n";
   return out;
 }
 

@@ -7,27 +7,27 @@
 // shares the node, and query() prints a shared node once through `let`,
 // so a hash-consed heap graph never expands into a tree.
 //
-// The printed form is the one Z3 4.8.12's benchmark printer gives the
-// same terms, so a query parses into the formula it did when queries
-// were built as Z3 terms and re-serialized:
-//   - declarations in Z3's visit order (right-to-left preorder over the
-//     assertions, in assertion order);
-//   - symbols |quoted| under Z3's renaming rules;
-//   - string literals decoded the way Z3_mk_string decodes a C string
-//     (\u{...} and \uXXXX escapes, bytes >= 0x80 sign-extended) and
-//     printed with Z3's \u{...} escapes;
-//   - a binary distinct printed as (and (distinct a b) true), and a
-//     last assertion of `true` left out.
-// Only `let` placement differs. Z3 chose it from live reference counts
-// inside the building context; here a term gets a `let` exactly when it
-// occurs more than once in its assertion, bound in post-order, so term
-// order is fixed by the printed text alone.
+// Strings cross the solver boundary as bytes, in one encoding used in
+// both directions. string_literal() prints a byte string as an SMT-LIB
+// literal: a printable ASCII byte as itself (a `"` doubled) and every
+// other byte, the backslash included, as \u{h}. The checker renders
+// model strings with the same function, and decode_value() is its
+// exact inverse. A symbol prints bare when it is an SMT-LIB simple
+// symbol and between bars otherwise. (Z3 reads a query as a C string,
+// so a symbol holding a NUL byte fails to parse: the check comes back
+// kUnknown.)
+//
+// Declarations come in one fixed order, a right-to-left preorder over
+// the assertions, in assertion order (Z3's own visit order; the
+// sequence solver's answers depend on declaration order). A term gets
+// a `let` exactly when it occurs more than once in its assertion,
+// bound in post-order, so term order is fixed by the printed text
+// alone.
 #pragma once
 
 #include <cstdint>
 #include <initializer_list>
 #include <map>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <unordered_set>
@@ -48,12 +48,17 @@ enum class Op : std::uint8_t {
   kContains, kSuffixOf,
 };
 
-// A string literal Z3 rejects: an escape naming a character above the
-// string theory's range. The message is Z3 4.8.12's.
-class TermError : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
-};
+// `bytes` as an SMT-LIB string literal, e.g. "a""b\u{0}\u{5c}".
+[[nodiscard]] std::string string_literal(std::string_view bytes);
+
+// The inverse of string_literal(). Text that is not a string literal (a
+// numeral, a boolean) comes back unchanged, as does an escape above
+// \u{ff}: Z3's spelling of a character outside the byte range.
+[[nodiscard]] std::string decode_value(std::string_view text);
+
+// The symbol a printed name denotes: Z3 keeps the backslash escapes of
+// a |quoted| symbol in its name, and this drops them.
+[[nodiscard]] std::string symbol_name(std::string_view z3_name);
 
 // Handle to a node of one TermGraph.
 struct Term {
@@ -64,8 +69,7 @@ class TermGraph {
  public:
   [[nodiscard]] Term bool_val(bool b);
   [[nodiscard]] Term int_val(std::int64_t v);
-  // Throws TermError for an escape above \u{2ffff}.
-  [[nodiscard]] Term string_val(std::string_view s);
+  [[nodiscard]] Term string_val(std::string_view bytes);
   // One node per (name, sort): a symbol always denotes one value.
   [[nodiscard]] Term constant(const std::string& name, Sort sort);
   // The result sort follows from `op`; an ite takes its branches' sort.

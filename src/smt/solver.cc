@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <chrono>
 
+#include "smt/smtlib.h"
 #include "support/fault_injector.h"
 #include "support/scan_events.h"
 
@@ -20,6 +21,22 @@ bool retryable_unknown_reason(const std::string& reason) {
          reason.find("cancelled") != std::string::npos ||
          reason.find("resource") != std::string::npos ||
          reason.find("interrupted") != std::string::npos;
+}
+
+// A model value in the query's own spelling: a string as its bytes,
+// through string_literal(). get_string() gives more bytes than the
+// string has characters only when one lies above 0xff; such a string,
+// like a numeral or a boolean, keeps Z3's spelling.
+std::string render_value(const z3::expr& value) {
+  if (value.is_string_value()) {
+    const std::string bytes = value.get_string();
+    unsigned length = 0;
+    if (value.length().simplify().is_numeral_u(length) &&
+        length == bytes.size()) {
+      return string_literal(bytes);
+    }
+  }
+  return value.to_string();
 }
 
 }  // namespace
@@ -96,8 +113,8 @@ SolverOutcome Checker::check(const std::string& query) {
           const z3::model m = solver.get_model();
           for (unsigned i = 0; i < m.num_consts(); ++i) {
             const z3::func_decl decl = m.get_const_decl(i);
-            const z3::expr value = m.get_const_interp(decl);
-            model.assignments[decl.name().str()] = value.to_string();
+            model.assignments[symbol_name(decl.name().str())] =
+                render_value(m.get_const_interp(decl));
           }
           outcome.model = std::move(model);
           break;

@@ -34,8 +34,10 @@ enum class SatResult : std::uint8_t { kSat, kUnsat, kUnknown };
 
 [[nodiscard]] std::string_view sat_result_name(SatResult r);
 
-// A satisfying assignment, rendered as strings for reporting. For an
-// unrestricted-file-upload finding this typically shows e.g.
+// A satisfying assignment, each value in the query's own spelling (a
+// string through smt::string_literal(), which smt::decode_value()
+// inverts). For an unrestricted-file-upload finding this typically
+// shows e.g.
 //   s_ext = "php", s_filename = "x"
 struct Model {
   std::map<std::string, std::string> assignments;

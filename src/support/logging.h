@@ -7,7 +7,7 @@
 //    "event": "request_done", "trace_id": "a1b2c3d4e5f60718",
 //    "app": "foxypress", "verdict": "vulnerable", "total_ms": 46.2}
 //
-// Schema (stable; ci/check.sh step 7 validates every line against it):
+// Schema (stable; ci/check.sh step 6 validates every line against it):
 //  - "ts"       ISO-8601 UTC wall time with millisecond precision. Always
 //               present, always first.
 //  - "level"    "debug" | "info" | "warn" | "error".

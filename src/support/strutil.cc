@@ -151,7 +151,17 @@ std::string quote(std::string_view s) {
       case '\n': out += "\\n"; break;
       case '\t': out += "\\t"; break;
       case '\r': out += "\\r"; break;
-      default: out += c;
+      default: {
+        const auto byte = static_cast<unsigned char>(c);
+        if (byte >= 0x20) {
+          out += c;
+          break;
+        }
+        static constexpr char kHex[] = "0123456789abcdef";
+        out += "\\u00";
+        out += kHex[byte >> 4];
+        out += kHex[byte & 0xf];
+      }
     }
   }
   out += '"';

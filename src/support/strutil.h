@@ -62,7 +62,9 @@ namespace uchecker::strutil {
 // The final path component ("a/b/c.php" -> "c.php"), PHP basename() style.
 [[nodiscard]] std::string_view path_basename(std::string_view path);
 
-// Escapes a string for embedding in double quotes (C/JSON-style escapes).
+// Escapes a string for embedding in double quotes, as a valid JSON
+// string: \" \\ \n \t \r, and \u00XX for every other byte below 0x20.
+// Bytes from 0x80 up pass through.
 [[nodiscard]] std::string quote(std::string_view s);
 
 }  // namespace uchecker::strutil

@@ -1,5 +1,5 @@
 // Tests for finding provenance: taint-path extraction over the heap
-// graph, branch-guard extraction, Z3 witness decoding, fingerprints,
+// graph, branch-guard extraction, witness decoding, fingerprints,
 // and the end-to-end evidence bundle on detector findings (including
 // the corpus-wide acceptance loop and SARIF round-trips).
 #include "core/heapgraph/evidence.h"
@@ -121,16 +121,6 @@ TEST(Evidence, UnguardedPathHasNoGuards) {
 
 // --- witness decoding ------------------------------------------------
 
-TEST(Evidence, DecodeZ3ValueStringForms) {
-  EXPECT_EQ(decode_z3_value("\"php\""), "php");
-  EXPECT_EQ(decode_z3_value("\"a\"\"b\""), "a\"b");  // SMT-LIB quote-quote
-  EXPECT_EQ(decode_z3_value("\"a\\x2eb\""), "a.b");
-  EXPECT_EQ(decode_z3_value("\"\\u{2e}\""), ".");
-  // Non-string renderings pass through unchanged.
-  EXPECT_EQ(decode_z3_value("42"), "42");
-  EXPECT_EQ(decode_z3_value("true"), "true");
-}
-
 TEST(Evidence, DecodeWitnessMultiVariableModel) {
   EvidenceRun r(R"(
 if (strlen($_FILES['f']['name']) > 3 && $_FILES['f']['size'] < 4096) {
@@ -246,6 +236,31 @@ if ($_FILES['f']['size'] < 1048576) {
   EXPECT_FALSE(f.evidence.bindings.empty());
   EXPECT_NE(f.evidence.upload_filename.find(".php"), std::string::npos);
   EXPECT_FALSE(f.evidence.destination.empty());
+}
+
+TEST(Evidence, WitnessNamesTheGuardsBytes) {
+  // PHP does not expand \u{41} in a single-quoted string: the guard
+  // compares against six bytes, and the attacker must send all six.
+  ScanOptions options;
+  options.explain = true;
+  Detector detector(options);
+  const ScanReport report = detector.scan(one_file_app(R"(
+if ($_POST["k"] == '\u{41}') {
+  move_uploaded_file($_FILES['f']['tmp_name'], '/u/' . $_FILES['f']['name']);
+}
+)"));
+  ASSERT_TRUE(report.vulnerable());
+  const Finding& f = report.findings[0];
+  EXPECT_NE(f.witness.find("u_array_access_1 = \"\\u{5c}u{41}\""),
+            std::string::npos)
+      << f.witness;
+  bool saw_key = false;
+  for (const WitnessBinding& b : f.evidence.bindings) {
+    if (b.symbol != "u_array_access_1") continue;
+    saw_key = true;
+    EXPECT_EQ(b.decoded, "\\u{41}");
+  }
+  EXPECT_TRUE(saw_key);
 }
 
 TEST(Evidence, ExplainOffLeavesEvidenceEmptyAndVerdictIdentical) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "support/jsonlite.h"
+
 namespace uchecker::core {
 namespace {
 
@@ -277,6 +279,27 @@ TEST(ReportRoundTrip, EvidenceReportInvertsExactly) {
   EXPECT_EQ(ev.bindings[0].decoded, "php");
   EXPECT_EQ(ev.upload_filename, "payload.php");
   EXPECT_TRUE(ev.destination_complete);
+}
+
+TEST(ReportRoundTrip, ControlBytesStayValidJson) {
+  // A guard such as strpos($name, "\0") puts a NUL into the
+  // reachability s-expression and the witness.
+  using namespace std::string_literals;
+  ScanReport r = evidence_report();
+  Finding& f = r.findings[0];
+  f.reach_sexpr = "(strpos s_name \"\0\x01\")"s;
+  f.witness = "s_name = \"\0\x01\""s;
+  f.evidence.bindings[0].decoded = "\0\x01"s;
+  const std::string json = to_json(r);
+  EXPECT_EQ(json.find('\0'), std::string::npos);
+  EXPECT_TRUE(jsonlite::parse(json).has_value());
+  const std::optional<ScanReport> parsed = report_from_json(json);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(to_json(*parsed), json);
+  EXPECT_EQ(parsed->findings[0].reach_sexpr, f.reach_sexpr);
+  EXPECT_EQ(parsed->findings[0].witness, f.witness);
+  EXPECT_EQ(parsed->findings[0].evidence.bindings[0].decoded,
+            f.evidence.bindings[0].decoded);
 }
 
 TEST(ReportRoundTrip, DegradedReportInvertsExactly) {

@@ -5,6 +5,8 @@
 
 #include <chrono>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "smt/smtlib.h"
 #include "support/deadline.h"
@@ -223,10 +225,9 @@ TEST(Checker, IntStringConversions) {
 }
 
 // ---------------------------------------------------------------------------
-// Query text (smtlib.h). The expected strings are what Z3 4.8.12's
-// benchmark printer produced for the same terms.
+// Query text (smtlib.h).
 
-TEST(TermGraph, DeclarationsInZ3VisitOrder) {
+TEST(TermGraph, DeclarationsInRightToLeftPreorder) {
   // Right-to-left preorder over the assertions, in assertion order.
   TermGraph g;
   const Term ext = g.constant("s_ext", Sort::kString);
@@ -263,42 +264,40 @@ TEST(TermGraph, SharedSubtermIsPrintedOnceThroughLet) {
   EXPECT_EQ(h.print(h.app(Op::kNeg, {len})), "(- (str.len s))");
 }
 
-TEST(TermGraph, LiteralsPrintAsZ3Does) {
+TEST(TermGraph, LiteralsPrintTheirBytes) {
   TermGraph g;
   EXPECT_EQ(g.print(g.int_val(-5)), "(- 5)");
   EXPECT_EQ(g.print(g.int_val(std::numeric_limits<std::int64_t>::min())),
             "(- 9223372036854775808)");
   EXPECT_EQ(g.print(g.bool_val(false)), "false");
-  // Quotes double; control bytes and bytes >= 0x80 (sign-extended, as
-  // Z3_mk_string stores them) become \u{...}; DEL stays raw.
-  EXPECT_EQ(g.print(g.string_val("a\"b\x01\x7f\xe9")),
-            "\"a\"\"b\\u{1}\x7f\\u{ffffffe9}\"");
-  // Z3_mk_string decodes \u{...} (one to five hex digits) and \uXXXX.
-  EXPECT_EQ(g.print(g.string_val("\\u{41}\\u0042\\x43\\u{}")),
-            "\"AB\\x43\\u{}\"");
-  EXPECT_EQ(g.print(g.string_val(std::string("a\0b", 3))), "\"a\"");
-  EXPECT_THROW((void)g.string_val("\\u{30000}"), TermError);
+  // Printable ASCII stays and a quote doubles; every other byte, the
+  // backslash and DEL included, is one \u{h} escape.
+  EXPECT_EQ(g.print(g.string_val("a\"b\x01\x7f\xe9\\")),
+            "\"a\"\"b\\u{1}\\u{7f}\\u{e9}\\u{5c}\"");
+  // Escape-like text is bytes, and a NUL does not end the literal.
+  EXPECT_EQ(g.print(g.string_val("\\u{41}")), "\"\\u{5c}u{41}\"");
+  EXPECT_EQ(g.print(g.string_val(std::string("a\0b", 3))), "\"a\\u{0}b\"");
 }
 
-TEST(TermGraph, SymbolsQuoteUnderZ3Renaming) {
+TEST(TermGraph, SymbolsPrintBareOnlyWhenSimple) {
   TermGraph g;
-  EXPECT_EQ(g.print(g.constant("s_a.b'c", Sort::kInt)), "s_a.b'c");
-  EXPECT_EQ(g.print(g.constant("u_a-b_1", Sort::kInt)), "u_a-b_1");
+  EXPECT_EQ(g.print(g.constant("u_a-b.c?_1", Sort::kInt)), "u_a-b.c?_1");
+  EXPECT_EQ(g.print(g.constant("s_a.b'c", Sort::kInt)), "|s_a.b'c|");
+  EXPECT_EQ(g.print(g.constant("1x", Sort::kInt)), "|1x|");
   EXPECT_EQ(g.print(g.constant("s_a b|c\\d", Sort::kInt)),
             "|s_a b\\|c\\\\d|");
   EXPECT_EQ(g.print(g.constant("s_files_attac\xa0ment_ext", Sort::kInt)),
             "|s_files_attac\xa0ment_ext|");
 }
 
-TEST(TermGraph, DistinctAndTrailingTrue) {
+TEST(TermGraph, DistinctAndTrueAssertionsPrintAsThemselves) {
   TermGraph g;
   const Term a = g.constant("a", Sort::kBool);
   const Term b = g.constant("b", Sort::kBool);
-  EXPECT_EQ(g.print(g.app(Op::kDistinct, {a, b})),
-            "(and (distinct a b) true)");
-  // A last assertion of `true` is left out; an earlier one is kept.
+  EXPECT_EQ(g.print(g.app(Op::kDistinct, {a, b})), "(distinct a b)");
   EXPECT_EQ(g.query({g.bool_val(true), a, g.bool_val(true)}),
-            "(declare-fun a () Bool)\n(assert true)\n(assert a)\n");
+            "(declare-fun a () Bool)\n(assert true)\n(assert a)\n"
+            "(assert true)\n");
 }
 
 TEST(TermGraph, TwoSortsOfOneSymbolAreTwoDeclarations) {
@@ -314,6 +313,66 @@ TEST(TermGraph, TwoSortsOfOneSymbolAreTwoDeclarations) {
   EXPECT_EQ(query.find("(declare-fun v () Int)"), 0u);
   Checker checker;
   EXPECT_EQ(checker.check(query).result, SatResult::kUnknown);
+}
+
+// ---------------------------------------------------------------------------
+// The byte encoding in both directions: printed into a query, solved,
+// and read back from the model.
+
+TEST(StringEncoding, DecodeValueInvertsTheLiteral) {
+  EXPECT_EQ(decode_value("\"php\""), "php");
+  EXPECT_EQ(decode_value("\"a\"\"b\""), "a\"b");
+  EXPECT_EQ(decode_value("\"\\u{2e}\\u{0}\\u{FF}\""), std::string(".\0\xff", 3));
+  // Text the printer never writes stays as it is: a \x escape, and Z3's
+  // spelling of a character above 0xff.
+  EXPECT_EQ(decode_value("\"a\\x2eb\""), "a\\x2eb");
+  EXPECT_EQ(decode_value("\"\\u{100}\\u{}\""), "\\u{100}\\u{}");
+  // Non-string values pass through unchanged.
+  EXPECT_EQ(decode_value("42"), "42");
+  EXPECT_EQ(decode_value("true"), "true");
+
+  std::string all_bytes;
+  for (int b = 0; b < 256; ++b) all_bytes += static_cast<char>(b);
+  EXPECT_EQ(decode_value(string_literal(all_bytes)), all_bytes);
+}
+
+TEST(StringEncoding, EveryByteRoundTripsThroughTheSolver) {
+  // (= x <literal>) has one model; it must decode to exactly the bytes
+  // the literal was printed from.
+  std::vector<std::string> values;
+  for (int b = 0; b < 256; ++b) values.emplace_back(1, static_cast<char>(b));
+  values.emplace_back("\\u{41}");  // PHP '\u{41}': six bytes, not "A"
+  Checker checker;
+  for (const std::string& value : values) {
+    TermGraph g;
+    const std::string query = g.query(
+        {g.app(Op::kEq, {g.constant("x", Sort::kString), g.string_val(value)})});
+    const SolverOutcome outcome = checker.check(query);
+    ASSERT_EQ(outcome.result, SatResult::kSat) << query << outcome.error;
+    ASSERT_TRUE(outcome.model->assignments.contains("x")) << query;
+    EXPECT_EQ(decode_value(outcome.model->assignments.at("x")), value)
+        << query;
+  }
+}
+
+TEST(StringEncoding, CharacterAboveByteRangeKeepsZ3Spelling) {
+  Checker checker;
+  const SolverOutcome outcome = checker.check(
+      "(declare-fun x () String)\n(assert (= x \"a\\u{100}\"))\n");
+  ASSERT_EQ(outcome.result, SatResult::kSat) << outcome.error;
+  EXPECT_EQ(outcome.model->assignments.at("x"), "\"a\\u{100}\"");
+}
+
+TEST(StringEncoding, QuotedSymbolsComeBackUnderTheirNames) {
+  Checker checker;
+  for (const std::string name :
+       {"s_a.b'c", "s_a b|c\\d", "1x", "s_files_attac\xa0ment_ext"}) {
+    TermGraph g;
+    const SolverOutcome outcome = checker.check(g.query(
+        {g.app(Op::kEq, {g.constant(name, Sort::kInt), g.int_val(1)})}));
+    ASSERT_EQ(outcome.result, SatResult::kSat) << name << outcome.error;
+    EXPECT_EQ(outcome.model->to_string(), name + " = 1");
+  }
 }
 
 }  // namespace

@@ -114,6 +114,8 @@ TEST(Quote, EscapesSpecials) {
   EXPECT_EQ(quote("a\"b"), "\"a\\\"b\"");
   EXPECT_EQ(quote("a\\b"), "\"a\\\\b\"");
   EXPECT_EQ(quote("a\nb"), "\"a\\nb\"");
+  EXPECT_EQ(quote(std::string("\0\x01\x1f\x7f", 4)),
+            "\"\\u0000\\u0001\\u001f\x7f\"");
   EXPECT_EQ(quote(""), "\"\"");
 }
 
