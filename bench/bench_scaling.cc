@@ -5,8 +5,12 @@
 // shares objects across environments, keeping "objects per path" small —
 // under 100 per path for every app, 6-28 in Table III. This bench sweeps
 // the branch count of a synthetic upload handler, doubling paths each
-// step, and shows objects/path stays near-constant. It also demonstrates
-// the budget-exhaustion behaviour that produces the Cimy false negative.
+// step, twice: with arms that write only a trace, which the interpreter
+// merges at each join (objects/path falls with the structural path
+// count), and with arms the sink reads, where every path stays live and
+// objects/path must stay near-constant through sharing alone. The
+// second ladder at 18 ifs demonstrates budget exhaustion, the paper's
+// Cimy false negative.
 #include <cstdio>
 
 #include "core/detector/detector.h"
@@ -21,8 +25,9 @@ using uchecker::corpus::SynthSpec;
 int main() {
   std::printf("Path scaling sweep: paths = 2^(ifs+1) on a synthetic "
               "handler\n");
-  std::printf("| %4s | %9s | %9s | %7s | %8s | %8s |\n", "ifs", "paths",
-              "objects", "obj/path", "mem(MB)", "time(s)");
+  std::printf("| %4s | %9s | %9s | %8s | %9s | %8s | %8s |\n", "ifs",
+              "paths", "objects", "obj/path", "live objs", "live o/p",
+              "time(s)");
 
   bool sharing_holds = true;
   double prev_obj_per_path = 0.0;
@@ -32,24 +37,26 @@ int main() {
     spec.sequential_ifs = ifs;
     spec.filler_loc = 0;
     spec.filler_files = 0;
-    const auto app = uchecker::corpus::synth_app(spec);
-    const ScanReport report = Detector().scan(app);
-    std::printf("| %4d | %9zu | %9zu | %8.1f | %8.2f | %8.3f |\n", ifs,
-                report.paths, report.objects, report.objects_per_path,
-                report.memory_mb, report.seconds);
+    const ScanReport merged = Detector().scan(uchecker::corpus::synth_app(spec));
+    spec.arms_reach_sink = true;
+    const ScanReport live = Detector().scan(uchecker::corpus::synth_app(spec));
+    std::printf("| %4d | %9zu | %9zu | %8.3f | %9zu | %8.1f | %8.3f |\n",
+                ifs, merged.paths, merged.objects, merged.objects_per_path,
+                live.objects, live.objects_per_path, live.seconds);
     // Sharing: objects/path must not grow with the path count (it in
     // fact shrinks, since shared prefix objects amortize).
     if (prev_obj_per_path > 0.0 &&
-        report.objects_per_path > prev_obj_per_path * 1.5) {
+        live.objects_per_path > prev_obj_per_path * 1.5) {
       sharing_holds = false;
     }
-    prev_obj_per_path = report.objects_per_path;
+    prev_obj_per_path = live.objects_per_path;
   }
 
-  std::printf("\nBudget exhaustion (the Cimy-FN mechanism):\n");
+  std::printf("\nBudget exhaustion (the paper's Cimy-FN mechanism):\n");
   SynthSpec big;
   big.name = "exhaust";
   big.sequential_ifs = 18;  // 2^19 paths > default 100K budget
+  big.arms_reach_sink = true;
   big.filler_loc = 0;
   big.filler_files = 0;
   const ScanReport exhausted = Detector().scan(uchecker::corpus::synth_app(big));

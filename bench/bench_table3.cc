@@ -74,9 +74,11 @@ int main() {
     ++total;
   }
 
+  // Cimy is the one deliberate deviation: the paper loses it to path
+  // explosion, and merging at if/switch joins decides it here.
   std::printf("\nSummary: TP=%d FN=%d FP=%d TN=%d (paper: TP=15 FN=1 FP=2 "
               "TN=26)\n", tp, fn, fp, tn);
   std::printf("Verdicts matching the paper's per-app column: %d/%d\n",
               paper_match, total);
-  return (tp == 15 && fn == 1 && fp == 2 && tn == 26) ? 0 : 1;
+  return (tp == 16 && fn == 0 && fp == 2 && tn == 26) ? 0 : 1;
 }

@@ -6,10 +6,10 @@
 #      Tier-1 includes the result oracle: corpus_verdicts --suite all
 #      must print tests/data/corpus_verdicts.golden byte for byte with
 #      each result-neutral toggle (plain, --explain, --parse-threads 4,
-#      --no-summaries, --crosscheck, --observe), corpus_test pins
-#      the helper suite, the static-pass prune floor and the Cimy
-#      post-mortem, and the sarif_sweep row validates the SARIF of every
-#      dumped corpus app
+#      --no-summaries, --no-prefilter, --crosscheck, --observe),
+#      corpus_test pins the helper suite, the static-pass prune floor
+#      and a budget post-mortem, and the sarif_sweep row validates the
+#      SARIF of every dumped corpus app
 #   2. clang-tidy over src/ with the repo .clang-tidy profile (skipped
 #      with a note when clang-tidy is not installed, like the python3
 #      checks below)
@@ -200,8 +200,8 @@ done < <(find "$CORPUS_DIR" -mindepth 1 -maxdepth 1 -type d -print0)
 echo "cold pass: $SCAND_APPS daemon verdicts match scan_directory"
 
 # Pass 2 (warm): every clean report must replay from the durable
-# verdict cache byte-identically (degraded reports — e.g. the paper's
-# budget-exhausted Cimy case — are deliberately never cached and only
+# verdict cache byte-identically (degraded reports — e.g. a
+# budget-exhausted scan — are deliberately never cached and only
 # need to reproduce their verdict). At least one app must actually hit.
 WARM_HITS=0
 CACHED_APP=

@@ -6,8 +6,8 @@
 // latency table (p50/p95/p99 wall time per pipeline phase, from scan
 // telemetry), and an explosion-hotspots table: the corpus-wide fork
 // sites that spawned the most execution paths (with the budget
-// post-mortem of any root that died incomplete — the Cimy FN explained
-// in one table).
+// post-mortem of any root that died incomplete, the paper's Cimy FN
+// mechanism explained in one table).
 //
 //   $ ./build/examples/audit_report
 #include <algorithm>

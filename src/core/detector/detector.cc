@@ -495,7 +495,7 @@ void Detector::scan_impl(const Application& app, const Deadline& deadline,
 
     if (exec.stats.budget_exhausted || exec.stats.deadline_exceeded) {
       // The paper's behaviour: the run that exhausts memory produces no
-      // verdict for this root (Cimy FN). Continue with other roots
+      // verdict for this root (its Cimy FN). Continue with other roots
       // (deadline expiry ends the loop at the next iteration's check).
       events->root_end(cost.root,
                        exec.stats.budget_exhausted

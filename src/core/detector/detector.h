@@ -110,7 +110,7 @@ enum class Verdict : std::uint8_t {
   kVulnerable,
   kNotVulnerable,
   kAnalysisIncomplete,  // budget/deadline exhausted before a verdict
-                        // (paper's Cimy-User-Extra-Fields false negative)
+                        // (how the paper loses Cimy User Extra Fields)
   kAnalysisError,       // a pipeline phase failed; report is partial and
                         // the errors list says which phase and why
   kAnalysisDisagreement,  // crosscheck mode: the static pass proved a root

@@ -306,6 +306,21 @@ class Env {
   [[nodiscard]] std::vector<std::vector<VarEntry>>& frames() {
     return frames_;
   }
+  [[nodiscard]] const std::vector<std::vector<VarEntry>>& frames() const {
+    return frames_;
+  }
+
+  // Structural paths this environment stands for: a fork copies it, and
+  // the interpreter's merge at an if/switch join adds the members'
+  // weights (saturating), so the sum over all environments is the path
+  // count an unmerged run would end with.
+  [[nodiscard]] std::uint64_t weight() const { return weight_; }
+  void set_weight(std::uint64_t weight) { weight_ = weight; }
+
+  // Which pre-fork environment of the innermost enclosing if/switch this
+  // one descends from (interpreter bookkeeping for the merge).
+  [[nodiscard]] std::uint32_t fork_origin() const { return fork_origin_; }
+  void set_fork_origin(std::uint32_t origin) { fork_origin_ = origin; }
 
   [[nodiscard]] std::size_t memory_bytes() const;
 
@@ -318,6 +333,8 @@ class Env {
   Label cur_ = kNoLabel;  // kNoLabel == the paper's cur = null
   Status status_ = Status::kRunning;
   Label return_value_ = kNoLabel;
+  std::uint32_t fork_origin_ = 0;
+  std::uint64_t weight_ = 1;
   std::vector<Label> stack_;
   std::vector<std::vector<VarEntry>> frames_;
 };

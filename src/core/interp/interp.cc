@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 
 #include "core/interp/builtins.h"
+#include "core/interp/slice.h"
 #include "phpast/visitor.h"
 #include "support/fault_injector.h"
 #include "support/scan_events.h"
@@ -122,6 +124,19 @@ class ForkSiteScope {
   telemetry::ScanEvents* events_;
   const std::vector<Env>& envs_;
 };
+
+constexpr std::uint64_t kMaxWeight = std::numeric_limits<std::uint64_t>::max();
+
+std::uint64_t add_weights(std::uint64_t a, std::uint64_t b) {
+  return b > kMaxWeight - a ? kMaxWeight : a + b;
+}
+
+// Structural paths the environments stand for (merges keep the sum).
+std::uint64_t total_weight(const std::vector<Env>& envs) {
+  std::uint64_t sum = 0;
+  for (const Env& env : envs) sum = add_weights(sum, env.weight());
+  return sum;
+}
 
 }  // namespace
 
@@ -265,6 +280,17 @@ InterpResult Interpreter::run(const AnalysisRoot& root) {
   aborted_ = false;
   deadline_poll_ = 0;
 
+  const std::optional<std::vector<std::string>> slice = sink_relevant_vars(
+      program_, root, sink_registry_, [this](const Expr& path) {
+        return resolve_include_target(path);
+      });
+  merge_ = slice.has_value();
+  relevant_.clear();
+  if (merge_) {
+    for (const std::string& name : *slice) relevant_.push_back(vid(name));
+    std::sort(relevant_.begin(), relevant_.end());
+  }
+
   if (root.function != nullptr) {
     // Bind parameters. If locality captured a binding call site whose
     // arguments mention $_FILES, evaluate those arguments so taint and
@@ -301,7 +327,7 @@ InterpResult Interpreter::run(const AnalysisRoot& root) {
     exec_stmts(as_span(root.file->statements));
   }
 
-  stats_.paths = envs_.size();
+  stats_.paths = total_weight(envs_);
   stats_.objects = graph_.object_count();
   stats_.cons_hits = graph_.cons_hits();
   stats_.peak_paths = std::max(stats_.peak_paths, envs_.size());
@@ -528,24 +554,18 @@ void Interpreter::exec_if(const phpast::If& stmt) {
   clauses.push_back({stmt.cond, stmt.then_body});
   for (const auto& c : stmt.elseifs) clauses.push_back({c.cond, c.body});
 
-  // Processes clause `i` over the current envs_; joins into `result`.
-  std::vector<Env> result;
-  // Set aside non-running envs once, up front.
-  {
-    std::vector<Env> running;
-    for (Env& env : envs_) {
-      if (env.running()) {
-        running.push_back(std::move(env));
-      } else {
-        result.push_back(std::move(env));
-      }
-    }
-    envs_ = std::move(running);
+  // Set aside non-running envs once, up front; the arms join into
+  // `result`.
+  std::vector<Env> done;
+  std::vector<Env> pending;
+  for (Env& env : envs_) {
+    (env.running() ? pending : done).push_back(std::move(env));
   }
+  envs_.clear();
+  const ForkJoin fork = open_join(pending);
 
   const phpast::StmtList kEmptyBody;
-  std::vector<Env> pending = std::move(envs_);
-  envs_.clear();
+  std::vector<Env> result;
   for (std::size_t i = 0; i < clauses.size(); ++i) {
     if (aborted_) break;
     // Evaluate the condition on the pending ("all previous conditions
@@ -577,7 +597,9 @@ void Interpreter::exec_if(const phpast::If& stmt) {
     check_budget();
   }
   for (Env& env : pending) result.push_back(std::move(env));
-  envs_ = std::move(result);
+  close_join(fork, result);
+  for (Env& env : result) done.push_back(std::move(env));
+  envs_ = std::move(done);
   check_budget();
 }
 
@@ -586,7 +608,7 @@ void Interpreter::exec_switch(const phpast::Switch& stmt) {
                                  profile::ForkKind::kSwitch, stmt.loc(),
                                  "switch");
   eval_expr(*stmt.subject);
-  std::vector<Env> result;
+  std::vector<Env> done;
   std::vector<Env> running;
   std::vector<Label> subject_labels;
   for (Env& env : envs_) {
@@ -594,10 +616,12 @@ void Interpreter::exec_switch(const phpast::Switch& stmt) {
       subject_labels.push_back(pop(env));
       running.push_back(std::move(env));
     } else {
-      result.push_back(std::move(env));
+      done.push_back(std::move(env));
     }
   }
   envs_.clear();
+  const ForkJoin fork = open_join(running);
+  std::vector<Env> result;
 
   bool has_default = false;
   // Collected negations per base env: conjunction of (subject != case_i),
@@ -657,8 +681,77 @@ void Interpreter::exec_switch(const phpast::Switch& stmt) {
     }
   }
   for (Env& env : envs_) result.push_back(std::move(env));
-  envs_ = std::move(result);
+  close_join(fork, result);
+  for (Env& env : result) done.push_back(std::move(env));
+  envs_ = std::move(done);
   check_budget();
+}
+
+Interpreter::ForkJoin Interpreter::open_join(std::vector<Env>& running) {
+  ForkJoin fork;
+  if (!merge_) return fork;
+  fork.outer_origin.reserve(running.size());
+  fork.cur.reserve(running.size());
+  for (std::size_t i = 0; i < running.size(); ++i) {
+    fork.outer_origin.push_back(running[i].fork_origin());
+    fork.cur.push_back(running[i].cur());
+    running[i].set_fork_origin(static_cast<std::uint32_t>(i));
+  }
+  return fork;
+}
+
+bool Interpreter::same_join_state(const Env& a, const Env& b) const {
+  return std::all_of(relevant_.begin(), relevant_.end(),
+                     [&](VarId id) { return a.get(id) == b.get(id); }) &&
+         a.return_value() == b.return_value() && a.stack() == b.stack() &&
+         a.frames() == b.frames();
+}
+
+void Interpreter::close_join(const ForkJoin& fork, std::vector<Env>& arms) {
+  if (!merge_) return;
+  const std::size_t n = fork.cur.size();
+  // Each pre-fork env's descendants, in program order: arms counting-
+  // sorted by origin, descendants of o at order[begin[o], begin[o + 1]).
+  std::vector<std::size_t> begin(n + 1, 0);
+  for (const Env& env : arms) {
+    if (env.fork_origin() < n) ++begin[env.fork_origin() + 1];
+  }
+  for (std::size_t o = 0; o < n; ++o) begin[o + 1] += begin[o];
+  std::vector<std::size_t> order(begin[n]);
+  std::vector<std::size_t> next(begin.begin(), begin.end() - 1);
+  for (std::size_t i = 0; i < arms.size(); ++i) {
+    const std::uint32_t origin = arms[i].fork_origin();
+    if (origin < n) order[next[origin]++] = i;
+  }
+  std::vector<bool> merged_away(arms.size(), false);
+  for (std::size_t o = 0; o < n; ++o) {
+    const auto first_it = order.begin() + static_cast<std::ptrdiff_t>(begin[o]);
+    const auto last_it =
+        order.begin() + static_cast<std::ptrdiff_t>(begin[o + 1]);
+    if (last_it - first_it < 2) continue;
+    Env& first = arms[*first_it];
+    const bool mergeable =
+        std::all_of(first_it, last_it, [&](std::size_t i) {
+          return arms[i].running() && same_join_state(first, arms[i]);
+        });
+    if (!mergeable) continue;
+    std::uint64_t weight = 0;
+    for (auto it = first_it; it != last_it; ++it) {
+      weight = add_weights(weight, arms[*it].weight());
+      merged_away[*it] = it != first_it;
+    }
+    first.set_weight(weight);
+    first.set_cur(fork.cur[o]);
+  }
+  std::vector<Env> out;
+  out.reserve(arms.size());
+  for (std::size_t i = 0; i < arms.size(); ++i) {
+    if (merged_away[i]) continue;
+    const std::uint32_t origin = arms[i].fork_origin();
+    arms[i].set_fork_origin(origin < n ? fork.outer_origin[origin] : origin);
+    out.push_back(std::move(arms[i]));
+  }
+  arms = std::move(out);
 }
 
 void Interpreter::exec_loop(const Expr* cond,
@@ -781,6 +874,7 @@ void Interpreter::exec_foreach(const phpast::Foreach& stmt) {
   // Known arrays: unroll entries.
   if (!known_envs.empty()) {
     envs_ = std::move(known_envs);
+    const std::uint64_t entry_weight = total_weight(envs_);
     const int bound = budget_.max_foreach_entries;
     for (int entry_idx = 0; entry_idx < bound; ++entry_idx) {
       bool any = false;
@@ -811,8 +905,13 @@ void Interpreter::exec_foreach(const phpast::Foreach& stmt) {
       if (!any) break;
       exec_stmts(stmt.body);
       // NOTE: forked envs inside the body lose per-entry alignment for
-      // subsequent entries; this approximation stops unrolling then.
-      if (envs_.size() != known_labels.size()) break;
+      // subsequent entries; this approximation stops unrolling then. A
+      // fork whose arms merged back still counts (the weight grew), so
+      // merging never unrolls further than an unmerged run would.
+      if (envs_.size() != known_labels.size() ||
+          total_weight(envs_) != entry_weight) {
+        break;
+      }
     }
     for (Env& env : envs_) result.push_back(std::move(env));
     envs_.clear();
@@ -1596,20 +1695,6 @@ void Interpreter::record_sink(std::string_view name, std::size_t arg_count,
                               std::move(args), loc));
   }
 }
-
-namespace {
-
-// Functions that terminate the PHP request: execution does not continue
-// past them, so paths through them never reach a later sink. Missing
-// this is exactly how a guard like `if (!valid) wp_die();` would turn
-// into a false positive.
-bool is_terminator(std::string_view name) {
-  return name == "wp_die" || name == "wp_send_json" ||
-         name == "wp_send_json_error" || name == "wp_send_json_success" ||
-         name == "wp_redirect_and_exit" || name == "drupal_exit";
-}
-
-}  // namespace
 
 void Interpreter::eval_builtin_or_unknown(
     std::string_view name, const std::vector<const Expr*>& arg_exprs,

@@ -16,6 +16,16 @@
 // Loops are not executed precisely (paper §VI acknowledges the same
 // limitation): each loop forks into a skip path and a bounded number of
 // unrolled iterations.
+//
+// At every if/elseif and switch join, the descendants of one pre-fork
+// environment merge back into one when they are all still running and
+// agree on the root's sink slice (core/interp/slice.h): same operand
+// stack, frames and return value, same binding (or absence) of every
+// sink-relevant variable. The merged environment keeps the
+// program-order-first descendant's other bindings and gets the pre-fork
+// `cur` back exactly, since the arms are exhaustive. Each environment
+// carries a weight, the structural paths it stands for, so
+// InterpStats::paths still counts the paths an unmerged run forks.
 #pragma once
 
 #include <chrono>
@@ -44,7 +54,8 @@ namespace uchecker::core {
 // Resource limits. Exhaustion is reported, never fatal: the detector
 // turns it into a "analysis incomplete" verdict, which is how the paper's
 // Cimy-User-Extra-Fields false negative arises (248K paths exceeded the
-// machine's memory).
+// machine's memory). max_paths caps live environments, which is what
+// costs memory; merged environments count once whatever their weight.
 struct Budget {
   std::size_t max_paths = 100'000;
   std::size_t max_objects = 2'000'000;
@@ -82,9 +93,9 @@ struct SinkHit {
 };
 
 struct InterpStats {
-  std::size_t paths = 0;        // final environment count
+  std::size_t paths = 0;        // structural paths: sum of the env weights
   std::size_t objects = 0;      // heap graph size
-  std::size_t peak_paths = 0;
+  std::size_t peak_paths = 0;   // most live environments (what max_paths caps)
   std::size_t env_bytes = 0;    // accounted environment memory
   std::size_t cons_hits = 0;    // add_* calls answered by hash-consing
   bool budget_exhausted = false;
@@ -176,6 +187,22 @@ class Interpreter {
   // Pops per-statement expression results from running envs.
   void discard_results(std::size_t count);
 
+  // --- merging at if/switch joins
+  // Pre-fork state of one if/switch: each pre-fork env's own fork origin
+  // (restored at the join) and its reachability.
+  struct ForkJoin {
+    std::vector<std::uint32_t> outer_origin;
+    std::vector<Label> cur;
+  };
+  // Tags each env of `running` (all running, about to fork) with its
+  // index as fork origin.
+  [[nodiscard]] ForkJoin open_join(std::vector<Env>& running);
+  // Merges each pre-fork env's descendants in `arms` back into one when
+  // they agree on the sink slice (see the header comment), and restores
+  // the outer fork origins.
+  void close_join(const ForkJoin& fork, std::vector<Env>& arms);
+  [[nodiscard]] bool same_join_state(const Env& a, const Env& b) const;
+
   // include/require: resolves the path expression against the program's
   // files (trailing-string-literal suffix match, as in the call graph)
   // and executes the included file's top-level statements inline.
@@ -196,6 +223,10 @@ class Interpreter {
   std::vector<SinkHit> sinks_;
   InterpStats stats_;
   bool aborted_ = false;
+  // The root's sink-relevant variables (sorted ids); joins merge only
+  // when the root has a slice at all.
+  std::vector<VarId> relevant_;
+  bool merge_ = false;
 
   // Shared (cross-environment) object caches.
   std::map<std::string, Label, std::less<>> superglobals_;

@@ -183,11 +183,28 @@ Term Translator::translate(Label label, Type expected) {
   return coerce(result, resolved, expected);
 }
 
-Term Translator::translate_equal(const Object& obj, bool negate) {
-  // Table II "Logical Equal": dispatch on operand types, coercing the
-  // unknown side into the known side's domain.
+Term Translator::translate_equal(const Object& obj, bool negate,
+                                 bool identical) {
   const Object& lhs = graph_.at(obj.children[0]);
   const Object& rhs = graph_.at(obj.children[1]);
+  // `strpos(...) === false` means "not found", which str.indexof says
+  // with -1; coercing false to the Int 0 would say "found at 0".
+  const auto is_false = [](const Object& o) {
+    return o.kind == Object::Kind::kConcrete && o.type == Type::kBool &&
+           !std::get<bool>(o.value);
+  };
+  const auto is_strpos = [](const Object& o) {
+    return o.kind == Object::Kind::kFunc && o.name == "strpos";
+  };
+  if (identical && (is_strpos(lhs) || is_strpos(rhs)) &&
+      (is_false(lhs) || is_false(rhs))) {
+    const Label pos = is_strpos(lhs) ? obj.children[0] : obj.children[1];
+    const Term eq = terms_.app(
+        Op::kEq, {translate(pos, Type::kInt), terms_.int_val(-1)});
+    return negate ? terms_.app(Op::kNot, {eq}) : eq;
+  }
+  // Table II "Logical Equal": dispatch on operand types, coercing the
+  // unknown side into the known side's domain.
   const Type lt = resolve_pair(lhs.type, rhs.type);
   const Type rt = resolve_pair(rhs.type, lt);
   Term l = translate(obj.children[0], lt);
@@ -247,11 +264,13 @@ Term Translator::translate_op(const Object& obj, Type expected) {
     case OpKind::kNegate:
       return terms_.app(Op::kNeg, {child(0, Type::kInt)});
     case OpKind::kEqual:
+      return translate_equal(obj, /*negate=*/false, /*identical=*/false);
     case OpKind::kIdentical:
-      return translate_equal(obj, /*negate=*/false);
+      return translate_equal(obj, /*negate=*/false, /*identical=*/true);
     case OpKind::kNotEqual:
+      return translate_equal(obj, /*negate=*/true, /*identical=*/false);
     case OpKind::kNotIdentical:
-      return translate_equal(obj, /*negate=*/true);
+      return translate_equal(obj, /*negate=*/true, /*identical=*/true);
     case OpKind::kLess: return compare(Op::kLt);
     case OpKind::kGreater: return compare(Op::kGt);
     case OpKind::kLessEqual: return compare(Op::kLe);

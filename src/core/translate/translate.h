@@ -53,7 +53,8 @@ class Translator {
 
   [[nodiscard]] smt::Term translate_op(const Object& obj, Type expected);
   [[nodiscard]] smt::Term translate_func(const Object& obj, Type expected);
-  [[nodiscard]] smt::Term translate_equal(const Object& obj, bool negate);
+  [[nodiscard]] smt::Term translate_equal(const Object& obj, bool negate,
+                                          bool identical);
 
   smt::TermGraph& terms_;
   const HeapGraph& graph_;

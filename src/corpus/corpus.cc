@@ -21,7 +21,9 @@ core::Application synth_app(const SynthSpec& spec) {
   handler += "    $trace = array();\n";
   for (int i = 0; i < spec.sequential_ifs; ++i) {
     handler += "    if (isset($_POST['opt_" + std::to_string(i) + "'])) {\n";
-    handler += "        $trace[] = 'opt" + std::to_string(i) + "';\n";
+    handler += spec.arms_reach_sink
+                   ? "        $dir .= 'opt" + std::to_string(i) + "/';\n"
+                   : "        $trace[] = 'opt" + std::to_string(i) + "';\n";
     handler += "    }\n";
   }
   if (spec.switch_ways > 1) {
@@ -45,9 +47,12 @@ core::Application synth_app(const SynthSpec& spec) {
         "        wp_die('rejected');\n"
         "    }\n";
   }
-  handler += "    $target = $dir . $file['name'];\n";
+  handler += spec.arms_reach_sink && spec.switch_ways > 1
+                 ? "    $target = $dir . $mode . '/' . $file['name'];\n"
+                 : "    $target = $dir . $file['name'];\n";
   handler += "    if (move_uploaded_file($file['tmp_name'], $target)) {\n";
-  handler += "        $trace[] = 'saved';\n";
+  handler += spec.arms_reach_sink ? "        $dir .= 'saved/';\n"
+                                  : "        $trace[] = 'saved';\n";
   handler += "    }\n";
   handler += "    echo json_encode($trace);\n";
   handler += "}\n";

@@ -96,10 +96,15 @@ struct SynthSpec {
   bool vulnerable = true;        // omit the extension check when true
   std::size_t filler_loc = 500;  // padding outside the handler
   int filler_files = 1;
+  // When set, every if and switch arm writes a variable the destination
+  // is built from (the sink's own `if` too), so no join can merge two
+  // paths; otherwise the arms write only a trace the sink never reads.
+  bool arms_reach_sink = false;
 };
 
 // Builds one synthetic upload plugin according to the spec. The handler's
-// expected path count is 2^sequential_ifs * max(1, switch_ways).
+// structural path count is 2^(sequential_ifs + 1) * max(1, switch_ways):
+// the sink's own `if` doubles it.
 [[nodiscard]] core::Application synth_app(const SynthSpec& spec);
 
 }  // namespace uchecker::corpus

@@ -438,6 +438,12 @@ Token Lexer::lex_variable(SourceLoc start) {
   t.loc = start;
   ++pos_;  // consume '$'
   const std::size_t begin = pos_;
+  // A variable variable `$$name` keeps its inner '$' in the token text,
+  // so the AST marks a variable whose name is only known at run time.
+  if (pos_ + 1 < src_.size() && src_[pos_] == '$' &&
+      is_ident_start(src_[pos_ + 1])) {
+    ++pos_;
+  }
   while (pos_ < src_.size() && is_ident_char(src_[pos_])) ++pos_;
   if (pos_ == begin) {
     diags_.warning(t.loc, "'$' not followed by a variable name");

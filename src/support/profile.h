@@ -1,8 +1,8 @@
 // Engine introspection: the path-explosion profiler.
 //
-// The paper's failure mode (and this reproduction's one corpus false
-// negative, Cimy User Extra Fields) is a scan that dies of path
-// explosion with nothing to show for it but a budget_exhausted flag.
+// The paper's failure mode (its one corpus false negative, Cimy User
+// Extra Fields) is a scan that dies of path explosion with nothing to
+// show for it but a budget_exhausted flag.
 // This module attributes the explosion to its causes, per analysis
 // root:
 //

@@ -330,11 +330,13 @@ move_uploaded_file($_FILES['f']['tmp_name'], '/u/' . $_FILES['f']['name']);
 TEST(Detector, BudgetExhaustionYieldsIncomplete) {
   ScanOptions tight;
   tight.budget.max_paths = 4;
-  std::string php;
+  // Each arm adds a directory level the sink reads, so no join merges.
+  std::string php = "$sub = '/u/';\n";
   for (int i = 0; i < 8; ++i) {
-    php += "if ($c" + std::to_string(i) + ") { $x = 1; }\n";
+    php += "if ($c" + std::to_string(i) + ") { $sub .= 'k" +
+           std::to_string(i) + "/'; }\n";
   }
-  php += "move_uploaded_file($_FILES['f']['tmp_name'], '/u/' . "
+  php += "move_uploaded_file($_FILES['f']['tmp_name'], $sub . "
          "$_FILES['f']['name']);\n";
   const ScanReport report = scan(php, tight);
   EXPECT_EQ(report.verdict, Verdict::kAnalysisIncomplete);

@@ -410,14 +410,24 @@ TEST(Interp, SinkCallYieldsBooleanResult) {
 
 // --- budget ----------------------------------------------------------------------
 
+// An upload whose destination directory gets one optional segment per
+// `if`: the sink reads every arm's write, so no join merges and the
+// ladder forks 2^ifs live paths.
+std::string dest_ladder(int ifs) {
+  std::string php = "$dir = '/u/';\n";
+  for (int i = 0; i < ifs; ++i) {
+    php += "if ($c" + std::to_string(i) + ") { $dir .= 'd" +
+           std::to_string(i) + "/'; }\n";
+  }
+  php += "move_uploaded_file($_FILES['f']['tmp_name'], "
+         "$dir . $_FILES['f']['name']);\n";
+  return php;
+}
+
 TEST(Interp, PathBudgetExhaustionAborts) {
   Budget tight;
   tight.max_paths = 8;
-  std::string many_ifs;
-  for (int i = 0; i < 10; ++i) {
-    many_ifs += "if ($c" + std::to_string(i) + ") { $x = " + std::to_string(i) + "; }\n";
-  }
-  ExecRun r(many_ifs, tight);
+  ExecRun r(dest_ladder(10), tight);
   EXPECT_TRUE(r.result.stats.budget_exhausted);
   EXPECT_LT(r.result.stats.paths, 1u << 10);
 }
@@ -425,7 +435,7 @@ TEST(Interp, PathBudgetExhaustionAborts) {
 TEST(Interp, ObjectBudgetExhaustionAborts) {
   Budget tight;
   tight.max_objects = 10;
-  ExecRun r("if ($a) { $x = 1; } if ($b) { $y = 2; } if ($c) { $z = 3; }", tight);
+  ExecRun r(dest_ladder(3), tight);
   EXPECT_TRUE(r.result.stats.budget_exhausted);
 }
 
@@ -573,6 +583,148 @@ if ($big) { move_uploaded_file($a['tmp_name'], $p); }
       EXPECT_NE(r.result.graph.find(env.cur()), nullptr);
     }
   }
+}
+
+// --- merging at if/switch joins -----------------------------------------------
+
+// `ifs` option branches whose arms write only $audit, which the upload
+// never reads, followed by `tail` and an upload to a fixed directory.
+std::string audit_ladder(int ifs, const std::string& tail = "") {
+  std::string php = "$audit = array();\n";
+  for (int i = 0; i < ifs; ++i) {
+    php += "if (isset($_POST['f" + std::to_string(i) + "'])) { $audit[] = '" +
+           std::to_string(i) + "'; }\n";
+  }
+  php += tail;
+  php += "move_uploaded_file($_FILES['f']['tmp_name'], "
+         "'/u/' . $_FILES['f']['name']);\n";
+  return php;
+}
+
+TEST(InterpMerge, IrrelevantArmsMergeAndWeightsCountPaths) {
+  ExecRun r(audit_ladder(10));
+  EXPECT_EQ(r.result.stats.paths, 1u << 10);
+  ASSERT_EQ(r.result.envs.size(), 1u);
+  EXPECT_EQ(r.result.envs[0].weight(), 1u << 10);
+  EXPECT_LE(r.result.stats.peak_paths, 2u);
+  EXPECT_EQ(r.result.sinks.size(), 1u);
+  // Every descendant of the one pre-fork env merged back: the arms are
+  // exhaustive, so the reachability is the pre-fork one.
+  EXPECT_EQ(r.reach(0), "true");
+}
+
+TEST(InterpMerge, SwitchAndElseifArmsMerge) {
+  ExecRun r(R"(
+$mode = 'none';
+switch ($_POST['m']) {
+case 'a': $mode = 'a'; break;
+case 'b': $mode = 'b'; break;
+default: $mode = 'z';
+}
+if ($_POST['t'] == 'x') { $note = 1; } elseif ($_POST['t'] == 'y') { $note = 2; } else { $note = 3; }
+move_uploaded_file($_FILES['f']['tmp_name'], '/u/' . $_FILES['f']['name']);
+)");
+  EXPECT_EQ(r.result.stats.paths, 9u);
+  ASSERT_EQ(r.result.envs.size(), 1u);
+  EXPECT_EQ(r.reach(0), "true");
+  // The merged env keeps the program-order-first arm's bindings.
+  EXPECT_EQ(r.value("mode"), "\"a\"");
+  EXPECT_EQ(r.value("note"), "1");
+}
+
+TEST(InterpMerge, MergesStayWithinOnePreForkEnv) {
+  ExecRun r(R"(
+$k = 'x';
+if ($_POST['a']) { $d = $k; } else { $d = 'y'; }
+if ($_POST['b']) { $d = $k; }
+move_uploaded_file($_FILES['f']['tmp_name'], '/u/' . $d);
+)");
+  EXPECT_EQ(r.result.stats.paths, 4u);
+  // a&b and a&!b both hold $d = $k and are all of the `a` path's
+  // descendants: they merge back to `a`. !a&b also holds $d = $k, but it
+  // descends from the `!a` path, whose other arm has $d = 'y'; merging
+  // across pre-fork envs would need a disjunction, so it stays apart.
+  ASSERT_EQ(r.result.envs.size(), 3u);
+  EXPECT_EQ(r.result.envs[0].weight(), 2u);
+  EXPECT_EQ(r.reach(0), "(array_access $_POST \"a\")");
+  EXPECT_EQ(r.value("d", 0), "\"x\"");
+  EXPECT_EQ(r.value("d", 1), "\"x\"");
+  EXPECT_EQ(r.value("d", 2), "\"y\"");
+  EXPECT_EQ(r.result.sinks.size(), 3u);
+}
+
+// Each of these keeps every path apart: the live envs are the
+// structural paths.
+void expect_unmerged(const std::string& php, std::size_t paths,
+                     std::size_t sinks) {
+  SCOPED_TRACE(php);
+  ExecRun r(php);
+  EXPECT_EQ(r.result.stats.paths, paths);
+  EXPECT_EQ(r.result.envs.size(), paths);
+  EXPECT_EQ(r.result.stats.peak_paths, paths);
+  for (const Env& env : r.result.envs) EXPECT_EQ(env.weight(), 1u);
+  EXPECT_EQ(r.result.sinks.size(), sinks);
+}
+
+TEST(InterpMerge, ArmWritingTheDestinationStopsMerging) {
+  expect_unmerged(dest_ladder(6), 64, 64);
+}
+
+TEST(InterpMerge, ArmThatEndsThePathStopsMerging) {
+  // The arms write $x, which the sink never reads, but a later branch
+  // on $x ends some paths: merging the arms would decide that branch
+  // with one member's $x for all of them.
+  std::string ladder = "$x = '';\n";
+  for (int i = 0; i < 5; ++i) {
+    ladder += "if (isset($_POST['f" + std::to_string(i) + "'])) { $x .= '" +
+              std::to_string(i) + "'; }\n";
+  }
+  const auto program = [&ladder](const std::string& stop) {
+    return "function note() { }\n" + ladder + "if ($x == '') { " + stop +
+           " }\nmove_uploaded_file($_FILES['f']['tmp_name'], "
+           "'/u/' . $_FILES['f']['name']);\n";
+  };
+  for (const char* stop :
+       {"wp_die('no');", "return;", "exit;", "throw new Exception('x');"}) {
+    expect_unmerged(program(stop), 64, 32);
+  }
+  // A user call (which may end the path) keeps the ladder apart too; the
+  // call's own arms end nothing here, so they merge back.
+  ExecRun r(program("note();"));
+  EXPECT_EQ(r.result.stats.paths, 64u);
+  EXPECT_EQ(r.result.envs.size(), 32u);
+  EXPECT_EQ(r.result.sinks.size(), 32u);
+}
+
+TEST(InterpMerge, DynamicVariableAccessDisablesMerging) {
+  for (const char* dynamic :
+       {"$$name = 1;\n", "extract($_POST);\n", "$alias = &$target;\n",
+        "$GLOBALS['g'] = 1;\n", "$fn = 'f'; $fn();\n",
+        "compact('audit');\n", "function by_ref(&$p) { }\nby_ref($audit);\n"}) {
+    expect_unmerged(audit_ladder(5, dynamic), 32, 32);
+  }
+}
+
+TEST(InterpMerge, ForeachUnrollsNoFurtherThanUnmerged) {
+  // Unrolling a known array stops after the first entry whose body
+  // forks; a fork whose arms merged back still counts.
+  const std::string body = R"(
+foreach (array(1, 2, 3) as $it) {
+    if (isset($_POST['k'])) { $audit[] = $it; }
+}
+move_uploaded_file($_FILES['f']['tmp_name'], '/u/' . $_FILES['f']['name']);
+)";
+  ExecRun merged(body);
+  ExecRun unmerged("extract(array());\n" + body);
+  EXPECT_EQ(merged.result.envs.size(), 1u);
+  EXPECT_EQ(unmerged.result.envs.size(), 2u);
+  EXPECT_EQ(merged.result.stats.paths, unmerged.result.stats.paths);
+}
+
+TEST(InterpMerge, RootWithoutSinkRunsUnmerged) {
+  ExecRun r("if ($a) { $x = 1; } if ($b) { $y = 2; }");
+  EXPECT_EQ(r.result.envs.size(), 4u);
+  EXPECT_EQ(r.result.stats.paths, 4u);
 }
 
 }  // namespace

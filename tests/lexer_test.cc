@@ -49,6 +49,16 @@ TEST(Lexer, OpenTagEntersPhpMode) {
   EXPECT_EQ(tokens[0].text, "x");
 }
 
+TEST(Lexer, VariableVariableKeepsItsInnerDollar) {
+  // `$$name` names a variable only known at run time; the token text
+  // keeps the inner '$' so the AST can tell it from `$name`.
+  const auto tokens = lex("<?php $$name = 1;");
+  ASSERT_GE(tokens.size(), 2u);
+  EXPECT_EQ(tokens[0].kind, TokenKind::kVariable);
+  EXPECT_EQ(tokens[0].text, "$name");
+  EXPECT_EQ(tokens[1].kind, TokenKind::kAssign);
+}
+
 TEST(Lexer, CloseTagEmitsSemicolonAndHtml) {
   const auto k = kinds("<?php $x ?>after");
   // $x ; (from ?>) html eof

@@ -26,33 +26,32 @@ core::ScanReport scan(const std::string& handler_php,
 
 // A root whose explosion is loop-driven: a concretely-bounded for loop
 // whose body forks on a distinct $_POST key per iteration, plus one
-// standalone conditional for contrast. The sink keeps the root past
-// locality and the static prefilter (pruned roots never profile).
+// standalone conditional for contrast. Every arm adds a directory level
+// the sink reads, so no join merges the paths. The sink keeps the root
+// past locality and the static prefilter (pruned roots never profile).
 constexpr const char* kLoopyApp = R"(
-$audit = array();
+$sub = '/u/';
 for ($i = 0; $i < 3; $i++) {
     if (isset($_POST['k' . $i])) {
-        $audit[] = 'k';
+        $sub .= 'k' . $i . '/';
     }
 }
 if (isset($_POST['solo'])) {
-    $audit[] = 'solo';
+    $sub .= 'solo/';
 }
-$dest = '/u/' . $_FILES['f']['name'];
+$dest = $sub . $_FILES['f']['name'];
 move_uploaded_file($_FILES['f']['tmp_name'], $dest);
-echo implode(',', $audit);
 )";
 
 // A loop wide enough to blow any small path budget before its sink.
 constexpr const char* kExplodingApp = R"(
-$audit = array();
+$sub = '/u/';
 for ($i = 0; $i < 40; $i++) {
     if (isset($_POST['k' . $i])) {
-        $audit[] = 'k';
+        $sub .= 'k' . $i . '/';
     }
 }
-move_uploaded_file($_FILES['f']['tmp_name'], '/u/' . $_FILES['f']['name']);
-echo implode(',', $audit);
+move_uploaded_file($_FILES['f']['tmp_name'], $sub . $_FILES['f']['name']);
 )";
 
 // Wall times vary run to run; everything else in a report must not.
@@ -142,16 +141,16 @@ TEST(ProfileTest, ConditionalOnlyPostMortemFallsBackToTopSite) {
   core::ScanOptions options;
   options.profile = true;
   options.budget.max_paths = 8;
-  std::string ladder;  // Cimy in miniature: a pure if/elseif ladder.
+  // A pure if ladder whose arms the sink reads, so no join merges.
+  std::string ladder;
   for (int i = 0; i < 12; ++i) {
     ladder += "if (isset($_POST['f" + std::to_string(i) +
-              "'])) { $audit[] = 'f'; }\n";
+              "'])) { $sub .= 'f/'; }\n";
   }
   const core::ScanReport report =
-      scan("$audit = array();\n" + ladder +
-               "move_uploaded_file($_FILES['f']['tmp_name'], '/u/' . "
-               "$_FILES['f']['name']);\n"
-               "echo implode(',', $audit);\n",
+      scan("$sub = '/u/';\n" + ladder +
+               "move_uploaded_file($_FILES['f']['tmp_name'], $sub . "
+               "$_FILES['f']['name']);\n",
            options);
   ASSERT_TRUE(report.profiled);
   ASSERT_EQ(report.profile.roots.size(), 1u);

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 
 #include "core/detector/detector.h"
 #include "core/heapgraph/sexpr.h"
@@ -382,6 +383,171 @@ TEST(FuzzVerdict, GuardDecidesVerdict) {
     } else {
       EXPECT_EQ(report.verdict, Verdict::kVulnerable) << seed;
     }
+  }
+}
+
+// --- merging at if/switch joins --------------------------------------------
+
+InterpResult interpret(const std::string& php, Budget budget) {
+  SourceManager sources;
+  DiagnosticSink diags;
+  Arena arena;
+  const phpast::PhpFile file =
+      phpparse::parse_php(*sources.file(sources.add_file("m.php", php)),
+                          diags, arena);
+  const Program program = build_program({&file});
+  AnalysisRoot root;
+  root.file = &file;
+  return Interpreter(program, diags, budget).run(root);
+}
+
+Budget fuzz_budget() {
+  Budget budget;
+  budget.max_paths = 4096;
+  budget.max_objects = 200'000;
+  return budget;
+}
+
+// The findings of a scan, as (dst, fingerprint). The
+// generator's upload has one fixed destination, so whichever path the
+// first finding comes from, it names the same dst.
+std::set<std::string> findings_of(const std::string& php, Verdict& verdict) {
+  Application app;
+  app.name = "fuzz-merge";
+  app.files.push_back(AppFile{"fuzz.php", php});
+  ScanOptions options;
+  options.budget = fuzz_budget();
+  const ScanReport report = Detector(options).scan(app);
+  verdict = report.verdict;
+  std::set<std::string> out;
+  for (const Finding& f : report.findings) {
+    out.insert(f.dst_sexpr + " | " + f.fingerprint);
+  }
+  return out;
+}
+
+// The generator's program with `lines` inserted just before its final
+// upload (the sink tail the generator always appends).
+std::string insert_before_sink(const std::string& php,
+                               const std::string& lines) {
+  const std::size_t cut = std::min(php.find("$ext = strtolower"),
+                                   php.find("move_uploaded_file("));
+  return php.substr(0, cut) + lines + php.substr(cut);
+}
+
+// A name-based slice cannot follow a variable variable, extract() or a
+// reference, so any of them switches merging off for the root. That
+// gives an unmerged run of the same program to check the merged one
+// against: same structural path count, same verdict, same findings.
+TEST(FuzzMerge, UnmergedRunAgrees) {
+  const char* const kStoppers[] = {"$$merge_off = 0;", "extract(array());",
+                                   "$merge_alias = &$merge_target;"};
+  for (unsigned seed = 1; seed <= 20; ++seed) {
+    ProgramGenerator gen(seed);
+    const std::string php = gen.generate();
+    const std::string unmerged =
+        "<?php\n" + std::string(kStoppers[seed % 3]) + php.substr(5);
+    SCOPED_TRACE(unmerged);
+
+    const InterpResult a = interpret(php, fuzz_budget());
+    const InterpResult b = interpret(unmerged, fuzz_budget());
+    EXPECT_EQ(a.stats.paths, b.stats.paths);
+    EXPECT_EQ(b.envs.size(), b.stats.paths);
+    for (const Env& env : b.envs) EXPECT_EQ(env.weight(), 1u);
+    EXPECT_LE(a.envs.size(), b.envs.size());
+
+    Verdict va = Verdict::kAnalysisError;
+    Verdict vb = Verdict::kAnalysisError;
+    const std::set<std::string> fa = findings_of(php, va);
+    const std::set<std::string> fb = findings_of(unmerged, vb);
+    EXPECT_EQ(va, vb);
+    EXPECT_EQ(fa, fb);
+  }
+}
+
+// Metamorphic: ladders of if/elseif/switch whose arms write only
+// variables the sink never reads, inserted before the sink, merge back
+// and leave the verdict, every finding's dst and its fingerprint as
+// they were.
+TEST(FuzzMerge, IrrelevantLaddersLeaveFindingsUnchanged) {
+  for (unsigned seed = 1; seed <= 15; ++seed) {
+    ProgramGenerator gen(seed);
+    const std::string php = gen.generate();
+    unsigned state = seed * 7919u + 13u;
+    const auto next = [&state](unsigned bound) {
+      state = state * 1664525u + 1013904223u;
+      return (state >> 8) % bound;
+    };
+    std::string ladders;
+    const unsigned count = 1 + next(3);
+    for (unsigned l = 0; l < count; ++l) {
+      const std::string tag = std::to_string(l);
+      if (next(2) == 0) {
+        const unsigned ifs = 1 + next(4);
+        for (unsigned i = 0; i < ifs; ++i) {
+          const std::string key = "'lad" + tag + "_" + std::to_string(i) + "'";
+          ladders += "if (isset($_POST[" + key + "])) { $lad_audit[] = " +
+                     key + "; }";
+          if (next(2) == 0) {
+            ladders += " elseif ($_POST['lad_alt'] == " + key +
+                       ") { $lad_note = 1; } else { $lad_note = 2; }";
+          }
+          ladders += "\n";
+        }
+      } else {
+        ladders += "switch ($_POST['lad_mode" + tag + "']) {\n";
+        const unsigned ways = 2 + next(3);
+        for (unsigned w = 0; w < ways; ++w) {
+          ladders += "case 'm" + std::to_string(w) + "': $lad_mode = 'm" +
+                     std::to_string(w) + "'; break;\n";
+        }
+        ladders += "default: $lad_mode = 'none';\n}\n";
+      }
+    }
+    const std::string laddered = insert_before_sink(php, ladders);
+    SCOPED_TRACE(laddered);
+
+    Verdict before = Verdict::kAnalysisError;
+    Verdict after = Verdict::kAnalysisError;
+    const std::set<std::string> fa = findings_of(php, before);
+    const std::set<std::string> fb = findings_of(laddered, after);
+    EXPECT_EQ(before, after);
+    EXPECT_EQ(fa, fb);
+    // The ladders merged back: no more live paths at the end than before.
+    const InterpResult a = interpret(php, fuzz_budget());
+    const InterpResult b = interpret(laddered, fuzz_budget());
+    EXPECT_FALSE(b.stats.budget_exhausted);
+    EXPECT_LE(b.envs.size(), a.envs.size());
+  }
+}
+
+// Arms that write the destination, call wp_die or return keep every
+// path apart: the live environments are the structural paths.
+TEST(FuzzMerge, SinkRelevantArmsKeepEveryPathLive) {
+  for (unsigned seed = 1; seed <= 40; ++seed) {
+    unsigned state = seed * 104729u + 7u;
+    const auto next = [&state](unsigned bound) {
+      state = state * 1664525u + 1013904223u;
+      return (state >> 8) % bound;
+    };
+    std::string php = "<?php\n$dir = '/u/';\n";
+    const unsigned ifs = 2 + next(6);
+    for (unsigned i = 0; i < ifs; ++i) {
+      const std::string n = std::to_string(i);
+      const char* const kThen[] = {"$dir .= 'a", "wp_die('", "return; //"};
+      const unsigned kind = next(3);
+      php += "if (isset($_POST['k" + n + "'])) { " + kThen[kind] + n +
+             (kind == 0 ? "/';" : kind == 1 ? "');" : "") + " }";
+      if (next(2) == 0) php += " else { $dir .= 'b" + n + "/'; }";
+      php += "\n";
+    }
+    php += "move_uploaded_file($_FILES['f']['tmp_name'], "
+           "$dir . $_FILES['f']['name']);\n";
+    SCOPED_TRACE(php);
+    const InterpResult r = interpret(php, fuzz_budget());
+    EXPECT_EQ(r.envs.size(), r.stats.paths);
+    EXPECT_EQ(r.stats.peak_paths, r.stats.paths);
+    for (const Env& env : r.envs) EXPECT_EQ(env.weight(), 1u);
   }
 }
 

@@ -347,12 +347,13 @@ TEST_F(FaultInjection, FleetCancellationDrainsCleanly) {
 
 TEST(DeadlineRobustness, PathExplosionBoundedByWallClock) {
   // A deliberately stalling input: 24 sequential ifs fork up to 2^24
-  // paths. The path budget is set high enough that only the wall-clock
-  // deadline can stop the scan.
+  // paths, each arm renaming the upload so no join can merge. The path
+  // budget is set high enough that only the wall-clock deadline can stop
+  // the scan.
   std::string src = "<?php\n$n = $_FILES['f']['name'];\n";
   for (int i = 0; i < 24; ++i) {
-    src += "if ($_POST['a" + std::to_string(i) + "']) { $x" +
-           std::to_string(i) + " = 1; }\n";
+    src += "if ($_POST['a" + std::to_string(i) + "']) { $n = 'p" +
+           std::to_string(i) + "-' . $n; }\n";
   }
   src += "move_uploaded_file($_FILES['f']['tmp_name'], '/u/' . $n);\n";
   core::Application app;

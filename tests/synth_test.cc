@@ -2,6 +2,8 @@
 // generator and the parameterized synthetic-workload generator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/detector/detector.h"
 #include "corpus/corpus.h"
 #include "phpparse/parser.h"
@@ -111,6 +113,60 @@ TEST(Synth, SwitchMultiplier) {
   spec.filler_files = 0;
   const ScanReport report = Detector().scan(synth_app(spec));
   EXPECT_EQ(report.paths, 4u * 5u * 2u);
+}
+
+// Structural paths the handler forks: 2^(ifs + 1) * max(1, ways).
+std::size_t structural_paths(const SynthSpec& spec) {
+  return (std::size_t{2} << spec.sequential_ifs) *
+         static_cast<std::size_t>(std::max(1, spec.switch_ways));
+}
+
+// Scans with the profiler on and returns the report; `peak` gets the
+// most live environments the one analysis root held.
+ScanReport scan_profiled(const SynthSpec& spec, std::uint64_t& peak) {
+  core::ScanOptions options;
+  options.profile = true;
+  ScanReport report = Detector(options).scan(synth_app(spec));
+  EXPECT_EQ(report.profile.roots.size(), 1u);
+  peak = report.profile.roots.empty() ? 0 : report.profile.roots[0].peak_paths;
+  return report;
+}
+
+TEST(SynthMerge, IrrelevantArmsMergeButKeepThePathCount) {
+  for (const int ways : {0, 3}) {
+    for (int ifs = 1; ifs <= 8; ++ifs) {
+      SynthSpec spec;
+      spec.name = "t";
+      spec.sequential_ifs = ifs;
+      spec.switch_ways = ways;
+      spec.filler_loc = 0;
+      spec.filler_files = 0;
+      std::uint64_t peak = 0;
+      const ScanReport report = scan_profiled(spec, peak);
+      EXPECT_EQ(report.verdict, Verdict::kVulnerable) << ifs;
+      EXPECT_EQ(report.paths, structural_paths(spec)) << ifs;
+      EXPECT_LE(peak, 3u) << ifs;
+    }
+  }
+}
+
+TEST(SynthMerge, ArmsReachingTheSinkKeepEveryPathLive) {
+  for (const int ways : {0, 3}) {
+    for (int ifs = 1; ifs <= 8; ++ifs) {
+      SynthSpec spec;
+      spec.name = "t";
+      spec.sequential_ifs = ifs;
+      spec.switch_ways = ways;
+      spec.arms_reach_sink = true;
+      spec.filler_loc = 0;
+      spec.filler_files = 0;
+      std::uint64_t peak = 0;
+      const ScanReport report = scan_profiled(spec, peak);
+      EXPECT_EQ(report.verdict, Verdict::kVulnerable) << ifs;
+      EXPECT_EQ(report.paths, structural_paths(spec)) << ifs;
+      EXPECT_EQ(peak, structural_paths(spec)) << ifs;
+    }
+  }
 }
 
 TEST(Synth, VulnerableFlagControlsVerdict) {

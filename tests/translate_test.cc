@@ -147,6 +147,34 @@ TEST_F(TranslateTest, StrposIsIndexof) {
   EXPECT_EQ(check({eq(e, num(2))}), SatResult::kSat);
 }
 
+TEST_F(TranslateTest, StrposIdenticalToFalseMeansNotFound) {
+  // `strpos($h, "\0") === false` is PHP's "not found": str.indexof's -1,
+  // not the Int 0 that coercing false would give ("found at 0").
+  const Label hay = graph_.add_symbol("h", Type::kString);
+  const Label needle = graph_.add_concrete(Value(std::string(1, '\0')));
+  const Label call = graph_.add_func("strpos", Type::kInt, {hay, needle});
+  const Label no = graph_.add_concrete(Value(false));
+  const Label absent =
+      graph_.add_op(OpKind::kIdentical, Type::kBool, {call, no});
+  const Label present =
+      graph_.add_op(OpKind::kNotIdentical, Type::kBool, {no, call});
+  Translator trl(terms_, graph_);
+  const Term a = trl.translate(absent, Type::kBool);
+  const Term p = trl.translate(present, Type::kBool);
+  EXPECT_EQ(text(a), "Bool (= (str.indexof h \"\\u{0}\" 0) (- 1))");
+  EXPECT_EQ(text(p), "Bool (not (= (str.indexof h \"\\u{0}\" 0) (- 1)))");
+  const Term h = trl.translate(hay, Type::kString);
+  // A name that starts with NUL has the needle at 0: "found".
+  const Term nul_first = eq(h, terms_.string_val(std::string("\0x", 2)));
+  EXPECT_EQ(check({a, nul_first}), SatResult::kUnsat);
+  EXPECT_EQ(check({p, nul_first}), SatResult::kSat);
+  EXPECT_EQ(check({a, eq(h, str("a.php"))}), SatResult::kSat);
+  // Loose equality keeps Table II's coercion of false to 0.
+  const Label loose = graph_.add_op(OpKind::kEqual, Type::kBool, {call, no});
+  EXPECT_EQ(text(trl.translate(loose, Type::kBool)),
+            "Bool (= (str.indexof h \"\\u{0}\" 0) (ite false 1 0))");
+}
+
 TEST_F(TranslateTest, StrlenIsStrLen) {
   const Label s = graph_.add_concrete(Value(std::string("hello")));
   const Label call = graph_.add_func("strlen", Type::kInt, {s});

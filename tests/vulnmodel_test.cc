@@ -264,5 +264,21 @@ if ($mode == 'open') {
   EXPECT_FALSE(r.result.vulnerable);
 }
 
+TEST(VulnModel, StrposFalseGuardWitnessHasNoNul) {
+  // The NUL-byte guard admits only names without a NUL. Translated as
+  // "found at 0" it used to force a witness name that starts with NUL.
+  ModelRun r(R"(
+$name = $_FILES['f']['name'];
+if (strpos($name, "\0") === false) {
+    move_uploaded_file($_FILES['f']['tmp_name'], '/u/' . $name);
+}
+)");
+  ASSERT_TRUE(r.result.vulnerable);
+  ASSERT_EQ(r.result.verdicts.size(), 1u);
+  const SinkVerdict& v = r.result.verdicts[0];
+  EXPECT_NE(v.reach_sexpr.find("strpos"), std::string::npos) << v.reach_sexpr;
+  EXPECT_EQ(v.witness.find("\\u{0}"), std::string::npos) << v.witness;
+}
+
 }  // namespace
 }  // namespace uchecker::core
