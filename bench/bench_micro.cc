@@ -285,7 +285,7 @@ BENCHMARK(BM_EndToEndPrefilterOff)->Unit(benchmark::kMillisecond);
 // single null-check no-op path); this is the same scan with a trace
 // attached, collecting spans, solver samples and progress samples. The
 // gap between the two is the observability cost; ci/check.sh gates the
-// unattached case against a recorded baseline.
+// ratio of the two medians, measured in the same run.
 void BM_EndToEndTelemetry(benchmark::State& state) {
   uchecker::telemetry::Telemetry telemetry;
   ScanOptions options;
@@ -303,8 +303,7 @@ BENCHMARK(BM_EndToEndTelemetry)->Unit(benchmark::kMillisecond);
 // the explain-off case — check_sinks takes a single untaken branch per
 // sink, the null-telemetry idiom — and this is the same scan with full
 // provenance collection (taint paths, guards, witness decoding). The gap
-// is the evidence cost, paid only by scans that asked for it;
-// ci/check.sh gates the explain-off case against the recorded baseline.
+// is the evidence cost, paid only by scans that asked for it.
 void BM_EndToEndExplain(benchmark::State& state) {
   ScanOptions options;
   options.explain = true;

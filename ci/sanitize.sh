@@ -15,7 +15,8 @@
 # (parallel fleet driver, shared solver query cache, cancellation),
 # telemetry_test (metrics registry and trace recording under concurrent
 # scans), service_test (scand worker pool, watchdog, durable cache
-# flushes under concurrent requests), observability_test (lock-free
+# flushes under concurrent requests, and the scand/scanctl binaries of
+# the same build driven over the corpus), observability_test (lock-free
 # flight-recorder ring racing snapshot against a writer, concurrent
 # trace/metrics export), parse_pool_test (parallel per-file parsing:
 # work-stealing claim counter, per-file arenas/sinks, deadline expiry

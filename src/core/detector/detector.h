@@ -35,7 +35,7 @@ namespace uchecker::core {
 // JSON schema. Persistent caches (scand's verdict and solver stores)
 // key on it, so an engine upgrade cold-starts them instead of replaying
 // stale analysis results.
-inline constexpr std::string_view kEngineVersion = "uchecker-pr16";
+inline constexpr std::string_view kEngineVersion = "uchecker-pr18";
 
 struct ScanOptions {
   Budget budget;
@@ -186,9 +186,9 @@ struct Finding {
                                               std::string_view dst_sexpr);
 
 // Per-analysis-root cost attribution: where one root's wall time went.
-// Collected whenever telemetry is attached; surfaced in the report JSON
-// ("cost" object), audit_report's most-expensive-roots table and
-// scanctl top.
+// Collected on every scan, telemetry attached or not; surfaced in the
+// report JSON ("cost" object), audit_report's most-expensive-roots table
+// and scanctl top.
 struct RootCost {
   std::string root;           // analysis-root name (file or entry point)
   double interp_ms = 0.0;     // symbolic execution wall time

@@ -12,12 +12,6 @@ namespace uchecker::core {
 
 using phpast::NodeKind;
 
-bool is_terminator(std::string_view name) {
-  return name == "wp_die" || name == "wp_send_json" ||
-         name == "wp_send_json_error" || name == "wp_send_json_success" ||
-         name == "wp_redirect_and_exit" || name == "drupal_exit";
-}
-
 namespace {
 
 // Builtins that read or bind variables, or call functions, by a name

@@ -7,7 +7,6 @@
 #include <functional>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/callgraph/callgraph.h"
@@ -44,9 +43,5 @@ using IncludeResolver =
 [[nodiscard]] std::optional<std::vector<std::string>> sink_relevant_vars(
     const Program& program, const AnalysisRoot& root,
     const SinkRegistry& sinks, const IncludeResolver& resolve_include);
-
-// Builtins that terminate the PHP request: execution does not continue
-// past them, so paths through them never reach a later sink.
-[[nodiscard]] bool is_terminator(std::string_view name);
 
 }  // namespace uchecker::core

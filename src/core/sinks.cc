@@ -4,6 +4,12 @@
 
 namespace uchecker::core {
 
+bool is_terminator(std::string_view name) {
+  return name == "wp_die" || name == "wp_send_json" ||
+         name == "wp_send_json_error" || name == "wp_send_json_success" ||
+         name == "wp_redirect_and_exit" || name == "drupal_exit";
+}
+
 SinkRegistry::SinkRegistry() {
   specs_.push_back(SinkSpec{"move_uploaded_file", SinkSignature::kSrcDst});
   specs_.push_back(SinkSpec{"file_put_contents", SinkSignature::kDstSrc});

@@ -50,4 +50,9 @@ class SinkRegistry {
   std::vector<SinkSpec> specs_;
 };
 
+// Builtins that terminate the PHP request: execution does not continue
+// past them, so paths through them never reach a later sink. Both the
+// symbolic interpreter and the static pre-pass stop a path here.
+[[nodiscard]] bool is_terminator(std::string_view name);
+
 }  // namespace uchecker::core

@@ -11,6 +11,7 @@
 #include "phpast/ast.h"
 #include "phpast/dataflow.h"
 #include "phpast/visitor.h"
+#include "support/strutil.h"
 
 namespace uchecker::core::staticpass {
 namespace {
@@ -47,17 +48,7 @@ using phpast::UnaryOp;
 using phpast::VarBinding;
 using phpast::Variable;
 
-std::string lower(std::string_view s) {
-  std::string out(s);
-  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return out;
-}
-
-bool ends_with(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
+using strutil::to_lower;
 
 // The AbsVal taint lattice lives in core/staticpass/absdomain.h so the
 // function-summary layer (summaries.h) shares it.
@@ -196,15 +187,6 @@ struct GuardEval {
 
 // -------------------------------------------------------------------------
 
-const std::set<std::string, std::less<>>& terminator_builtins() {
-  // Mirrors the symbolic interpreter's is_terminator() list.
-  static const std::set<std::string, std::less<>> kSet{
-      "wp_die",           "wp_send_json",         "wp_send_json_error",
-      "wp_send_json_success", "wp_redirect_and_exit", "drupal_exit",
-  };
-  return kSet;
-}
-
 bool is_superglobal(std::string_view name) {
   return name == "_POST" || name == "_GET" || name == "_REQUEST" ||
          name == "_COOKIE" || name == "_SERVER" || name == "_SESSION" ||
@@ -224,7 +206,7 @@ class Analyzer {
         sinks_(sinks),
         summaries_(options.summaries) {
     for (const std::string& e : options.executable_extensions) {
-      exec_.insert(lower(e));
+      exec_.insert(to_lower(e));
     }
   }
 
@@ -243,7 +225,7 @@ class Analyzer {
         sinks_(sinks),
         summaries_(store) {
     for (const std::string& e : options.executable_extensions) {
-      exec_.insert(lower(e));
+      exec_.insert(to_lower(e));
     }
   }
 
@@ -428,7 +410,7 @@ AbsVal Analyzer::eval_array_access(const ArrayAccess& aa, const Env& env) {
       if (base.field.empty()) {
         return files(Kind::kFilesArray, lit != nullptr ? lit->value : "*");
       }
-      const std::string key = lit != nullptr ? lower(lit->value) : "";
+      const std::string key = lit != nullptr ? to_lower(lit->value) : "";
       if (lit != nullptr &&
           (key == "tmp_name" || key == "size" || key == "error")) {
         return files(Kind::kFilesData, base.field);
@@ -436,12 +418,13 @@ AbsVal Analyzer::eval_array_access(const ArrayAccess& aa, const Env& env) {
       return files(Kind::kFilesName, base.field);
     }
     case Kind::kFilesInfo: {
-      if (lit != nullptr && lower(lit->value) == "extension") {
+      if (lit != nullptr && to_lower(lit->value) == "extension") {
         return files(Kind::kFilesExt, base.field, base.lowered);
       }
       const bool base_comp =
           lit != nullptr &&
-          (lower(lit->value) == "basename" || lower(lit->value) == "filename");
+          (to_lower(lit->value) == "basename" ||
+           to_lower(lit->value) == "filename");
       return files(Kind::kFilesName, base.field, base.lowered,
                    base.basenamed || base_comp);
     }
@@ -511,7 +494,7 @@ AbsVal Analyzer::eval_call(const Call& call, const Env& env) {
 
   if (name == "strtolower" || name == "mb_strtolower") {
     AbsVal v = arg(0);
-    if (v.kind == Kind::kConst) return constant(lower(v.text));
+    if (v.kind == Kind::kConst) return constant(to_lower(v.text));
     if (is_files(v.kind)) v.lowered = true;
     return v;
   }
@@ -827,9 +810,9 @@ Suffix Analyzer::suffix_of(const Expr& e,
             case Suffix::Kind::kSafeAtom: {
               // digits + dot-free text cannot equal "." + ext, but guard
               // against tails that themselves spell an extension.
-              const std::string lt = lower(tail);
+              const std::string lt = to_lower(tail);
               for (const std::string& ex : exec_) {
-                if (ends_with(lt, ex)) return unknown_suffix();
+                if (lt.ends_with(ex)) return unknown_suffix();
               }
               return lhs;
             }
@@ -879,7 +862,7 @@ Suffix Analyzer::suffix_of(const Expr& e,
           (call.callee == "strtolower" || call.callee == "mb_strtolower")) {
         Suffix s = suffix_of(*call.args[0], visiting, depth + 1);
         if (s.kind == Suffix::Kind::kLit) {
-          for (std::string& t : s.texts) t = lower(t);
+          for (std::string& t : s.texts) t = to_lower(t);
         } else {
           s.lowered = true;
         }
@@ -914,8 +897,7 @@ bool Analyzer::stmt_exits(const Stmt& s) const {
       if (e->kind() == NodeKind::kExitExpr) return true;
       if (e->kind() == NodeKind::kCall) {
         const auto& call = static_cast<const Call&>(*e);
-        return !call.is_dynamic() &&
-               terminator_builtins().count(call.callee) != 0;
+        return !call.is_dynamic() && is_terminator(call.callee);
       }
       return false;
     }
@@ -1324,11 +1306,11 @@ GuardEval Analyzer::guard_eval(const SinkSite& site,
 bool Analyzer::name_words_safe(const std::vector<std::string>& words) const {
   if (words.empty()) return false;
   for (const std::string& w : words) {
-    const std::string lw = lower(w);
+    const std::string lw = to_lower(w);
     if (lw.empty()) return false;
     if (exec_.count(lw) != 0) return false;
     for (const std::string& ex : exec_) {
-      if (ends_with(lw, "." + ex)) return false;
+      if (lw.ends_with("." + ex)) return false;
     }
   }
   return true;
@@ -1338,13 +1320,13 @@ bool Analyzer::extvar_words_safe(const std::vector<std::string>& words,
                                  const std::string& trailing) const {
   if (words.empty()) return false;
   for (const std::string& w : words) {
-    const std::string s = lower(w + trailing);
+    const std::string s = to_lower(w + trailing);
     if (s.empty()) return false;
     for (const std::string& ex : exec_) {
       // Two-way suffix check: the destination's final extension is an
       // unknown prefix + s, so s must neither end with an executable
       // extension nor be completable into one from the left.
-      if (ends_with(s, ex) || ends_with(ex, s)) return false;
+      if (s.ends_with(ex) || ex.ends_with(s)) return false;
     }
     if (s.find('.') != std::string::npos) {
       const std::string tail = s.substr(s.rfind('.') + 1);
@@ -1392,7 +1374,7 @@ SinkSummary Analyzer::classify_sink(const SinkSite& site) {
           out.reason = "unresolved destination prefix";
           return out;
         }
-        const std::string ext = lower(text.substr(dot + 1));
+        const std::string ext = to_lower(text.substr(dot + 1));
         if (exec_.count(ext) != 0) {
           add_lint("UC105", Severity::kError, dst_expr->loc(),
                    "destination filename is forced to the executable "
@@ -1509,7 +1491,7 @@ bool Analyzer::function_reaches_sink(std::string_view lower_name) {
 bool Analyzer::method_reaches_sink(const std::string& lower_method) {
   const std::string suffix = "::" + lower_method;
   for (const auto& [name, info] : program_.functions) {
-    if (ends_with(name, suffix) && function_reaches_sink(name)) return true;
+    if (name.ends_with(suffix) && function_reaches_sink(name)) return true;
   }
   return false;
 }
@@ -1560,7 +1542,7 @@ std::string Analyzer::find_bail(Span<const StmtPtr> stmts) {
       }
       case NodeKind::kMethodCall: {
         const auto& mc = static_cast<const MethodCall&>(n);
-        const std::string m = lower(mc.method);
+        const std::string m = to_lower(mc.method);
         if (summaries_ != nullptr) {
           // The interpreter resolves method calls by bare lowercased
           // name; unknown names never record sinks.
@@ -1577,10 +1559,10 @@ std::string Analyzer::find_bail(Span<const StmtPtr> stmts) {
       }
       case NodeKind::kStaticCall: {
         const auto& sc = static_cast<const StaticCall&>(n);
-        const std::string m = lower(sc.method);
+        const std::string m = to_lower(sc.method);
         if (summaries_ != nullptr) {
           // Interpreter resolution order: "class::method", then bare.
-          std::string resolved = lower(sc.class_name) + "::" + m;
+          std::string resolved = to_lower(sc.class_name) + "::" + m;
           if (program_.functions.count(resolved) == 0) resolved = m;
           if (program_.functions.count(resolved) != 0) {
             reason = vet_call_site(resolved, sc.args, sc.loc());

@@ -160,9 +160,15 @@ Term Translator::translate(Label label, Type expected) {
       }
       break;
     case Object::Kind::kSymbol:
-      // Table II row 2: a symbol with the value's type. Unknown-typed
-      // symbols adopt the sort of their first use (memoized).
-      result = terms_.constant(obj->name, sort_for(resolved));
+      // Table II row 2: a symbol with the value's type. An unknown-typed
+      // symbol is declared once, at the sort of its first use; a use at
+      // another sort coerces that term (normalized below).
+      if (const auto it = symbols_.find(label); it != symbols_.end()) {
+        result = it->second;
+      } else {
+        result = terms_.constant(obj->name, sort_for(resolved));
+        symbols_.emplace(label, result);
+      }
       break;
     case Object::Kind::kOp:
       result = translate_op(*obj, resolved);

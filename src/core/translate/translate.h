@@ -62,6 +62,8 @@ class Translator {
   // With the hash-consed heap graph, shared subterms across the sink's
   // dst/src/reachability constraints translate exactly once.
   std::unordered_map<std::uint64_t, smt::Term> memo_;
+  // Each symbol's declared term, at the sort of its first use.
+  std::unordered_map<Label, smt::Term> symbols_;
   std::size_t fallback_count_ = 0;
   std::size_t fresh_counter_ = 0;
 };

@@ -184,6 +184,20 @@ if (substr($name, -4) == '.png') {
 )"));
 }
 
+TEST(Detector, ParameterComparedAsIntAndStringStaysDecidable) {
+  // `$n` is unknown-typed: compared as an Int, then as a String. The
+  // query declares it once and Z3 accepts it.
+  EXPECT_TRUE(vulnerable(R"(
+function handle($n) {
+  if ($n > 3) {
+    if ($n == "5") {
+      move_uploaded_file($_FILES['f']['tmp_name'], '/u/' . $_FILES['f']['name']);
+    }
+  }
+}
+)"));
+}
+
 TEST(Detector, NoFilesAccessMeansNoRoot) {
   const ScanReport report = scan("move_uploaded_file('/a', '/b');");
   EXPECT_EQ(report.verdict, Verdict::kNotVulnerable);

@@ -12,13 +12,18 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
+#include <map>
+#include <regex>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/detector/detector.h"
 #include "corpus/corpus.h"
+#include "service/scan_server.h"
 #include "service/scan_service.h"
 #include "support/flight_recorder.h"
 #include "support/jsonlite.h"
@@ -377,6 +382,122 @@ TEST(PromExportTest, EmptyExemplarIsNeverStored) {
   EXPECT_TRUE(telemetry.metrics().exemplars().empty());
   const std::string prom = telemetry::to_prometheus_text(telemetry);
   EXPECT_EQ(prom.find("trace_id"), std::string::npos);
+}
+
+// Lints a Prometheus text exposition: every sample is prefixed and has a
+// # TYPE line, counters end in _total, histogram buckets are cumulative
+// and end at le="+Inf" equal to _count. Returns one message per problem;
+// the trace IDs of exemplars go to `exemplar_ids`.
+std::vector<std::string> lint_exposition(const std::string& text,
+                                         std::set<std::string>& exemplar_ids) {
+  // name{labels} value [# {trace_id="<hex>"} 1], single-spaced.
+  static const std::regex kSample(
+      R"re(([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^ ]*\})? ([-+0-9.eE]+|\+Inf|NaN))re"
+      R"re((?: # \{trace_id="([0-9a-f]+)"\} 1)?)re");
+  static const std::regex kType(R"(# TYPE (\S+) (\S+))");
+  std::vector<std::string> problems;
+  std::map<std::string, std::string> typed;
+  std::map<std::string, std::vector<std::pair<std::string, double>>> buckets;
+  std::map<std::string, double> counts;
+  std::istringstream lines(text);
+  std::string line;
+  std::smatch m;
+  while (std::getline(lines, line)) {
+    if (std::regex_match(line, m, kType)) {
+      typed[m[1]] = m[2];
+      continue;
+    }
+    if (line.empty() || line[0] == '#') continue;
+    if (!std::regex_match(line, m, kSample)) {
+      problems.push_back("unlintable sample: " + line);
+      continue;
+    }
+    const std::string name = m[1];
+    const std::string labels = m[2];
+    const std::string value = m[3];
+    const std::string id = m[4];
+    if (name.rfind("uchecker_", 0) != 0) {
+      problems.push_back("unprefixed metric: " + name);
+    }
+    std::string base = name;
+    for (const std::string suffix : {"_bucket", "_sum", "_count"}) {
+      if (name.ends_with(suffix) &&
+          typed.count(name.substr(0, name.size() - suffix.size())) != 0) {
+        base = name.substr(0, name.size() - suffix.size());
+      }
+    }
+    if (typed.count(base) == 0) {
+      problems.push_back("sample without a # TYPE line: " + name);
+      continue;
+    }
+    if (!id.empty()) exemplar_ids.insert(id);
+    if (typed[base] != "histogram") continue;
+    const double number = value == "+Inf" ? HUGE_VAL : std::stod(value);
+    const std::size_t le = labels.find("le=\"");
+    if (name.ends_with("_bucket") && le != std::string::npos) {
+      buckets[base].emplace_back(
+          labels.substr(le + 4, labels.find('"', le + 4) - le - 4), number);
+    } else if (name.ends_with("_count")) {
+      counts[base] = number;
+    }
+  }
+  for (const auto& [name, kind] : typed) {
+    if (kind == "counter" && !name.ends_with("_total")) {
+      problems.push_back("counter without _total: " + name);
+    }
+  }
+  for (const auto& [base, series] : buckets) {
+    for (std::size_t i = 1; i < series.size(); ++i) {
+      if (series[i].second < series[i - 1].second) {
+        problems.push_back("non-cumulative buckets: " + base);
+      }
+    }
+    if (series.back().first != "+Inf") {
+      problems.push_back("histogram missing +Inf: " + base);
+    } else if (counts.count(base) == 0 ||
+               series.back().second != counts[base]) {
+      problems.push_back("+Inf != _count: " + base);
+    }
+  }
+  return problems;
+}
+
+TEST(PromExportTest, ServiceExpositionPassesLint) {
+  telemetry::Telemetry telemetry;
+  service::ServiceOptions options;
+  options.telemetry = &telemetry;
+  options.scan.telemetry = &telemetry;
+  service::ScanService service(options);
+  ASSERT_TRUE(service.start());
+  std::set<std::string> ids;
+  int n = 0;
+  for (const bool vulnerable : {true, false, true}) {
+    corpus::SynthSpec spec;
+    spec.name = "lint-" + std::to_string(n);
+    spec.sequential_ifs = 2;
+    spec.vulnerable = vulnerable;
+    spec.filler_loc = 60;
+    const std::string id = "c0ffee000000000" + std::to_string(n++);
+    ASSERT_TRUE(service.scan(corpus::synth_app(spec), id).has_value());
+    ids.insert(id);
+  }
+  service::ScanServer server(service, service::ServerOptions{"unused.sock"});
+  const auto response =
+      jsonlite::parse(server.handle_request("{\"op\": \"metrics\"}"));
+  service.stop();
+  ASSERT_TRUE(response.has_value());
+  const std::string exposition = response->find("metrics")->str();
+
+  std::set<std::string> exemplars;
+  const std::vector<std::string> problems =
+      lint_exposition(exposition, exemplars);
+  EXPECT_TRUE(problems.empty())
+      << ::testing::PrintToString(problems) << "\n" << exposition;
+  EXPECT_NE(exposition.find("_bucket{le=\"+Inf\"}"), std::string::npos);
+  ASSERT_FALSE(exemplars.empty()) << exposition;
+  for (const std::string& id : exemplars) {
+    EXPECT_EQ(ids.count(id), 1u) << "exemplar not from these scans: " << id;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@
 
 #include "core/detector/detector.h"
 #include "core/detector/report_io.h"
+#include "corpus/corpus.h"
 #include "support/jsonlite.h"
 
 namespace uchecker {
@@ -234,6 +235,60 @@ TEST(ProfileTest, PeakRssAndAccountedBytesAreRecorded) {
   EXPECT_GT(report.accounted_bytes, 0u);
   EXPECT_NE(core::to_json(report).find("\"accounted_bytes\""),
             std::string::npos);
+}
+
+// Every Table III app, plus one ladder that exhausts the path budget so
+// the post-mortem branch is exercised: each profile is well formed on
+// the structs and survives a JSON round trip.
+TEST(ProfileTest, EveryCorpusAppProfilesWellFormed) {
+  std::vector<core::Application> apps;
+  for (corpus::CorpusEntry& entry : corpus::full_corpus()) {
+    apps.push_back(std::move(entry.app));
+  }
+  corpus::SynthSpec ladder;
+  ladder.name = "ladder";
+  ladder.sequential_ifs = 17;
+  ladder.arms_reach_sink = true;
+  ladder.filler_loc = 0;
+  ladder.filler_files = 0;
+  apps.push_back(corpus::synth_app(ladder));
+
+  core::ScanOptions options;
+  options.profile = true;
+  const core::Detector detector(options);
+  std::size_t roots = 0;
+  std::size_t incomplete = 0;
+  for (const core::Application& app : apps) {
+    const core::ScanReport report = detector.scan(app);
+    // Apps where locality finds no analysis root never start the profiler.
+    EXPECT_EQ(report.profiled, report.roots > 0) << app.name;
+    for (const profile::RootProfile& root : report.profile.roots) {
+      ++roots;
+      for (std::size_t i = 1; i < root.fork_sites.size(); ++i) {
+        EXPECT_GE(root.fork_sites[i - 1].cumulative_paths,
+                  root.fork_sites[i].cumulative_paths)
+            << app.name << " " << root.root;
+      }
+      for (const profile::ForkSiteStats& site : root.fork_sites) {
+        EXPECT_LE(site.self_paths, site.cumulative_paths) << site.site;
+        EXPECT_EQ(site.site.find('#'), std::string::npos) << site.site;
+      }
+      if (root.incomplete) {
+        ++incomplete;
+        ASSERT_TRUE(root.post_mortem.has_value()) << app.name;
+        EXPECT_LE(root.post_mortem->top_sites.size(), 10u);
+      }
+    }
+    if (!report.profiled) continue;
+    const std::string rendered = profile::to_json(report.profile);
+    const auto parsed = jsonlite::parse(rendered);
+    ASSERT_TRUE(parsed.has_value()) << app.name;
+    const auto decoded = profile::from_json(*parsed);
+    ASSERT_TRUE(decoded.has_value()) << app.name;
+    EXPECT_EQ(profile::to_json(*decoded), rendered) << app.name;
+  }
+  EXPECT_GT(roots, 0u);
+  EXPECT_GT(incomplete, 0u);
 }
 
 // TSan target: one thread drives the profiler exactly as the

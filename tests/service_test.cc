@@ -1,21 +1,29 @@
 // End-to-end tests of the scand service core and its socket protocol:
 // durable verdict/solver caches (warm hits byte-identical to the cold
-// scan, survival across restart and simulated crash), corruption
+// scan, survival across restart, simulated crash and SIGKILL), corruption
 // recovery (a damaged record is detected and recomputed, never
 // trusted), backpressure, the watchdog/quarantine path for wedged
-// scans, and the line-JSON wire protocol.
+// scans, the line-JSON wire protocol, and the scand/scanctl binaries
+// themselves over the whole corpus, SIGKILL included.
 #include "service/scan_service.h"
 
+#include <fcntl.h>
+#include <spawn.h>
 #include <sys/socket.h>
 #include <sys/un.h>
+#include <sys/wait.h>
 #include <unistd.h>
+
+#include <csignal>
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <thread>
 
@@ -25,6 +33,7 @@
 #include "support/fault_injector.h"
 #include "support/jsonlite.h"
 #include "support/logging.h"
+#include "support/strutil.h"
 #include "support/telemetry.h"
 #include "support/trace_export.h"
 
@@ -41,6 +50,39 @@ core::Application synth(const std::string& name, bool vulnerable) {
   spec.vulnerable = vulnerable;
   spec.filler_loc = 60;
   return corpus::synth_app(spec);
+}
+
+// The drain dumps each worker's flight recorder as
+// `dir`/flightrec-worker<i>.json: one per worker, each with the queue
+// pickups in it and no phase left open.
+void expect_drain_dumps(const fs::path& dir, std::size_t workers) {
+  std::size_t dumps = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("flightrec-worker", 0) != 0) continue;
+    ++dumps;
+    std::ifstream in(entry.path());
+    std::ostringstream text;
+    text << in.rdbuf();
+    const auto dump = jsonlite::parse(text.str());
+    ASSERT_TRUE(dump.has_value()) << name;
+    for (const char* key : {"total_recorded", "dropped", "wedged_phase",
+                            "last_progress", "events"}) {
+      EXPECT_NE(dump->find(key), nullptr) << name << " lacks " << key;
+    }
+    ASSERT_NE(dump->find("wedged_phase"), nullptr);
+    EXPECT_TRUE(dump->find("wedged_phase")->is_null()) << text.str();
+    const jsonlite::Value* events = dump->find("events");
+    ASSERT_NE(events, nullptr);
+    ASSERT_FALSE(events->items().empty()) << name;
+    bool saw_queue = false;
+    for (const jsonlite::Value& event : events->items()) {
+      const jsonlite::Value* kind = event.find("kind");
+      saw_queue |= kind != nullptr && kind->str() == "queue";
+    }
+    EXPECT_TRUE(saw_queue) << text.str();
+  }
+  EXPECT_EQ(dumps, workers);
 }
 
 class ServiceTest : public ::testing::Test {
@@ -543,6 +585,8 @@ TEST_F(ServiceTest, StopDrainsQueuedRequests) {
     const ScanOutcome outcome = f.get();
     EXPECT_NE(outcome.report_json, "");
   }
+
+  expect_drain_dumps(state_dir(), 1);
 }
 
 TEST_F(ServiceTest, UnwritableStateDirDegradesToInMemory) {
@@ -566,24 +610,31 @@ class ServerTest : public ServiceTest {
     return "/tmp/ucd_" + std::to_string(::getpid()) + ".sock";
   }
 
+  // One request line, one response line; "" when the server cannot be
+  // reached or closes the connection without answering.
   static std::string roundtrip(const std::string& path,
                                const std::string& request) {
     sockaddr_un addr{};
     addr.sun_family = AF_UNIX;
     std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
     const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    EXPECT_GE(fd, 0);
-    EXPECT_EQ(
-        ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)),
-        0);
-    const std::string line = request + "\n";
-    EXPECT_EQ(::send(fd, line.data(), line.size(), 0),
-              static_cast<ssize_t>(line.size()));
+    if (fd < 0) return "";
     std::string response;
-    char c = 0;
-    while (::recv(fd, &c, 1, 0) == 1 && c != '\n') response.push_back(c);
+    const std::string line = request + "\n";
+    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                  sizeof(addr)) == 0 &&
+        ::send(fd, line.data(), line.size(), 0) ==
+            static_cast<ssize_t>(line.size())) {
+      char buf[4096];
+      ssize_t n = 0;
+      while (response.find('\n') == std::string::npos &&
+             (n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
+        response.append(buf, static_cast<std::size_t>(n));
+      }
+    }
     ::close(fd);
-    return response;
+    if (response.find('\n') == std::string::npos) return "";
+    return response.substr(0, response.find('\n'));
   }
 };
 
@@ -749,6 +800,244 @@ TEST_F(ServerTest, ObservabilityOps) {
   EXPECT_GT(first.find("total_ms")->number(), 0.0);
   EXPECT_EQ(first.find("top_root")->str(), "upload.php");
   service.stop();
+}
+
+// ---------------------------------------------------------------------------
+// The daemon binaries: scand started as a child process, driven over its
+// socket, killed with SIGKILL and restarted on the same state dir.
+
+// Starts `args` with stdout and stderr appended to `output`; -1 on failure.
+pid_t spawn(const std::vector<std::string>& args, const fs::path& output) {
+  posix_spawn_file_actions_t actions;
+  posix_spawn_file_actions_init(&actions);
+  posix_spawn_file_actions_addopen(&actions, STDOUT_FILENO, output.c_str(),
+                                   O_WRONLY | O_CREAT | O_APPEND, 0644);
+  posix_spawn_file_actions_adddup2(&actions, STDOUT_FILENO, STDERR_FILENO);
+  std::vector<char*> argv;
+  for (const std::string& arg : args) {
+    argv.push_back(const_cast<char*>(arg.c_str()));
+  }
+  argv.push_back(nullptr);
+  pid_t pid = -1;
+  const int rc =
+      ::posix_spawn(&pid, argv[0], &actions, nullptr, argv.data(), environ);
+  posix_spawn_file_actions_destroy(&actions);
+  return rc == 0 ? pid : -1;
+}
+
+// The child's exit status; -1 when it died of a signal.
+int wait_exit(pid_t pid) {
+  int status = 0;
+  if (::waitpid(pid, &status, 0) != pid) return -1;
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+class ScandProcess : public ServerTest {
+ protected:
+  void TearDown() override {
+    if (pid_ > 0) {
+      ::kill(pid_, SIGKILL);
+      (void)wait_exit(pid_);
+    }
+    ServerTest::TearDown();
+  }
+
+  // Starts scand on state_dir(), with `flags` appended, and waits until
+  // it answers ping.
+  void start_daemon(const std::vector<std::string>& flags = {}) {
+    std::vector<std::string> args = {
+        UCHECKER_SCAND, "--socket",  socket_path(), "--state-dir",
+        state_dir(),    "--workers", "1",           "--request-timeout-ms",
+        "120000"};
+    args.insert(args.end(), flags.begin(), flags.end());
+    pid_ = spawn(args, dir_ / "scand.out");
+    ASSERT_GT(pid_, 0);
+    for (int i = 0; i < 600; ++i) {
+      if (request("{\"op\": \"ping\"}").find("\"pong\": true") !=
+          std::string::npos) {
+        return;
+      }
+      std::this_thread::sleep_for(100ms);
+    }
+    FAIL() << "scand did not answer ping";
+  }
+
+  [[nodiscard]] std::string request(const std::string& line) const {
+    return roundtrip(socket_path(), line);
+  }
+
+  [[nodiscard]] static std::string scan_request(const fs::path& app) {
+    return "{\"op\": \"scan\", \"path\": " + strutil::quote(app.string()) +
+           "}";
+  }
+
+  // The report bytes of a scan response: its last member, as served.
+  [[nodiscard]] static std::string report_bytes(const std::string& response) {
+    const std::string key = ", \"report\": ";
+    const std::size_t at = response.find(key);
+    if (at == std::string::npos) return "";
+    return response.substr(at + key.size(),
+                           response.size() - at - key.size() - 1);
+  }
+
+  // The number at `path` in a fresh status response; -1 when absent.
+  [[nodiscard]] double status_value(
+      std::initializer_list<const char*> path) const {
+    const auto status = jsonlite::parse(request("{\"op\": \"status\"}"));
+    const jsonlite::Value* value = status ? &*status : nullptr;
+    for (const char* key : path) {
+      if (value != nullptr) value = value->find(key);
+    }
+    return value != nullptr ? value->number() : -1;
+  }
+
+  pid_t pid_ = -1;
+};
+
+TEST_F(ScandProcess, CorpusSweepWarmReplayAndKillRecovery) {
+  // Every Table III app, as the corpus_dump fixture writes it, plus a
+  // ladder that exhausts the path budget: its report is degraded, so the
+  // daemon never caches it.
+  std::vector<fs::path> apps;
+  for (const auto& entry : fs::directory_iterator(UCHECKER_CORPUS_DUMP)) {
+    if (entry.is_directory()) apps.push_back(entry.path());
+  }
+  std::sort(apps.begin(), apps.end());
+  ASSERT_EQ(apps.size(), corpus::full_corpus().size())
+      << "the corpus_dump fixture has not run";
+  corpus::SynthSpec ladder;
+  ladder.name = "ladder";
+  ladder.sequential_ifs = 17;
+  ladder.arms_reach_sink = true;
+  ladder.filler_loc = 0;
+  ladder.filler_files = 0;
+  const fs::path ladder_dir = dir_ / "ladder";
+  for (const core::AppFile& file : corpus::synth_app(ladder).files) {
+    fs::create_directories((ladder_dir / file.name).parent_path());
+    std::ofstream(ladder_dir / file.name, std::ios::binary) << file.content;
+  }
+  apps.push_back(ladder_dir);
+
+  ASSERT_NO_FATAL_FAILURE(start_daemon());
+
+  // Cold: the daemon agrees with an in-process Detector on every app.
+  struct Cold {
+    std::string verdict;
+    std::string report;
+    bool degraded = false;
+  };
+  std::map<fs::path, Cold> cold;
+  const core::Detector detector;
+  for (const fs::path& app : apps) {
+    const std::string response = request(scan_request(app));
+    const auto parsed = jsonlite::parse(response);
+    ASSERT_TRUE(parsed.has_value()) << app << ": " << response;
+    ASSERT_EQ(parsed->find("status")->str(), "ok") << response;
+    EXPECT_FALSE(parsed->find("cached")->boolean()) << app;
+    std::string error;
+    const auto loaded = load_application(app.string(), error);
+    ASSERT_TRUE(loaded.has_value()) << error;
+    const core::ScanReport direct = detector.scan(*loaded);
+    EXPECT_EQ(parsed->find("verdict")->str(),
+              std::string(core::verdict_slug(direct.verdict)))
+        << app;
+    const std::string report = report_bytes(response);
+    const auto decoded = core::report_from_json(report);
+    ASSERT_TRUE(decoded.has_value()) << response;
+    ASSERT_EQ(decoded->findings.size(), direct.findings.size()) << app;
+    for (std::size_t i = 0; i < direct.findings.size(); ++i) {
+      EXPECT_EQ(decoded->findings[i].fingerprint,
+                direct.findings[i].fingerprint)
+          << app;
+    }
+    cold[app] = {parsed->find("verdict")->str(), report, decoded->degraded()};
+  }
+  EXPECT_TRUE(cold[ladder_dir].degraded);
+
+  // Warm: every clean report replays byte-identically from the verdict
+  // cache; a degraded one is scanned again, to the same verdict.
+  double replays = 0;
+  fs::path cached_app;
+  for (const fs::path& app : apps) {
+    const std::string response = request(scan_request(app));
+    const auto parsed = jsonlite::parse(response);
+    ASSERT_TRUE(parsed.has_value()) << app << ": " << response;
+    EXPECT_EQ(parsed->find("verdict")->str(), cold[app].verdict) << app;
+    if (cold[app].degraded) {
+      EXPECT_FALSE(parsed->find("cached")->boolean()) << app;
+      continue;
+    }
+    EXPECT_TRUE(parsed->find("cached")->boolean()) << app;
+    EXPECT_EQ(report_bytes(response), cold[app].report) << app;
+    ++replays;
+    cached_app = app;
+  }
+  ASSERT_GT(replays, 0);
+  EXPECT_GE(status_value({"gauges", "scand.verdict_cache.hits"}), replays);
+
+  // SIGKILL mid-scan. With one worker, the ladder request is being
+  // analysed once the request counter has moved and the queue is empty;
+  // its scan takes far longer than the kill.
+  const double requests = status_value({"counters", "scand.requests"});
+  std::string killed = "unanswered";
+  std::thread client(
+      [&] { killed = roundtrip(socket_path(), scan_request(ladder_dir)); });
+  bool picked_up = false;
+  for (int i = 0; i < 2000 && !picked_up; ++i) {
+    picked_up = status_value({"counters", "scand.requests"}) > requests &&
+                status_value({"queue_depth"}) == 0;
+    std::this_thread::sleep_for(1ms);
+  }
+  ::kill(pid_, SIGKILL);
+  EXPECT_EQ(wait_exit(pid_), -1);
+  client.join();
+  EXPECT_TRUE(picked_up);
+  EXPECT_EQ(killed, "") << "the scan finished before the kill";
+
+  // Restarted on the same state dir, the daemon serves the cached report
+  // from its durable store.
+  const fs::path trace = dir_ / "trace.json";
+  const fs::path log = dir_ / "scand.jsonl";
+  ASSERT_NO_FATAL_FAILURE(start_daemon(
+      {"--trace-out", trace.string(), "--log-file", log.string()}));
+  EXPECT_EQ(status_value({"gauges", "scand.verdict_cache.cold_start"}), 0);
+  const std::string recovered = request(scan_request(cached_app));
+  const auto parsed = jsonlite::parse(recovered);
+  ASSERT_TRUE(parsed.has_value()) << recovered;
+  EXPECT_TRUE(parsed->find("cached")->boolean());
+  EXPECT_EQ(report_bytes(recovered), cold[cached_app].report);
+
+  // scanctl exits 1 on a vulnerable app.
+  const auto vulnerable =
+      std::find_if(apps.begin(), apps.end(), [&](const fs::path& app) {
+        return cold[app].verdict == "vulnerable";
+      });
+  ASSERT_NE(vulnerable, apps.end());
+  const pid_t ctl = spawn({UCHECKER_SCANCTL, "--socket", socket_path(),
+                           "scan", vulnerable->string()},
+                          dir_ / "scanctl.out");
+  ASSERT_GT(ctl, 0);
+  EXPECT_EQ(wait_exit(ctl), 1);
+
+  // SIGTERM drains: exit 0, the worker's flight dump, a Chrome trace
+  // that parses, and a log of one JSON object per line.
+  ::kill(pid_, SIGTERM);
+  EXPECT_EQ(wait_exit(pid_), 0);
+  pid_ = -1;
+  expect_drain_dumps(state_dir(), 1);
+  std::ifstream trace_in(trace);
+  std::ostringstream trace_text;
+  trace_text << trace_in.rdbuf();
+  const auto chrome = jsonlite::parse(trace_text.str());
+  ASSERT_TRUE(chrome.has_value()) << trace_text.str();
+  EXPECT_NE(chrome->find("traceEvents"), nullptr);
+  std::ifstream log_in(log);
+  std::size_t lines = 0;
+  for (std::string line; std::getline(log_in, line); ++lines) {
+    const auto entry = jsonlite::parse(line);
+    ASSERT_TRUE(entry.has_value() && entry->find("event") != nullptr) << line;
+  }
+  EXPECT_GT(lines, 0u);
 }
 
 }  // namespace

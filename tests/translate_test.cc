@@ -75,6 +75,27 @@ TEST_F(TranslateTest, SameObjectTranslatesToSameTerm) {
   EXPECT_EQ(text(a), "String shared");
 }
 
+TEST_F(TranslateTest, UnknownSymbolAtTwoSortsIsDeclaredOnce) {
+  // `$n > 3` first uses the symbol as Int; `$n == "5"` then needs it as
+  // String. The second use coerces the first declaration.
+  const Label n = graph_.add_symbol("s_param_n_1", Type::kUnknown);
+  Translator trl(terms_, graph_);
+  const Term as_int = trl.translate(n, Type::kInt);
+  const Term as_str = trl.translate(n, Type::kString);
+  EXPECT_EQ(text(as_int), "Int s_param_n_1");
+  EXPECT_EQ(text(as_str), "String (str.from_int s_param_n_1)");
+  const std::string query = terms_.query(
+      {terms_.app(Op::kGt, {as_int, num(3)}), eq(as_str, str("5"))});
+  std::size_t declarations = 0;
+  for (std::size_t at = query.find("(declare-fun s_param_n_1 ");
+       at != std::string::npos;
+       at = query.find("(declare-fun s_param_n_1 ", at + 1)) {
+    ++declarations;
+  }
+  EXPECT_EQ(declarations, 1u) << query;
+  EXPECT_EQ(checker_.check(query).result, SatResult::kSat) << query;
+}
+
 // --- string concat (Table II row 3) ---------------------------------------------
 
 TEST_F(TranslateTest, ConcatIsStrConcat) {
