@@ -49,15 +49,16 @@ int main() {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t1)
           .count();
 
-  // The same serial sweep with the static pre-filter disabled: the gap
-  // quantifies what pruning proven-safe roots saves on a mostly-benign
-  // fleet (the realistic crawl distribution).
-  ScanOptions unfiltered_options;
-  unfiltered_options.prefilter = false;
-  Detector unfiltered(unfiltered_options);
+  // The same serial sweep under crosscheck, which executes every root
+  // the static pass would prune: the gap quantifies what pruning
+  // proven-safe roots saves on a mostly-benign fleet (the realistic
+  // crawl distribution).
+  ScanOptions crosscheck_options;
+  crosscheck_options.crosscheck = true;
+  Detector crosscheck(crosscheck_options);
   const auto t2 = std::chrono::steady_clock::now();
-  const std::vector<ScanReport> nofilter = scan_many(unfiltered, fleet, 1);
-  const double nofilter_s =
+  const std::vector<ScanReport> unpruned = scan_many(crosscheck, fleet, 1);
+  const double unpruned_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t2)
           .count();
 
@@ -76,13 +77,13 @@ int main() {
   int found = 0;
   int false_alarms = 0;
   bool verdicts_agree = true;
-  bool prefilter_agrees = true;
+  bool pruning_agrees = true;
   for (int i = 0; i < kFleetSize; ++i) {
     const bool flagged = parallel[i].verdict == Verdict::kVulnerable;
     if (flagged && planted[i]) ++found;
     if (flagged && !planted[i]) ++false_alarms;
     if (parallel[i].verdict != serial[i].verdict) verdicts_agree = false;
-    if (nofilter[i].verdict != serial[i].verdict) prefilter_agrees = false;
+    if (unpruned[i].verdict != serial[i].verdict) pruning_agrees = false;
     if (pparse[i].verdict != serial[i].verdict) verdicts_agree = false;
   }
   const int planted_total =
@@ -112,16 +113,16 @@ int main() {
               kFleetSize, std::thread::hardware_concurrency());
   std::printf("  serial   : %.2fs (%.1f plugins/s)\n", serial_s,
               kFleetSize / serial_s);
-  std::printf("  serial (prefilter off): %.2fs (%.1f plugins/s)\n",
-              nofilter_s, kFleetSize / nofilter_s);
+  std::printf("  serial, crosscheck (no pruning): %.2fs (%.1f plugins/s)\n",
+              unpruned_s, kFleetSize / unpruned_s);
   std::printf("  parallel : %.2fs (%.1f plugins/s)\n", parallel_s,
               kFleetSize / parallel_s);
   std::printf("  parallel-parse: %.2fs (%.1f plugins/s; serial driver, "
               "per-file parse fan-out)\n",
               pparse_s, kFleetSize / pparse_s);
-  std::printf("  prefilter: pruned %zu of %zu root(s), verdicts agree "
-              "with unfiltered: %s\n",
-              total_pruned, total_roots, prefilter_agrees ? "yes" : "NO");
+  std::printf("  static pass: pruned %zu of %zu root(s), verdicts agree "
+              "with crosscheck: %s\n",
+              total_pruned, total_roots, pruning_agrees ? "yes" : "NO");
   std::printf("  sharing  : %zu paths, %zu objects (%.1f/path), "
               "%zu cons hits, %zu solver calls (%zu cache hits)\n",
               total_paths, total_objects,
@@ -144,7 +145,7 @@ int main() {
   const double tolerance =
       std::thread::hardware_concurrency() > 1 ? 1.05 : 1.60;
   const bool ok = found == planted_total && false_alarms == 0 &&
-                  verdicts_agree && prefilter_agrees &&
+                  verdicts_agree && pruning_agrees &&
                   parallel_s <= serial_s * tolerance;
   std::printf("\nFleet invariants: %s\n", ok ? "HOLD" : "VIOLATED");
   return ok ? 0 : 1;

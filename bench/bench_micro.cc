@@ -267,19 +267,19 @@ void BM_StaticPass(benchmark::State& state) {
 }
 BENCHMARK(BM_StaticPass)->Unit(benchmark::kMillisecond);
 
-// The same end-to-end scan with the pre-filter disabled: every root runs
-// symbolically. The gap to BM_EndToEnd is the wall-clock the pruning
-// saves on this app.
-void BM_EndToEndPrefilterOff(benchmark::State& state) {
+// The same end-to-end scan under crosscheck: every root runs
+// symbolically, pruned or not. The gap to BM_EndToEnd is the wall-clock
+// the pruning saves on this app.
+void BM_EndToEndCrosscheck(benchmark::State& state) {
   ScanOptions options;
-  options.prefilter = false;
+  options.crosscheck = true;
   Detector detector(options);
   for (auto _ : state) {
     const ScanReport report = detector.scan(sample_app().app);
     benchmark::DoNotOptimize(report.verdict);
   }
 }
-BENCHMARK(BM_EndToEndPrefilterOff)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_EndToEndCrosscheck)->Unit(benchmark::kMillisecond);
 
 // Telemetry overhead contract: BM_EndToEnd is the unattached case (the
 // single null-check no-op path); this is the same scan with a trace

@@ -12,7 +12,7 @@
 #
 # With --tsan the tree is instead built with ThreadSanitizer (the "tsan"
 # preset) and the concurrency-sensitive suites run: scan_many_test
-# (parallel fleet driver, shared solver query cache, cancellation),
+# (parallel fleet driver, shared solver query cache),
 # telemetry_test (metrics registry and trace recording under concurrent
 # scans), service_test (scand worker pool, watchdog, durable cache
 # flushes under concurrent requests, and the scand/scanctl binaries of

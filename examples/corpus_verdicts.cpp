@@ -16,11 +16,10 @@
 //   --parse-threads N  each app's files parsed on an N-thread pool
 //                      (0 = auto; N must be a non-negative integer);
 //   --no-summaries     the inter-procedural summary layer off;
-//   --no-prefilter     the static pre-pass prunes no root, so every root
-//                      it proves safe is executed symbolically too;
-//   --crosscheck       both engines on every root, so a summary-pruned
-//                      root the symbolic engine finds vulnerable turns
-//                      the verdict into analysis_disagreement;
+//   --crosscheck       both engines on every root: the static pass
+//                      prunes nothing, and a pruned root the symbolic
+//                      engine finds vulnerable turns the verdict into
+//                      analysis_disagreement;
 //   --observe          every scan event consumer attached to the one
 //                      Detector: a Telemetry (trace + metrics), a
 //                      4096-slot flight ring and the path profiler.
@@ -74,7 +73,6 @@ int main(int argc, char** argv) {
   bool explain = false;
   bool crosscheck = false;
   bool summaries = true;
-  bool prefilter = true;
   bool observe = false;
   std::size_t parse_threads = 1;
   std::string dump_dir;
@@ -86,8 +84,6 @@ int main(int argc, char** argv) {
       crosscheck = true;
     } else if (std::strcmp(argv[i], "--no-summaries") == 0) {
       summaries = false;
-    } else if (std::strcmp(argv[i], "--no-prefilter") == 0) {
-      prefilter = false;
     } else if (std::strcmp(argv[i], "--observe") == 0) {
       observe = true;
     } else if (std::strcmp(argv[i], "--suite") == 0 && i + 1 < argc) {
@@ -103,7 +99,7 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--explain] [--crosscheck] [--no-summaries] "
-                   "[--no-prefilter] [--observe] [--suite full|helper|all] "
+                   "[--observe] [--suite full|helper|all] "
                    "[--dump DIR] [--parse-threads N]\n",
                    argv[0]);
       return 2;
@@ -118,7 +114,6 @@ int main(int argc, char** argv) {
   options.explain = explain;
   options.crosscheck = crosscheck;
   options.summaries = summaries;
-  options.prefilter = prefilter;
   options.parse_threads = parse_threads;
   uchecker::telemetry::Telemetry telemetry;
   uchecker::telemetry::FlightRecorder flight(4096);

@@ -5,7 +5,6 @@
 //                                                    [--model-admin-gating]
 //                                                    [--timeout-ms N]
 //                                                    [--lint]
-//                                                    [--no-prefilter]
 //                                                    [--no-summaries]
 //                                                    [--crosscheck]
 //                                                    [--fail-on-lint=SEV]
@@ -34,7 +33,8 @@
 // fork sites ranked by paths spawned, solver attribution per sink, heap
 // growth by fork depth, and — for a root that died of budget/deadline —
 // a post-mortem naming the dominant loop. Verdicts are identical with
-// or without it; the report itself stays byte-identical.
+// or without it; the report itself differs only in its wall-clock
+// fields (stats.seconds and the "cost" milliseconds).
 //
 // Triage: --explain attaches provenance to every finding — the
 // source→sink taint path (each hop anchored to file:line), the path's
@@ -45,14 +45,13 @@
 // GitHub code scanning and other SARIF consumers.
 //
 // Static pass: --lint prints the pre-symbolic pass's structured lint
-// findings (UC101..UC108) in the text report; --no-prefilter disables
-// the taint pre-filter so every root runs symbolically; --no-summaries
-// disables the inter-procedural summary layer (verdicts are unchanged;
-// only pruning and UC107/UC108 lints differ); --crosscheck
-// runs both engines on every root and reports any disagreement (a
-// soundness oracle for CI). --fail-on-lint=info|warning|error makes an
-// otherwise-clean scan exit non-zero when a lint at or above the given
-// severity fired.
+// findings (UC101..UC108) in the text report; --no-summaries disables
+// the inter-procedural summary layer (verdicts are unchanged; only
+// pruning and UC107/UC108 lints differ); --crosscheck runs both engines
+// on every root, so the pass prunes nothing, and reports any
+// disagreement (a soundness oracle for CI).
+// --fail-on-lint=info|warning|error makes an otherwise-clean scan exit
+// non-zero when a lint at or above the given severity fired.
 //
 // Degradation behaviour: unreadable files are reported and skipped (the
 // scan continues on the rest), and --timeout-ms bounds the whole scan in
@@ -60,21 +59,18 @@
 // 3 the scan itself failed (Verdict::kAnalysisError), 4 the engines
 // disagreed under --crosscheck, 5 --fail-on-lint tripped on an
 // otherwise-clean scan. Per-file read failures alone never change the
-// exit code.
+// exit code. An unknown flag is a usage error.
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <string>
 
-#include "core/detector/detector.h"
+#include "core/detector/app_loader.h"
 #include "core/detector/report_io.h"
 #include "support/strutil.h"
 #include "support/telemetry.h"
 #include "support/trace_export.h"
 
-namespace fs = std::filesystem;
 using namespace uchecker::core;
 
 namespace {
@@ -100,21 +96,6 @@ struct EventLog {
     std::fprintf(stderr, "%s\n", plain.c_str());
   }
 };
-
-bool is_php_file(const fs::path& path) {
-  const std::string ext = path.extension().string();
-  return ext == ".php" || ext == ".module" || ext == ".inc";
-}
-
-bool read_file(const fs::path& path, std::string& out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) return false;
-  out = buffer.str();
-  return true;
-}
 
 bool write_file(const std::string& path, const std::string& content) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -147,19 +128,18 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: %s <directory-or-file> [--all-findings] [--json] "
                  "[--model-admin-gating] [--timeout-ms N] [--lint] "
-                 "[--no-prefilter] [--no-summaries] [--crosscheck] "
+                 "[--no-summaries] [--crosscheck] "
                  "[--fail-on-lint=SEV] "
                  "[--trace-out=FILE] [--metrics-out=FILE] [--sarif-out=FILE] "
                  "[--profile-out=FILE] [--explain] [--quiet] [-v]\n",
                  argv[0]);
     return 2;
   }
-  const fs::path root = argv[1];
+  const std::string root = argv[1];
   bool all_findings = false;
   bool json = false;
   bool admin_gating = false;
   bool show_lints = false;
-  bool no_prefilter = false;
   bool no_summaries = false;
   bool crosscheck = false;
   bool fail_on_lint = false;
@@ -173,16 +153,29 @@ int main(int argc, char** argv) {
   std::string profile_out;
   Verbosity verbosity = Verbosity::kNormal;
   for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--all-findings") == 0) all_findings = true;
-    if (std::strcmp(argv[i], "--json") == 0) json = true;
-    if (std::strcmp(argv[i], "--model-admin-gating") == 0) admin_gating = true;
-    if (std::strcmp(argv[i], "--lint") == 0) show_lints = true;
-    if (std::strcmp(argv[i], "--no-prefilter") == 0) no_prefilter = true;
-    if (std::strcmp(argv[i], "--no-summaries") == 0) no_summaries = true;
-    if (std::strcmp(argv[i], "--crosscheck") == 0) crosscheck = true;
-    std::string severity_arg;
-    if (flag_with_value(argc, argv, i, "--fail-on-lint", severity_arg)) {
-      const auto parsed = staticpass::parse_severity(severity_arg);
+    std::string value;
+    if (std::strcmp(argv[i], "--all-findings") == 0) {
+      all_findings = true;
+    } else if (std::strcmp(argv[i], "--json") == 0) {
+      json = true;
+    } else if (std::strcmp(argv[i], "--model-admin-gating") == 0) {
+      admin_gating = true;
+    } else if (std::strcmp(argv[i], "--lint") == 0) {
+      show_lints = true;
+    } else if (std::strcmp(argv[i], "--no-summaries") == 0) {
+      no_summaries = true;
+    } else if (std::strcmp(argv[i], "--crosscheck") == 0) {
+      crosscheck = true;
+    } else if (std::strcmp(argv[i], "--explain") == 0) {
+      explain = true;
+    } else if (std::strcmp(argv[i], "--quiet") == 0 ||
+               std::strcmp(argv[i], "-q") == 0) {
+      verbosity = Verbosity::kQuiet;
+    } else if (std::strcmp(argv[i], "-v") == 0 ||
+               std::strcmp(argv[i], "--verbose") == 0) {
+      verbosity = Verbosity::kVerbose;
+    } else if (flag_with_value(argc, argv, i, "--fail-on-lint", value)) {
+      const auto parsed = staticpass::parse_severity(value);
       if (!parsed.has_value()) {
         std::fprintf(stderr,
                      "error: --fail-on-lint needs info, warning or error\n");
@@ -190,29 +183,19 @@ int main(int argc, char** argv) {
       }
       fail_on_lint = true;
       fail_severity = *parsed;
-    }
-    if (std::strcmp(argv[i], "--quiet") == 0 || std::strcmp(argv[i], "-q") == 0) {
-      verbosity = Verbosity::kQuiet;
-    }
-    if (std::strcmp(argv[i], "-v") == 0 ||
-        std::strcmp(argv[i], "--verbose") == 0) {
-      verbosity = Verbosity::kVerbose;
-    }
-    if (std::strcmp(argv[i], "--explain") == 0) explain = true;
-    flag_with_value(argc, argv, i, "--trace-out", trace_out);
-    flag_with_value(argc, argv, i, "--metrics-out", metrics_out);
-    flag_with_value(argc, argv, i, "--sarif-out", sarif_out);
-    flag_with_value(argc, argv, i, "--profile-out", profile_out);
-    if (std::strcmp(argv[i], "--timeout-ms") == 0) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: --timeout-ms needs a value\n");
-        return 2;
-      }
-      timeout_ms = std::strtol(argv[++i], nullptr, 10);
+    } else if (flag_with_value(argc, argv, i, "--timeout-ms", value)) {
+      timeout_ms = std::strtol(value.c_str(), nullptr, 10);
       if (timeout_ms <= 0) {
         std::fprintf(stderr, "error: --timeout-ms needs a positive integer\n");
         return 2;
       }
+    } else if (!flag_with_value(argc, argv, i, "--trace-out", trace_out) &&
+               !flag_with_value(argc, argv, i, "--metrics-out", metrics_out) &&
+               !flag_with_value(argc, argv, i, "--sarif-out", sarif_out) &&
+               !flag_with_value(argc, argv, i, "--profile-out", profile_out)) {
+      std::fprintf(stderr, "error: unknown flag or missing value: %s\n",
+                   argv[i]);
+      return 2;
     }
   }
 
@@ -230,50 +213,23 @@ int main(int argc, char** argv) {
 
   EventLog log{verbosity, want_telemetry ? &telemetry : nullptr};
 
-  Application app;
-  app.name = root.string();
-  std::size_t unreadable = 0;
-  const auto add_file = [&](const fs::path& path, std::string name) {
-    std::string content;
-    if (read_file(path, content)) {
-      app.files.push_back(AppFile{std::move(name), std::move(content)});
-    } else {
-      // Degrade, don't die: a permission-denied or vanished file should
-      // not cost the report for the rest of the tree.
-      ++unreadable;
-      log.warn("file_unreadable", path.string(),
-               "warning: cannot read " + path.string() + "; skipping");
-    }
-  };
-
-  std::error_code ec;
-  if (fs::is_regular_file(root, ec)) {
-    add_file(root, root.filename().string());
-  } else if (fs::is_directory(root, ec)) {
-    for (const auto& entry : fs::recursive_directory_iterator(root, ec)) {
-      if (!is_php_file(entry.path())) continue;
-      std::error_code sec;
-      // Broken symlinks fail is_regular_file; route them through
-      // add_file so they are warned about, not silently dropped.
-      if (entry.is_regular_file(sec) || fs::is_symlink(entry.path(), sec)) {
-        add_file(entry.path(), fs::relative(entry.path(), root, ec).string());
-      }
-    }
-  } else {
-    std::fprintf(stderr, "error: %s is not a file or directory\n",
-                 root.string().c_str());
+  std::string error;
+  std::vector<std::string> unreadable;
+  const std::optional<Application> loaded =
+      load_application(root, error, &unreadable);
+  for (const std::string& path : unreadable) {
+    log.warn("file_unreadable", path,
+             "warning: cannot read " + path + "; skipping");
+  }
+  if (!loaded.has_value()) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
     return 2;
   }
-  if (app.files.empty()) {
-    std::fprintf(stderr, "error: no readable PHP files found under %s\n",
-                 root.string().c_str());
-    return 2;
-  }
+  const Application& app = *loaded;
 
   ScanOptions options;
   options.vuln.stop_at_first_finding = !all_findings;
   options.locality.model_admin_gating = admin_gating;
-  options.prefilter = !no_prefilter;
   options.summaries = !no_summaries;
   options.crosscheck = crosscheck;
   options.explain = explain;
@@ -346,9 +302,9 @@ int main(int argc, char** argv) {
                 app.files.size(),
                 static_cast<unsigned long long>(report.total_loc),
                 report.analyzed_percent, report.roots);
-    if (unreadable > 0) {
+    if (!unreadable.empty()) {
       std::printf("note: %zu file(s) could not be read and were skipped\n",
-                  unreadable);
+                  unreadable.size());
     }
     std::printf("symbolic execution: %zu paths, %zu objects, %.2f MB, %.3fs\n",
                 report.paths, report.objects, report.memory_mb, report.seconds);

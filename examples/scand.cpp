@@ -28,6 +28,11 @@
 // requests, flush + compact the stores, dump each worker's flight
 // recorder under --state-dir, exit 0.
 //
+// Introspection: --profile runs every cold scan under the path
+// profiler; `scanctl profile` shows the last service::kProfileHistory
+// (32) profiles. Each worker keeps a service::kFlightRecorderCapacity
+// (256) slot flight ring; neither size is a flag.
+//
 // Observability: --log-file/--log-level emit structured JSON-lines
 // (request_done, watchdog_cancel, lifecycle; see support/logging.h),
 // the `metrics` protocol op serves a Prometheus text exposition, and
@@ -128,7 +133,7 @@ int main(int argc, char** argv) {
       // with `scanctl profile`. Cache bytes are unaffected (the profile
       // is stripped before rendering), so toggling this across restarts
       // never invalidates the verdict store.
-      options.profile = true;
+      options.scan.profile = true;
     } else if (std::strcmp(argv[i], "--version") == 0) {
       std::printf("%s\n", std::string(core::kEngineVersion).c_str());
       return 0;

@@ -378,56 +378,52 @@ void Detector::scan_impl(const Application& app, const Deadline& deadline,
   }
 
   // Phase 2b: pre-symbolic static pass. Proves roots safe so symbolic
-  // execution can skip them (prefilter), collects structured lints, and
-  // in crosscheck mode doubles as a soundness oracle for the pruning
+  // execution can skip them, collects structured lints, and in
+  // crosscheck mode doubles as a soundness oracle for the pruning
   // decision. A failure here degrades to "no pruning" — the symbolic
   // path still runs everything.
   std::vector<staticpass::RootAnalysis> pre;
-  if (options_.prefilter || options_.lint || options_.crosscheck) {
-    diags.set_phase("staticpass");
-    const CostClock::time_point staticpass_start = CostClock::now();
-    try {
-      const telemetry::PhaseScope staticpass_span(events, "staticpass");
-      staticpass::StaticPassOptions pass_options;
-      pass_options.executable_extensions =
-          options_.vuln.executable_extensions;
-      // The summary store memoizes across every root of this scan;
-      // pass_options must outlive it (the store keeps a reference).
-      std::optional<staticpass::SummaryStore> summaries;
-      if (options_.summaries) {
-        summaries.emplace(program, call_graph, sources, options_.sinks,
-                          pass_options);
-        pass_options.summaries = &*summaries;
-      }
-      pre.reserve(locality.roots.size());
-      for (const AnalysisRoot& root : locality.roots) {
-        pre.push_back(staticpass::analyze_root(
-            program, call_graph, root, sources, options_.sinks,
-            pass_options));
-      }
-      if (summaries.has_value()) {
-        report.summary_cache_hits = summaries->stats().cache_hits;
-      }
-      for (const staticpass::RootAnalysis& ra : pre) {
-        report.escaped_calls += ra.escaped_calls;
-        if (ra.prunable && ra.summary_pruned) {
-          report.summary_pruned_roots += 1;
-        }
-      }
-      if (options_.lint) {
-        for (const staticpass::RootAnalysis& ra : pre) {
-          for (const staticpass::LintFinding& lint : ra.lints) {
-            report.lints.push_back(lint);
-          }
-        }
-      }
-    } catch (...) {
-      report.errors.push_back(
-          describe_current_exception("staticpass", ""));
-      pre.clear();
+  diags.set_phase("staticpass");
+  const CostClock::time_point staticpass_start = CostClock::now();
+  try {
+    const telemetry::PhaseScope staticpass_span(events, "staticpass");
+    staticpass::StaticPassOptions pass_options;
+    pass_options.executable_extensions = options_.vuln.executable_extensions;
+    // The summary store memoizes across every root of this scan;
+    // pass_options must outlive it (the store keeps a reference).
+    std::optional<staticpass::SummaryStore> summaries;
+    if (options_.summaries) {
+      summaries.emplace(program, call_graph, sources, options_.sinks,
+                        pass_options);
+      pass_options.summaries = &*summaries;
     }
-    report.phase_ms["staticpass"] = ms_since(staticpass_start);
+    pre.reserve(locality.roots.size());
+    for (const AnalysisRoot& root : locality.roots) {
+      pre.push_back(staticpass::analyze_root(program, call_graph, root,
+                                             sources, options_.sinks,
+                                             pass_options));
+    }
+    if (summaries.has_value()) {
+      report.summary_cache_hits = summaries->stats().cache_hits;
+    }
+    for (const staticpass::RootAnalysis& ra : pre) {
+      report.escaped_calls += ra.escaped_calls;
+      if (ra.prunable && ra.summary_pruned) {
+        report.summary_pruned_roots += 1;
+      }
+    }
+    if (options_.lint) {
+      for (const staticpass::RootAnalysis& ra : pre) {
+        for (const staticpass::LintFinding& lint : ra.lints) {
+          report.lints.push_back(lint);
+        }
+      }
+    }
+  } catch (...) {
+    report.errors.push_back(describe_current_exception("staticpass", ""));
+    pre.clear();
   }
+  report.phase_ms["staticpass"] = ms_since(staticpass_start);
 
   // Phases 3-6 per analysis root. A root whose analysis throws is
   // recorded and skipped; remaining roots still run, so one hostile
@@ -450,7 +446,7 @@ void Detector::scan_impl(const Application& app, const Deadline& deadline,
     const bool proven_safe = ri < pre.size() && pre[ri].prunable;
     if (proven_safe) {
       report.pruned_roots += 1;
-      if (options_.prefilter && !options_.crosscheck) {
+      if (!options_.crosscheck) {
         events->root_end(cost.root, telemetry::RootOutcome::kPruned);
         cost.pruned = true;
         report.root_costs.push_back(std::move(cost));

@@ -43,14 +43,13 @@ struct ScanOptions {
   LocalityOptions locality;
   SinkRegistry sinks;        // copy()/rename() included by default
   bool run_locality = true;  // ablation switch for bench_locality
-  // Pre-symbolic static pass (core/staticpass). `prefilter` skips
-  // symbolic execution for roots the pass proves safe; `lint` collects
-  // the pass's structured findings into ScanReport::lints even when
-  // pruning is off; `crosscheck` runs *both* engines on every root and
-  // reports any root the pass would prune but the symbolic engine finds
-  // vulnerable as Verdict::kAnalysisDisagreement (a soundness oracle —
-  // see the contract in core/staticpass/staticpass.h).
-  bool prefilter = true;
+  // Pre-symbolic static pass (core/staticpass). It runs on every scan,
+  // and symbolic execution skips the roots it proves safe. `lint`
+  // collects the pass's structured findings into ScanReport::lints;
+  // `crosscheck` runs *both* engines on every root (nothing is skipped)
+  // and reports any root the pass would prune but the symbolic engine
+  // finds vulnerable as Verdict::kAnalysisDisagreement (a soundness
+  // oracle — see the contract in core/staticpass/staticpass.h).
   bool lint = true;
   bool crosscheck = false;
   // Inter-procedural function summaries (core/staticpass/summaries.h):
@@ -64,8 +63,9 @@ struct ScanOptions {
   // Finding provenance: attach a source→sink taint path, the path's
   // branch guards, and a decoded attack reconstruction to every finding
   // (and fill Finding::evidence). Purely additive — verdicts and every
-  // other report field are byte-identical with it on or off; off keeps
-  // the vulnerability model on its zero-overhead path.
+  // other report field except the wall-clock ones (seconds, phase_ms,
+  // root_costs) are byte-identical with it on or off; off keeps the
+  // vulnerability model on its zero-overhead path.
   bool explain = false;
   // Optional externally-owned solver query cache. When set it replaces
   // the detector's internal one, letting several Detector instances (a
@@ -90,7 +90,8 @@ struct ScanOptions {
   // source fork sites, solver wall time to sinks, and heap growth to
   // fork depth, per analysis root. Incomplete roots additionally get a
   // budget post-mortem. Purely additive — verdicts and every other
-  // report field are byte-identical with it on or off; off keeps the
+  // report field except the wall-clock ones (seconds, phase_ms,
+  // root_costs) are byte-identical with it on or off; off keeps the
   // interpreter and solver on their zero-overhead paths.
   bool profile = false;
   // Parse-phase worker threads. 0 = auto (hardware concurrency capped
@@ -228,9 +229,9 @@ struct ScanReport {
   std::size_t cons_hits = 0;          // heap-graph nodes answered by consing
   std::size_t solver_cache_hits = 0;  // sinks answered by the per-scan
                                       // cross-root solver query cache
-  // Roots the static pass proved safe. With prefilter on these skip
-  // symbolic execution; in crosscheck mode they are still executed and
-  // the count says how many *would* be pruned.
+  // Roots the static pass proved safe. These skip symbolic execution;
+  // in crosscheck mode they are still executed and the count says how
+  // many *would* be pruned.
   std::size_t pruned_roots = 0;
   // Inter-procedural summary layer effectiveness (ScanOptions::summaries).
   // Telemetry counters staticpass.summary_cache_hits,
@@ -251,7 +252,8 @@ struct ScanReport {
   // engine-accounted analysis bytes (heap-graph arenas + environment
   // memory summed over roots). Recorded uniformly on every scan; the
   // nondeterministic peak_rss_bytes is surfaced only inside the profile
-  // JSON so unprofiled reports stay byte-reproducible.
+  // JSON, so the report's only run-to-run differences stay its
+  // wall-clock fields (stats.seconds, "cost", "profile").
   std::uint64_t peak_rss_bytes = 0;
   std::uint64_t accounted_bytes = 0;
 
@@ -321,8 +323,8 @@ class Detector {
   [[nodiscard]] ScanReport scan(const Application& app) const;
 
   // As above, additionally bounded by `deadline` (the stricter of the
-  // two applies). Fleet drivers use this for per-app timeouts and shared
-  // cancellation.
+  // two applies). The service uses this for per-request deadlines and
+  // watchdog cancellation.
   [[nodiscard]] ScanReport scan(const Application& app,
                                 const Deadline& deadline) const;
 

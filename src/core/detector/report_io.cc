@@ -370,9 +370,9 @@ std::string to_json(const ScanReport& report) {
     }
     out += "]}";
   }
-  // Present only on profiled scans: the one place the report carries
-  // nondeterministic data (peak RSS, wall-clock samples). Unprofiled
-  // reports of the same app stay byte-identical run to run.
+  // Present only on profiled scans: peak RSS and wall-clock samples.
+  // Like stats.seconds and the "cost" milliseconds, it differs run to run;
+  // every other field of the same app's report is byte-identical.
   if (report.profiled) {
     out += ", \"profile\": " + profile::to_json(report.profile);
   }

@@ -36,8 +36,7 @@ namespace uchecker::core {
 //                        // engine-introspection object (fork-site,
 //                        // solver and heap attribution plus budget
 //                        // post-mortems; schema in support/profile.h).
-//                        // The ONLY nondeterministic part of the report:
-//                        // unprofiled reports are byte-reproducible.
+//                        // Carries peak RSS and wall-clock samples.
 //   "errors": [ { "phase": "parse" | "locality" | "interp" | "translate" |
 //                 "solve" | "scan", "root": "...", "message": "...",
 //                 "transient": B }, ... ],
@@ -57,6 +56,11 @@ namespace uchecker::core {
 //                     "destination": "...",
 //                     "destination_complete": B } }, ... ]
 // }
+//
+// Two scans of the same app under the same options render the same
+// bytes except in the wall-clock values: "stats.seconds", the "cost"
+// object's milliseconds ("phases", "interp_ms", "solve_ms") and the
+// "profile" object (peak RSS, sampled wall times).
 //
 // Degradation fields (stable, additive):
 //  - "errors": contained pipeline failures; each names the phase that

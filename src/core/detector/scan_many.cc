@@ -1,61 +1,19 @@
 #include "core/detector/scan_many.h"
 
 #include <algorithm>
+#include <atomic>
 #include <thread>
-
-#include "core/detector/report_io.h"
-#include "support/store.h"
-#include "support/strutil.h"
-#include "support/telemetry.h"
 
 namespace uchecker::core {
 namespace {
 
-bool fleet_cancelled(const ScanManyOptions& options) {
-  return options.cancel != nullptr &&
-         options.cancel->load(std::memory_order_relaxed);
-}
-
-// Sleeps `delay` in short slices, aborting early on fleet cancellation
-// (a cancelled fleet must not sit out a long backoff before noticing).
-void backoff_sleep(std::chrono::milliseconds delay,
-                   const ScanManyOptions& options) {
-  const auto until = std::chrono::steady_clock::now() + delay;
-  while (!fleet_cancelled(options)) {
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= until) return;
-    const auto left =
-        std::chrono::duration_cast<std::chrono::milliseconds>(until - now);
-    std::this_thread::sleep_for(
-        std::min(left, std::chrono::milliseconds{10}));
-  }
-}
-
-ScanReport cancelled_report(const Application& app) {
-  ScanReport report;
-  report.app_name = app.name;
-  report.verdict = Verdict::kAnalysisError;
-  report.deadline_exceeded = true;
-  report.errors.push_back(
-      ScanError{"scan", "", "fleet cancelled before scan", false});
-  return report;
-}
-
-// One app, with per-app deadline, bounded transient retry, and a final
-// catch-all so the worker's thread boundary stays exception-free.
-ScanReport scan_one(const Detector& detector, const Application& app,
-                    const ScanManyOptions& options) {
+// One app, with bounded transient retry and a final catch-all so the
+// worker's thread boundary stays exception-free.
+ScanReport scan_one(const Detector& detector, const Application& app) {
   for (unsigned attempt = 0;; ++attempt) {
-    if (fleet_cancelled(options)) return cancelled_report(app);
-
-    Deadline deadline = options.app_timeout.count() > 0
-                            ? Deadline::after(options.app_timeout)
-                            : Deadline::unlimited();
-    if (options.cancel != nullptr) deadline.attach(options.cancel);
-
     ScanReport report;
     try {
-      report = detector.scan(app, deadline);
+      report = detector.scan(app);
     } catch (const std::exception& e) {
       // scan() contains its own errors; this is belt and braces.
       report = ScanReport{};
@@ -68,111 +26,24 @@ ScanReport scan_one(const Detector& detector, const Application& app,
       report.errors.push_back(ScanError{"scan", "", "unknown error", false});
       report.verdict = Verdict::kAnalysisError;
     }
-
-    if (report.only_transient_errors() && attempt < options.max_retries &&
-        !fleet_cancelled(options)) {
-      const std::chrono::milliseconds delay =
-          retry_backoff_delay(options, app.name, attempt);
-      if (telemetry::Telemetry* t = detector.options().telemetry) {
-        t->metrics().counter("fleet.app_retries").add(1);
-        if (delay.count() > 0) {
-          t->metrics()
-              .counter("fleet.retry_backoff_ms")
-              .add(static_cast<std::uint64_t>(delay.count()));
-        }
-      }
-      if (delay.count() > 0) backoff_sleep(delay, options);
+    if (report.only_transient_errors() && attempt < kTransientRetries) {
       continue;
-    }
-
-    // Structured per-app progress: one JSON object per completed scan,
-    // delivered through the telemetry event sink (fleet drivers and
-    // scan_directory -v attach a sink that prints these).
-    if (telemetry::Telemetry* t = detector.options().telemetry) {
-      std::string line = "{\"event\": \"app_done\", \"app\": " +
-                         strutil::quote(report.app_name) +
-                         (report.trace_id.empty()
-                              ? std::string()
-                              : ", \"trace_id\": " +
-                                    strutil::quote(report.trace_id)) +
-                         ", \"verdict\": \"" +
-                         std::string(verdict_slug(report.verdict)) +
-                         "\", \"seconds\": " + std::to_string(report.seconds) +
-                         ", \"errors\": " + std::to_string(report.errors.size()) +
-                         ", \"attempts\": " + std::to_string(attempt + 1) + "}";
-      t->emit_progress(line);
     }
     return report;
   }
 }
 
-// Folds one fleet's reports into the shared metrics registry: verdict
-// and degradation counts (by ScanError::phase), solver totals, and the
-// per-app wall-time histogram. Phase latency percentiles come from the
-// traces themselves (Telemetry::fleet_phase_stats) at export time.
-void aggregate_fleet_metrics(telemetry::Telemetry& telemetry,
-                             const std::vector<ScanReport>& reports) {
-  telemetry::MetricsRegistry& m = telemetry.metrics();
-  m.counter("fleet.apps").add(reports.size());
-  for (const ScanReport& r : reports) {
-    m.counter("fleet.verdict." + std::string(verdict_slug(r.verdict))).add(1);
-    if (r.degraded()) m.counter("fleet.degraded").add(1);
-    for (const ScanError& e : r.errors) {
-      m.counter("fleet.degraded_phase." + e.phase).add(1);
-    }
-    if (r.deadline_exceeded) m.counter("fleet.deadline_exceeded").add(1);
-    if (r.budget_exhausted) m.counter("fleet.budget_exhausted").add(1);
-    m.counter("fleet.solver_calls").add(r.solver_calls);
-    m.counter("fleet.solver_retries").add(r.solver_retries);
-    m.counter("fleet.findings").add(r.findings.size());
-    m.histogram("fleet.app_seconds_ms").observe(r.seconds * 1000.0);
-    // Per-root cost attribution: where fleet wall time concentrates
-    // (interp vs solve), over every executed root of every app.
-    for (const RootCost& rc : r.root_costs) {
-      if (rc.pruned) continue;
-      m.histogram("fleet.root_interp_ms").observe(rc.interp_ms);
-      m.histogram("fleet.root_solve_ms").observe(rc.solve_ms);
-    }
-  }
-}
-
 }  // namespace
 
-std::chrono::milliseconds retry_backoff_delay(const ScanManyOptions& options,
-                                              std::string_view app_name,
-                                              unsigned attempt) {
-  if (options.retry_backoff.count() <= 0) return std::chrono::milliseconds{0};
-  constexpr std::int64_t kCapMs = 60'000;
-  // Exponential base: retry_backoff doubled per attempt, saturating at
-  // the cap (the shift alone would overflow past attempt 62).
-  std::int64_t base = options.retry_backoff.count();
-  for (unsigned i = 0; i < attempt && base < kCapMs; ++i) base *= 2;
-  base = std::min(base, kCapMs);
-  // Deterministic jitter in [0, base/2]: FNV over seed, app and attempt
-  // decorrelates retries of different apps that failed in the same
-  // instant (the thundering-herd case) without any global random state.
-  std::uint64_t h = store::fnv1a64(app_name);
-  h = store::fnv1a64(std::string_view("\x1f", 1), h ^ options.retry_jitter_seed);
-  h ^= attempt;
-  h *= store::kFnvPrime;
-  const std::int64_t jitter =
-      base < 2 ? 0 : static_cast<std::int64_t>(h % static_cast<std::uint64_t>(
-                                                       base / 2 + 1));
-  return std::chrono::milliseconds{std::min(base + jitter, kCapMs)};
+std::vector<ScanReport> scan_many(const Detector& detector,
+                                  const std::vector<Application>& apps,
+                                  const ScanManyOptions& options) {
+  return scan_many(detector, apps, options.threads);
 }
 
 std::vector<ScanReport> scan_many(const Detector& detector,
                                   const std::vector<Application>& apps,
                                   unsigned threads) {
-  ScanManyOptions options;
-  options.threads = threads;
-  return scan_many(detector, apps, options);
-}
-
-std::vector<ScanReport> scan_many(const Detector& detector,
-                                  const std::vector<Application>& apps,
-                                  const ScanManyOptions& options) {
-  unsigned threads = options.threads;
   if (threads == 0) {
     threads = std::max(1u, std::thread::hardware_concurrency());
   }
@@ -182,29 +53,25 @@ std::vector<ScanReport> scan_many(const Detector& detector,
 
   if (threads <= 1) {
     for (std::size_t i = 0; i < apps.size(); ++i) {
-      reports[i] = scan_one(detector, apps[i], options);
+      reports[i] = scan_one(detector, apps[i]);
     }
-  } else {
-    std::atomic<std::size_t> next{0};
-    std::vector<std::thread> workers;
-    workers.reserve(threads);
-    for (unsigned t = 0; t < threads; ++t) {
-      workers.emplace_back([&] {
-        while (true) {
-          const std::size_t i = next.fetch_add(1);
-          if (i >= apps.size()) return;
-          // scan_one never throws, so nothing can cross this noexcept
-          // thread boundary and call std::terminate.
-          reports[i] = scan_one(detector, apps[i], options);
-        }
-      });
-    }
-    for (std::thread& w : workers) w.join();
+    return reports;
   }
-
-  if (telemetry::Telemetry* t = detector.options().telemetry) {
-    aggregate_fleet_metrics(*t, reports);
+  std::atomic<std::size_t> next{0};
+  std::vector<std::thread> workers;
+  workers.reserve(threads);
+  for (unsigned t = 0; t < threads; ++t) {
+    workers.emplace_back([&] {
+      while (true) {
+        const std::size_t i = next.fetch_add(1);
+        if (i >= apps.size()) return;
+        // scan_one never throws, so nothing can cross this noexcept
+        // thread boundary and call std::terminate.
+        reports[i] = scan_one(detector, apps[i]);
+      }
+    });
   }
+  for (std::thread& w : workers) w.join();
   return reports;
 }
 

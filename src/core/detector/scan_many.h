@@ -9,69 +9,36 @@
 // Fault isolation: one hostile or pathological application can never
 // take down the batch. Detector::scan contains its own errors, workers
 // additionally catch anything that still escapes (no exception ever
-// reaches the noexcept thread boundary), every app gets a per-app
-// wall-clock timeout, apps that failed with only transient errors are
-// retried a bounded number of times, and a shared cancellation token
-// aborts the whole fleet cleanly — scans not yet started report
-// kAnalysisError ("cancelled") instead of silently missing.
+// reaches the noexcept thread boundary), and an app that failed with
+// only transient errors is re-scanned once, at once. The per-app
+// wall-clock budget is the detector's own budget.time_limit.
 #pragma once
 
-#include <atomic>
-#include <chrono>
-#include <cstdint>
-#include <memory>
-#include <string_view>
 #include <vector>
 
 #include "core/detector/detector.h"
-#include "support/deadline.h"
 
 namespace uchecker::core {
 
+// Extra scans of an app whose report failed with *only transient*
+// errors (ScanReport::only_transient_errors).
+inline constexpr unsigned kTransientRetries = 1;
+
 struct ScanManyOptions {
   unsigned threads = 0;  // 0 = hardware concurrency
-  // Per-app wall-clock budget (0 = unlimited). Combined with the
-  // detector's own budget.time_limit; the stricter one wins.
-  std::chrono::milliseconds app_timeout{0};
-  // Re-scan an app whose report failed with *only transient* errors
-  // (ScanReport::only_transient_errors) up to this many extra times.
-  unsigned max_retries = 1;
-  // Base delay before retry k (attempt k+1): retry_backoff * 2^k plus a
-  // deterministic jitter of up to half the delay, derived from
-  // (retry_jitter_seed, app name, attempt) — so a transiently flaky app
-  // never hot-loops the fleet, retries of different apps decorrelate,
-  // and a test can predict every delay exactly. 0 (the default) keeps
-  // the immediate-retry behaviour. The sleep polls `cancel`, so a fleet
-  // cancellation is never held up by a backoff in progress.
-  std::chrono::milliseconds retry_backoff{0};
-  std::uint64_t retry_jitter_seed = 0;
-  // Optional fleet-wide cancellation (CancellationSource::token()).
-  // Cancelling aborts in-flight scans at their next deadline poll and
-  // prevents new ones from starting.
-  std::shared_ptr<const std::atomic<bool>> cancel;
 };
 
 // Scans every application, in input order, using up to `threads` worker
 // threads (0 = hardware concurrency). Reports are returned in the same
 // order as the inputs and are identical to serial scans (modulo the
-// wall-clock `seconds` field).
+// wall-clock `seconds` field). Always returns one report per app.
 [[nodiscard]] std::vector<ScanReport> scan_many(
     const Detector& detector, const std::vector<Application>& apps,
     unsigned threads = 0);
 
-// As above with full fleet controls. Always returns one report per app.
+// As above, with the thread count taken from `options`.
 [[nodiscard]] std::vector<ScanReport> scan_many(
     const Detector& detector, const std::vector<Application>& apps,
     const ScanManyOptions& options);
-
-// The exact delay scan_many waits before retry `attempt` (0-based: the
-// wait before the first re-scan is attempt 0) of `app_name`. Pure and
-// deterministic in (options, app_name, attempt); exposed so tests and
-// capacity planning can reproduce the fleet's retry schedule. Doubles
-// per attempt from options.retry_backoff, plus jitter in [0, delay/2]
-// hashed from (retry_jitter_seed, app_name, attempt); capped at 60s.
-[[nodiscard]] std::chrono::milliseconds retry_backoff_delay(
-    const ScanManyOptions& options, std::string_view app_name,
-    unsigned attempt);
 
 }  // namespace uchecker::core

@@ -851,7 +851,7 @@ void Interpreter::exec_foreach(const phpast::Foreach& stmt) {
   }
   envs_.clear();
 
-  // Known-structure arrays iterate their first max_foreach_entries
+  // Known-structure arrays iterate their first kMaxForeachEntries
   // entries deterministically; unknown iterables fork into skip /
   // enter-once with a fresh boolean guard.
   // Group: all envs are processed uniformly using each env's own label.
@@ -875,8 +875,7 @@ void Interpreter::exec_foreach(const phpast::Foreach& stmt) {
   if (!known_envs.empty()) {
     envs_ = std::move(known_envs);
     const std::uint64_t entry_weight = total_weight(envs_);
-    const int bound = budget_.max_foreach_entries;
-    for (int entry_idx = 0; entry_idx < bound; ++entry_idx) {
+    for (int entry_idx = 0; entry_idx < kMaxForeachEntries; ++entry_idx) {
       bool any = false;
       std::size_t running_idx = 0;
       for (Env& env : envs_) {
@@ -1718,8 +1717,7 @@ void Interpreter::eval_user_function(const Program::FunctionInfo& info,
   const bool recursive =
       std::find(call_chain_.begin(), call_chain_.end(), info.name) !=
       call_chain_.end();
-  if (recursive ||
-      call_chain_.size() >= static_cast<std::size_t>(budget_.max_call_depth)) {
+  if (recursive || call_chain_.size() >= kMaxCallDepth) {
     for (Env& env : envs_) {
       if (!env.running()) continue;
       for (std::size_t i = 0; i < arg_count; ++i) pop(env);

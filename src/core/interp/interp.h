@@ -51,6 +51,13 @@ class ScanEvents;
 
 namespace uchecker::core {
 
+// User-function calls nested deeper than this (and recursive calls)
+// return a fresh symbol instead of being executed.
+inline constexpr std::size_t kMaxCallDepth = 24;
+// A foreach over an array of known structure unrolls at most this many
+// entries.
+inline constexpr int kMaxForeachEntries = 4;
+
 // Resource limits. Exhaustion is reported, never fatal: the detector
 // turns it into a "analysis incomplete" verdict, which is how the paper's
 // Cimy-User-Extra-Fields false negative arises (248K paths exceeded the
@@ -59,9 +66,7 @@ namespace uchecker::core {
 struct Budget {
   std::size_t max_paths = 100'000;
   std::size_t max_objects = 2'000'000;
-  int max_call_depth = 24;
   int loop_unroll = 1;
-  int max_foreach_entries = 4;  // full unroll bound for known arrays
   // include/require whose path resolves to a file of the program are
   // executed inline up to this nesting depth (0 disables following).
   int max_include_depth = 8;

@@ -12,7 +12,7 @@
 //    explode/end extension splits) into StrongGuard / WeakGuard / NoGuard
 //    and derives structured lint findings from the weak idioms;
 //  - a per-root prune decision the detector uses to skip symbolic
-//    execution entirely (ScanOptions::prefilter).
+//    execution entirely (unless ScanOptions::crosscheck is set).
 //
 // Soundness contract for pruning: a root is marked prunable ONLY when
 // every lexical sink in its body is individually proven safe — either

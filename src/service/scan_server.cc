@@ -7,6 +7,7 @@
 
 #include <cstring>
 
+#include "core/detector/app_loader.h"
 #include "core/detector/report_io.h"
 #include "support/jsonlite.h"
 #include "support/profile.h"
@@ -41,7 +42,7 @@ std::optional<core::Application> request_application(
     const jsonlite::Value& request, std::string& error) {
   if (const jsonlite::Value* path = request.find("path");
       path != nullptr && path->is_string()) {
-    return load_application(path->str(), error);
+    return core::load_application(path->str(), error);
   }
   const jsonlite::Value* app = request.find("app");
   if (app == nullptr || !app->is_object()) {
@@ -252,7 +253,7 @@ std::string ScanServer::handle_request(const std::string& line) {
       n = static_cast<std::size_t>(nv->number());
     }
     std::string out = "{\"status\": \"ok\", \"profiling\": ";
-    out += service_.options().profile ? "true" : "false";
+    out += service_.options().scan.profile ? "true" : "false";
     out += ", \"scans\": [";
     bool first = true;
     for (const RecentProfile& p : service_.recent_profiles(n)) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <utility>
 
 #include "core/detector/report_io.h"
@@ -261,10 +260,9 @@ std::vector<RecentProfile> ScanService::recent_profiles(std::size_t n) const {
 }
 
 void ScanService::remember_profile(RecentProfile profile) {
-  if (options_.profile_history == 0) return;
   const std::lock_guard<std::mutex> lock(profiles_mu_);
   recent_profiles_.push_back(std::move(profile));
-  while (recent_profiles_.size() > options_.profile_history) {
+  while (recent_profiles_.size() > kProfileHistory) {
     recent_profiles_.pop_front();
   }
 }
@@ -295,8 +293,6 @@ std::string ScanService::verdict_key(const core::Application& app,
   opts += scan.locality.model_admin_gating ? '1' : '0';
   opts += ";locality=";
   opts += scan.run_locality ? '1' : '0';
-  opts += ";prefilter=";
-  opts += scan.prefilter ? '1' : '0';
   opts += ";lint=";
   opts += scan.lint ? '1' : '0';
   opts += ";summaries=";
@@ -345,10 +341,10 @@ void ScanService::worker_loop() {
   // This worker's flight recorder. Owned by recorders_ (never removed),
   // so the watchdog can still dump it after this worker is retired.
   telemetry::FlightRecorder* recorder = nullptr;
-  if (options_.flight_recorder_capacity > 0) {
+  {
     const std::lock_guard<std::mutex> lock(mu_);
-    recorders_.push_back(std::make_unique<telemetry::FlightRecorder>(
-        options_.flight_recorder_capacity));
+    recorders_.push_back(
+        std::make_unique<telemetry::FlightRecorder>(kFlightRecorderCapacity));
     recorder = recorders_.back().get();
   }
 
@@ -367,10 +363,8 @@ void ScanService::worker_loop() {
       request.flight->recorder = recorder;
       inflight_.push_back(request.flight);
       set_gauge("scand.queue_depth", static_cast<double>(queue_.size()));
-      if (recorder != nullptr) {
-        recorder->record(telemetry::FlightKind::kQueue,
-                         request.flight->app_name, queue_.size());
-      }
+      recorder->record(telemetry::FlightKind::kQueue,
+                       request.flight->app_name, queue_.size());
     }
 
     process(request, recorder);
@@ -425,7 +419,6 @@ void ScanService::process(Request& request,
       scan_options.query_cache = &solver_cache_;
       scan_options.trace_id = flight.trace_id;
       scan_options.flight = recorder;
-      if (options_.profile) scan_options.profile = true;
       const core::Detector detector(scan_options);
       Deadline deadline = flight.has_deadline
                               ? Deadline::after(options_.request_timeout)
@@ -433,10 +426,10 @@ void ScanService::process(Request& request,
       deadline.attach(flight.cancel.token());
       outcome.report = detector.scan(request.app, deadline);
       if (outcome.report.profiled) {
-        // Strip the profile (the report's only nondeterministic part)
-        // into the in-memory ring before rendering: the reply and cache
-        // bytes stay byte-identical to an unprofiled scan, so warm
-        // replays remain indistinguishable from cold ones.
+        // Strip the profile into the in-memory ring before rendering:
+        // the reply and cache bytes carry no profile, as an unprofiled
+        // scan's would, so warm replays remain indistinguishable from
+        // cold ones.
         RecentProfile recent;
         recent.app = flight.app_name;
         recent.trace_id = flight.trace_id;
@@ -531,11 +524,8 @@ void ScanService::watchdog_loop() {
       // and the phase the scan was wedged in, and the flight-recorder
       // dump lands alongside it — together they answer "what was it
       // doing when it hung?" long after the daemon moved on.
-      std::string wedged;
-      if (flight->recorder != nullptr) {
-        wedged = flight->recorder->wedged_phase();
-        dump_flight(*flight->recorder, flight->key);
-      }
+      const std::string wedged = flight->recorder->wedged_phase();
+      dump_flight(*flight->recorder, flight->key);
       quarantine_store_.put(
           flight->key,
           "{\"reason\": \"watchdog: scan exceeded deadline\", "
@@ -564,60 +554,6 @@ void ScanService::watchdog_loop() {
       threads_.emplace_back([this] { worker_loop(); });
     }
   }
-}
-
-std::optional<core::Application> load_application(const std::string& root,
-                                                  std::string& error,
-                                                  std::size_t* unreadable) {
-  const auto is_php_file = [](const fs::path& path) {
-    const std::string ext = path.extension().string();
-    return ext == ".php" || ext == ".module" || ext == ".inc";
-  };
-  const auto read_file = [](const fs::path& path, std::string& out) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) return false;
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    if (in.bad()) return false;
-    out = buffer.str();
-    return true;
-  };
-
-  core::Application app;
-  app.name = root;
-  std::size_t skipped = 0;
-  const auto add_file = [&](const fs::path& path, std::string name) {
-    std::string content;
-    if (read_file(path, content)) {
-      app.files.push_back(core::AppFile{std::move(name), std::move(content)});
-    } else {
-      ++skipped;
-    }
-  };
-
-  const fs::path root_path(root);
-  std::error_code ec;
-  if (fs::is_regular_file(root_path, ec)) {
-    add_file(root_path, root_path.filename().string());
-  } else if (fs::is_directory(root_path, ec)) {
-    for (const auto& entry : fs::recursive_directory_iterator(root_path, ec)) {
-      if (!is_php_file(entry.path())) continue;
-      std::error_code sec;
-      if (entry.is_regular_file(sec) || fs::is_symlink(entry.path(), sec)) {
-        add_file(entry.path(),
-                 fs::relative(entry.path(), root_path, ec).string());
-      }
-    }
-  } else {
-    error = root + " is not a file or directory";
-    return std::nullopt;
-  }
-  if (unreadable != nullptr) *unreadable = skipped;
-  if (app.files.empty()) {
-    error = "no readable PHP files found under " + root;
-    return std::nullopt;
-  }
-  return app;
 }
 
 }  // namespace uchecker::service

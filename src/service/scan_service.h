@@ -82,20 +82,19 @@ struct ServiceOptions {
   // Structured log lines (request_done, watchdog_cancel, lifecycle)
   // land here. Optional; must outlive the service.
   logging::Logger* logger = nullptr;
-  // Ring size of each worker's flight recorder (rounded up to a power
-  // of two). 0 disables flight recording entirely.
-  std::size_t flight_recorder_capacity = 256;
   // How many recently completed requests top_requests() remembers.
   std::size_t top_history = 256;
-  // Run every cold scan with the engine-introspection profiler
-  // (ScanOptions::profile) and remember the per-root profiles of the
-  // last `profile_history` profiled scans for `scanctl profile`. The
-  // profile is stripped from the report before it is rendered and
-  // cached, so verdict-cache replays stay byte-identical to unprofiled
-  // scans — which is also why the toggle is *not* part of verdict_key.
-  bool profile = false;
-  std::size_t profile_history = 32;
 };
+
+// Ring size of each worker's flight recorder.
+inline constexpr std::size_t kFlightRecorderCapacity = 256;
+// With ServiceOptions::scan.profile set, every cold scan runs the
+// engine-introspection profiler, and the per-root profiles of the last
+// kProfileHistory profiled scans are kept for `scanctl profile`. The
+// profile is stripped from the report before it is rendered and
+// cached, so verdict-cache replays stay byte-identical to unprofiled
+// scans — which is also why scan.profile is *not* part of verdict_key.
+inline constexpr std::size_t kProfileHistory = 32;
 
 // The answer to one request. `report_json` is the exact reply bytes:
 // the freshly rendered to_json() on a cold scan, the stored bytes on a
@@ -130,7 +129,7 @@ struct RequestCost {
 };
 
 // One profiled request's engine introspection, as remembered for
-// `scanctl profile` (ServiceOptions::profile). The profile is held here
+// `scanctl profile` (ServiceOptions::scan.profile). The profile is held here
 // — never in the cached report bytes.
 struct RecentProfile {
   std::string app;
@@ -176,7 +175,7 @@ class ScanService {
   // top_history completions. Powers `scanctl top`.
   [[nodiscard]] std::vector<RequestCost> top_requests(std::size_t n) const;
 
-  // The `n` most recent profiled scans (ServiceOptions::profile),
+  // The `n` most recent profiled scans (ServiceOptions::scan.profile),
   // newest first. Cache replays record no profile (nothing ran).
   // Powers `scanctl profile`.
   [[nodiscard]] std::vector<RecentProfile> recent_profiles(
@@ -273,20 +272,11 @@ class ScanService {
   std::deque<RequestCost> recent_costs_;
 
   // Profiles of recently completed profiled scans, newest at the back,
-  // bounded by options_.profile_history (same locking rationale).
+  // bounded by kProfileHistory (same locking rationale).
   mutable std::mutex profiles_mu_;
   std::deque<RecentProfile> recent_profiles_;
 
   std::chrono::steady_clock::time_point started_at_{};
 };
-
-
-// Recursively collects *.php / *.module / *.inc files under `root`
-// (or the single file itself) into an Application named after the
-// path. Unreadable files are skipped and counted; an empty result is
-// reported through `error`. Shared by scand and its tests.
-[[nodiscard]] std::optional<core::Application> load_application(
-    const std::string& root, std::string& error,
-    std::size_t* unreadable = nullptr);
 
 }  // namespace uchecker::service

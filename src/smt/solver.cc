@@ -59,8 +59,7 @@ std::string Model::to_string() const {
   return out;
 }
 
-Checker::Checker(unsigned timeout_ms, unsigned max_retries)
-    : timeout_ms_(timeout_ms), max_retries_(max_retries) {}
+Checker::Checker(unsigned timeout_ms) : timeout_ms_(timeout_ms) {}
 
 SolverOutcome Checker::check(const std::string& query) {
   ++check_count_;
@@ -74,7 +73,7 @@ SolverOutcome Checker::check(const std::string& query) {
 
   SolverOutcome outcome;
   unsigned timeout = std::max(1u, timeout_ms_);
-  for (unsigned attempt = 0; attempt <= max_retries_; ++attempt) {
+  for (unsigned attempt = 0; attempt <= kRetries; ++attempt) {
     if (deadline_.expired()) {
       outcome.result = SatResult::kUnknown;
       outcome.deadline_exceeded = true;
@@ -139,7 +138,7 @@ SolverOutcome Checker::check(const std::string& query) {
       outcome.error = e.msg();
     }
     if (outcome.result != SatResult::kUnknown || !retryable) break;
-    if (attempt < max_retries_) {
+    if (attempt < kRetries) {
       ++retry_count_;
       timeout = std::min(timeout * 2, kTimeoutEscalationCap);
     }

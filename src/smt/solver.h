@@ -66,8 +66,10 @@ class Checker {
  public:
   // Escalated per-attempt timeouts never exceed this.
   static constexpr unsigned kTimeoutEscalationCap = 60'000;
+  // Retries of a retryable unknown, each with a doubled timeout.
+  static constexpr unsigned kRetries = 2;
 
-  explicit Checker(unsigned timeout_ms = 5000, unsigned max_retries = 2);
+  explicit Checker(unsigned timeout_ms = 5000);
 
   Checker(const Checker&) = delete;
   Checker& operator=(const Checker&) = delete;
@@ -97,7 +99,6 @@ class Checker {
 
  private:
   unsigned timeout_ms_;
-  unsigned max_retries_;
   Deadline deadline_;
   telemetry::ScanEvents* events_ = nullptr;
   std::uint64_t check_count_ = 0;

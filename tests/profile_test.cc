@@ -29,7 +29,7 @@ core::ScanReport scan(const std::string& handler_php,
 // whose body forks on a distinct $_POST key per iteration, plus one
 // standalone conditional for contrast. Every arm adds a directory level
 // the sink reads, so no join merges the paths. The sink keeps the root
-// past locality and the static prefilter (pruned roots never profile).
+// past locality and the static pass (pruned roots never profile).
 constexpr const char* kLoopyApp = R"(
 $sub = '/u/';
 for ($i = 0; $i < 3; $i++) {

@@ -204,32 +204,27 @@ TEST_P(FuzzPipeline, InvariantsHold) {
   // $_FILES flowing into it, so a root must exist.
   EXPECT_GE(report.roots, 1u);
 
-  // 4. Pruning invariance: the static prefilter may skip symbolic
-  //    execution but must never change the verdict or the findings.
-  ScanOptions no_prefilter = options;
-  no_prefilter.prefilter = false;
-  const ScanReport off = Detector(no_prefilter).scan(app);
-  EXPECT_EQ(report.verdict, off.verdict) << php;
-  ASSERT_EQ(report.findings.size(), off.findings.size()) << php;
-  for (std::size_t i = 0; i < report.findings.size(); ++i) {
-    EXPECT_EQ(report.findings[i].location, off.findings[i].location);
-    EXPECT_EQ(report.findings[i].sink_name, off.findings[i].sink_name);
-  }
-  // Lints are computed by the same pass either way.
-  ASSERT_EQ(report.lints.size(), off.lints.size());
-
-  // 5. Crosscheck oracle: running both engines on every root must find
-  //    no root the static pass would prune that the symbolic engine
-  //    flags (the pruning soundness contract).
+  // 4. Crosscheck oracle and pruning invariance: running both engines
+  //    on every root must find no root the static pass would prune that
+  //    the symbolic engine flags (the pruning soundness contract), and
+  //    executing the pruned roots must not change the verdict, the
+  //    findings or the lints.
   ScanOptions crosscheck = options;
   crosscheck.crosscheck = true;
   const ScanReport both = Detector(crosscheck).scan(app);
   EXPECT_TRUE(both.disagreements.empty())
       << php << "\n"
       << (both.disagreements.empty() ? "" : both.disagreements[0].message);
-  EXPECT_NE(both.verdict, Verdict::kAnalysisDisagreement);
+  EXPECT_EQ(report.verdict, both.verdict) << php;
+  ASSERT_EQ(report.findings.size(), both.findings.size()) << php;
+  for (std::size_t i = 0; i < report.findings.size(); ++i) {
+    EXPECT_EQ(report.findings[i].location, both.findings[i].location);
+    EXPECT_EQ(report.findings[i].sink_name, both.findings[i].sink_name);
+  }
+  // Lints are computed by the same pass either way.
+  ASSERT_EQ(report.lints.size(), both.lints.size());
 
-  // 6. Summary invariance: the inter-procedural summary layer may prune
+  // 5. Summary invariance: the inter-procedural summary layer may prune
   //    more roots and emit UC107/UC108 lints, but verdicts and findings
   //    must be byte-identical with it disabled.
   ScanOptions no_summaries = options;

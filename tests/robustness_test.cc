@@ -9,7 +9,6 @@
 #include "core/detector/detector.h"
 #include "core/detector/scan_many.h"
 #include "phpparse/parser.h"
-#include "support/deadline.h"
 #include "support/fault_injector.h"
 
 namespace uchecker {
@@ -285,27 +284,36 @@ TEST_F(FaultInjection, TransientFaultRetriedOnce) {
   FaultInjector::instance().arm(
       "interp", FaultInjector::Action::kThrowTransient,
       std::chrono::milliseconds{0}, /*max_hits=*/1);
-  core::ScanManyOptions options;
-  options.threads = 1;
-  options.max_retries = 1;
   const std::vector<core::Application> apps{upload_app(0, false)};
   const std::vector<core::ScanReport> reports =
-      core::scan_many(core::Detector(), apps, options);
+      core::scan_many(core::Detector(), apps, 1);
   ASSERT_EQ(reports.size(), 1u);
   // First attempt failed transiently, retry succeeded.
   EXPECT_EQ(reports[0].verdict, core::Verdict::kVulnerable);
   EXPECT_EQ(FaultInjector::instance().hits("interp"), 1u);
 }
 
+TEST_F(FaultInjection, TransientFaultRetriedOnlyOnce) {
+  FaultInjector::instance().arm(
+      "interp", FaultInjector::Action::kThrowTransient,
+      std::chrono::milliseconds{0}, -1);
+  const std::vector<core::Application> apps{upload_app(0, false)};
+  const std::vector<core::ScanReport> reports =
+      core::scan_many(core::Detector(), apps, 1);
+  ASSERT_EQ(reports.size(), 1u);
+  // The first scan and one immediate retry, then the failure stands.
+  EXPECT_EQ(reports[0].verdict, core::Verdict::kAnalysisError);
+  EXPECT_TRUE(reports[0].only_transient_errors());
+  EXPECT_EQ(FaultInjector::instance().hits("interp"),
+            1u + core::kTransientRetries);
+}
+
 TEST_F(FaultInjection, PermanentFaultNotRetried) {
   FaultInjector::instance().arm("interp", FaultInjector::Action::kThrow,
                                 std::chrono::milliseconds{0}, -1);
-  core::ScanManyOptions options;
-  options.threads = 1;
-  options.max_retries = 1;
   const std::vector<core::Application> apps{upload_app(0, false)};
   const std::vector<core::ScanReport> reports =
-      core::scan_many(core::Detector(), apps, options);
+      core::scan_many(core::Detector(), apps, 1);
   ASSERT_EQ(reports.size(), 1u);
   EXPECT_EQ(reports[0].verdict, core::Verdict::kAnalysisError);
   // No retry for permanent failures: the point fired exactly once.
@@ -326,23 +334,6 @@ TEST_F(FaultInjection, StallPastDeadlineReturnsPromptly) {
   // The stall is 2x the deadline; well under a second proves we did not
   // hang past the stall itself.
   EXPECT_LT(elapsed.count(), 1000);
-}
-
-TEST_F(FaultInjection, FleetCancellationDrainsCleanly) {
-  CancellationSource cancel;
-  cancel.cancel();  // cancelled before any scan starts
-  core::ScanManyOptions options;
-  options.threads = 4;
-  options.cancel = cancel.token();
-  const std::vector<core::Application> apps = upload_batch(10);
-  const std::vector<core::ScanReport> reports =
-      core::scan_many(core::Detector(), apps, options);
-  ASSERT_EQ(reports.size(), 10u);
-  for (const core::ScanReport& r : reports) {
-    EXPECT_EQ(r.verdict, core::Verdict::kAnalysisError);
-    ASSERT_FALSE(r.errors.empty());
-    EXPECT_NE(r.errors[0].message.find("cancelled"), std::string::npos);
-  }
 }
 
 TEST(DeadlineRobustness, PathExplosionBoundedByWallClock) {

@@ -2,14 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
-#include <cstdint>
-#include <thread>
-
 #include "core/uchecker.h"  // also verifies the umbrella header compiles
 #include "corpus/corpus.h"
-#include "support/fault_injector.h"
-#include "support/telemetry.h"
 
 namespace uchecker::core {
 namespace {
@@ -60,7 +54,6 @@ TEST(ScanMany, OptionsOverloadMatchesDefault) {
   const std::vector<Application> apps = sample_apps();
   ScanManyOptions options;
   options.threads = 4;
-  options.app_timeout = std::chrono::seconds(60);  // generous: no effect
   const std::vector<ScanReport> reports =
       scan_many(Detector(), apps, options);
   ASSERT_EQ(reports.size(), apps.size());
@@ -102,127 +95,6 @@ TEST(ScanMany, CorpusSubsetParallelStable) {
     EXPECT_EQ(a[i].verdict, b[i].verdict) << apps[i].name;
     EXPECT_EQ(a[i].paths, b[i].paths) << apps[i].name;
   }
-}
-
-// --- Retry backoff: the schedule must be exponential, jittered,
-// deterministic in (seed, app, attempt), and off by default.
-
-TEST(RetryBackoff, DisabledByDefault) {
-  const ScanManyOptions options;
-  EXPECT_EQ(retry_backoff_delay(options, "any-app", 0).count(), 0);
-  EXPECT_EQ(retry_backoff_delay(options, "any-app", 5).count(), 0);
-}
-
-TEST(RetryBackoff, DeterministicForSameInputs) {
-  ScanManyOptions options;
-  options.retry_backoff = std::chrono::milliseconds{100};
-  options.retry_jitter_seed = 42;
-  for (unsigned attempt = 0; attempt < 4; ++attempt) {
-    EXPECT_EQ(retry_backoff_delay(options, "plugin-a", attempt),
-              retry_backoff_delay(options, "plugin-a", attempt));
-  }
-}
-
-TEST(RetryBackoff, GrowsExponentiallyWithBoundedJitter) {
-  ScanManyOptions options;
-  options.retry_backoff = std::chrono::milliseconds{100};
-  options.retry_jitter_seed = 7;
-  for (unsigned attempt = 0; attempt < 5; ++attempt) {
-    const std::int64_t base = 100LL << attempt;
-    const std::int64_t delay =
-        retry_backoff_delay(options, "plugin-a", attempt).count();
-    EXPECT_GE(delay, base) << attempt;
-    EXPECT_LE(delay, base + base / 2) << attempt;
-  }
-}
-
-TEST(RetryBackoff, JitterDecorrelatesAppsAndSeeds) {
-  ScanManyOptions options;
-  options.retry_backoff = std::chrono::milliseconds{10'000};
-  options.retry_jitter_seed = 1;
-  // With a 5000ms jitter range, distinct apps/seeds colliding on every
-  // attempt is astronomically unlikely; one differing attempt suffices.
-  bool apps_differ = false;
-  bool seeds_differ = false;
-  ScanManyOptions reseeded = options;
-  reseeded.retry_jitter_seed = 2;
-  for (unsigned attempt = 0; attempt < 8; ++attempt) {
-    apps_differ |= retry_backoff_delay(options, "plugin-a", attempt) !=
-                   retry_backoff_delay(options, "plugin-b", attempt);
-    seeds_differ |= retry_backoff_delay(options, "plugin-a", attempt) !=
-                    retry_backoff_delay(reseeded, "plugin-a", attempt);
-  }
-  EXPECT_TRUE(apps_differ);
-  EXPECT_TRUE(seeds_differ);
-}
-
-TEST(RetryBackoff, CappedAtSixtySeconds) {
-  ScanManyOptions options;
-  options.retry_backoff = std::chrono::milliseconds{1000};
-  // 1000 * 2^40 would overflow naive shifting; the cap absorbs it.
-  EXPECT_EQ(retry_backoff_delay(options, "app", 40).count(), 60'000);
-  EXPECT_EQ(retry_backoff_delay(options, "app", 63).count(), 60'000);
-}
-
-TEST(RetryBackoff, TransientRetryWaitsAndRecovers) {
-  FaultInjector::instance().disarm_all();
-  FaultInjector::instance().arm("interp",
-                                FaultInjector::Action::kThrowTransient,
-                                std::chrono::milliseconds{0}, /*max_hits=*/1);
-  std::vector<Application> apps = sample_apps();
-  apps.resize(1);
-  ScanManyOptions options;
-  options.threads = 1;
-  options.max_retries = 1;
-  options.retry_backoff = std::chrono::milliseconds{30};
-  telemetry::Telemetry telemetry;
-  ScanOptions scan_options;
-  scan_options.telemetry = &telemetry;
-  const auto start = std::chrono::steady_clock::now();
-  const std::vector<ScanReport> reports =
-      scan_many(Detector(scan_options), apps, options);
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  FaultInjector::instance().disarm_all();
-
-  ASSERT_EQ(reports.size(), 1u);
-  EXPECT_TRUE(reports[0].errors.empty());
-  const std::chrono::milliseconds expected =
-      retry_backoff_delay(options, apps[0].name, 0);
-  EXPECT_GE(elapsed, expected);
-  EXPECT_EQ(telemetry.metrics().counter("fleet.app_retries").value(), 1u);
-  EXPECT_GE(telemetry.metrics().counter("fleet.retry_backoff_ms").value(),
-            static_cast<std::uint64_t>(expected.count()));
-}
-
-TEST(RetryBackoff, CancellationAbortsBackoffPromptly) {
-  FaultInjector::instance().disarm_all();
-  // Every interp attempt fails transiently, so the driver would retry
-  // into a 10s backoff — cancellation must cut that short.
-  FaultInjector::instance().arm("interp",
-                                FaultInjector::Action::kThrowTransient,
-                                std::chrono::milliseconds{0}, -1);
-  std::vector<Application> apps = sample_apps();
-  apps.resize(1);
-  CancellationSource cancel;
-  ScanManyOptions options;
-  options.threads = 1;
-  options.max_retries = 3;
-  options.retry_backoff = std::chrono::milliseconds{10'000};
-  options.cancel = cancel.token();
-
-  std::thread canceller([&cancel] {
-    std::this_thread::sleep_for(std::chrono::milliseconds{50});
-    cancel.cancel();
-  });
-  const auto start = std::chrono::steady_clock::now();
-  const std::vector<ScanReport> reports =
-      scan_many(Detector(), apps, options);
-  const auto elapsed = std::chrono::steady_clock::now() - start;
-  canceller.join();
-  FaultInjector::instance().disarm_all();
-
-  ASSERT_EQ(reports.size(), 1u);
-  EXPECT_LT(elapsed, std::chrono::seconds{5});
 }
 
 }  // namespace

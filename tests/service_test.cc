@@ -27,6 +27,7 @@
 #include <sstream>
 #include <thread>
 
+#include "core/detector/app_loader.h"
 #include "core/detector/report_io.h"
 #include "corpus/corpus.h"
 #include "service/scan_server.h"
@@ -935,7 +936,7 @@ TEST_F(ScandProcess, CorpusSweepWarmReplayAndKillRecovery) {
     ASSERT_EQ(parsed->find("status")->str(), "ok") << response;
     EXPECT_FALSE(parsed->find("cached")->boolean()) << app;
     std::string error;
-    const auto loaded = load_application(app.string(), error);
+    const auto loaded = core::load_application(app.string(), error);
     ASSERT_TRUE(loaded.has_value()) << error;
     const core::ScanReport direct = detector.scan(*loaded);
     EXPECT_EQ(parsed->find("verdict")->str(),

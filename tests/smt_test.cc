@@ -72,7 +72,7 @@ TEST(Checker, TrivialBooleans) {
 TEST(Checker, MalformedQueryIsUnknownWithoutRetry) {
   // A parse error is deterministic: Z3's message comes back in `error`
   // and the escalation loop does not try again.
-  Checker checker(100, 2);
+  Checker checker(100);
   const SolverOutcome outcome = checker.check("(assert (= undeclared 1))");
   EXPECT_EQ(outcome.result, SatResult::kUnknown);
   EXPECT_NE(outcome.error.find("unknown constant undeclared"),
@@ -110,7 +110,7 @@ TEST_F(CheckerFaults, ExceptionPathPopulatesErrorWithoutRetry) {
   FaultInjector::instance().arm("solve-attempt",
                                 FaultInjector::Action::kThrow,
                                 std::chrono::milliseconds{0}, 1);
-  Checker checker(100, 2);
+  Checker checker(100);
   const SolverOutcome outcome = checker.check("");
   EXPECT_EQ(outcome.result, SatResult::kUnknown);
   EXPECT_FALSE(outcome.error.empty());
@@ -123,7 +123,7 @@ TEST_F(CheckerFaults, TransientFailureRetriesWithEscalatedTimeouts) {
   FaultInjector::instance().arm("solve-attempt",
                                 FaultInjector::Action::kThrowTransient,
                                 std::chrono::milliseconds{0}, /*max_hits=*/1);
-  Checker checker(100, 2);
+  Checker checker(100);
   const SolverOutcome outcome = checker.check("");
   // Attempt 1 failed transiently; attempt 2 ran with a doubled timeout
   // and succeeded.
@@ -140,7 +140,7 @@ TEST_F(CheckerFaults, RetryBudgetExhaustsAtOneTwoFourTimes) {
   FaultInjector::instance().arm("solve-attempt",
                                 FaultInjector::Action::kThrowTransient,
                                 std::chrono::milliseconds{0}, -1);
-  Checker checker(100, 2);
+  Checker checker(100);
   const SolverOutcome outcome = checker.check("");
   EXPECT_EQ(outcome.result, SatResult::kUnknown);
   EXPECT_FALSE(outcome.error.empty());
@@ -156,7 +156,7 @@ TEST_F(CheckerFaults, EscalationRespectsCap) {
   FaultInjector::instance().arm("solve-attempt",
                                 FaultInjector::Action::kThrowTransient,
                                 std::chrono::milliseconds{0}, -1);
-  Checker checker(Checker::kTimeoutEscalationCap, 2);
+  Checker checker(Checker::kTimeoutEscalationCap);
   const SolverOutcome outcome = checker.check("");
   ASSERT_EQ(outcome.attempt_timeouts_ms.size(), 3u);
   for (const unsigned t : outcome.attempt_timeouts_ms) {
@@ -177,7 +177,7 @@ TEST(CheckerDeadline, ExpiredDeadlineShortCircuits) {
 }
 
 TEST(CheckerDeadline, RemainingTimeClampsAttemptTimeout) {
-  Checker checker(5000, 2);
+  Checker checker(5000);
   checker.set_deadline(Deadline::after(std::chrono::milliseconds{50}));
   const SolverOutcome outcome = checker.check("");
   EXPECT_EQ(outcome.result, SatResult::kSat);
@@ -204,7 +204,7 @@ TEST(Checker, GenuineTimeoutPopulatesError) {
   // sequence solver searches for unboundedly: x.x = y.y."a" with long
   // minimum lengths. A 20 ms budget cancels the search; the cancellation
   // must surface as a retried kUnknown with a reason, never a hang.
-  Checker checker(20, 1);
+  Checker checker(20);
   const SolverOutcome outcome = checker.check(
       "(declare-fun x () String)\n(declare-fun y () String)\n"
       "(assert (= (str.++ x x) (str.++ (str.++ y y) \"a\")))\n"

@@ -1,7 +1,7 @@
 // Tests for the pre-symbolic static pass (core/staticpass): one
 // positive + negative case per lint rule, the pruning soundness contract
 // on hand-written traps, and corpus-level acceptance properties
-// (prefilter on/off equivalence, crosscheck oracle, benign prune rate).
+// (plain/crosscheck equivalence, crosscheck oracle, benign prune rate).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -398,14 +398,17 @@ move_uploaded_file($_FILES['f']['tmp_name'], 'uploads/' . $name);
 // ---------------------------------------------------------------------------
 // Corpus-level acceptance properties.
 
-TEST(CorpusAcceptance, PrefilterOnOffVerdictsIdentical) {
-  ScanOptions off_options;
-  off_options.prefilter = false;
-  const Detector on;  // defaults: prefilter enabled
-  const Detector off(off_options);
+// Pruning never changes a result: the plain scan (pruned roots
+// skipped) and the crosscheck scan (every root executed) agree on
+// verdict, findings, witnesses, lints and the pruned-root count.
+TEST(CorpusAcceptance, PlainAndCrosscheckVerdictsIdentical) {
+  ScanOptions crosscheck_options;
+  crosscheck_options.crosscheck = true;
+  const Detector plain;
+  const Detector crosscheck(crosscheck_options);
   for (const corpus::CorpusEntry& entry : corpus::full_corpus()) {
-    const ScanReport a = on.scan(entry.app);
-    const ScanReport b = off.scan(entry.app);
+    const ScanReport a = plain.scan(entry.app);
+    const ScanReport b = crosscheck.scan(entry.app);
     SCOPED_TRACE(entry.app.name);
     EXPECT_EQ(a.verdict, b.verdict);
     ASSERT_EQ(a.findings.size(), b.findings.size());
@@ -413,7 +416,12 @@ TEST(CorpusAcceptance, PrefilterOnOffVerdictsIdentical) {
       EXPECT_EQ(a.findings[i].location, b.findings[i].location);
       EXPECT_EQ(a.findings[i].witness, b.findings[i].witness);
     }
-    EXPECT_EQ(a.lints.size(), b.lints.size());
+    ASSERT_EQ(a.lints.size(), b.lints.size());
+    for (std::size_t i = 0; i < a.lints.size(); ++i) {
+      EXPECT_EQ(a.lints[i].rule, b.lints[i].rule);
+      EXPECT_EQ(a.lints[i].location, b.lints[i].location);
+    }
+    EXPECT_EQ(a.pruned_roots, b.pruned_roots);
   }
 }
 
