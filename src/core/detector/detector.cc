@@ -60,6 +60,7 @@ FindingEvidence render_evidence(const SourceManager& sources,
     evidence.guards.push_back(std::move(rendered));
   }
   evidence.bindings = sv.attack.bindings;
+  evidence.query = sv.attack.query;
   evidence.upload_filename = sv.attack.upload_filename;
   evidence.destination = sv.attack.destination;
   evidence.destination_complete = sv.attack.destination_complete;

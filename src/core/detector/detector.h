@@ -152,6 +152,9 @@ struct FindingEvidence {
   std::vector<EvidenceHop> taint_path;  // ordered $_FILES source → sink
   std::vector<EvidenceGuard> guards;    // path constraint, program order
   std::vector<WitnessBinding> bindings; // decoded model assignments
+  // The SMT-LIB query the bindings satisfy (AttackWitness::query). In
+  // memory only: the report JSON and SARIF do not carry it.
+  std::string query;
   std::string upload_filename;          // e.g. payload.php5
   std::string destination;              // resolved destination string
   bool destination_complete = false;

@@ -359,8 +359,7 @@ VulnModelResult check_sinks(const InterpResult& interp, smt::Checker& checker,
   // never consulted before, so collect_evidence cannot change results.
   // The off path is a single branch (null-telemetry idiom).
   const auto attach_evidence =
-      [&](SinkVerdict& verdict,
-          const std::map<std::string, std::string>& bindings) {
+      [&](SinkVerdict& verdict, const SolverQueryCache::Outcome& solved) {
         if (!options.collect_evidence) return;
         if (verdict.taint_ok && verdict.sink.src != kNoLabel) {
           verdict.taint_path = extract_taint_path(
@@ -368,8 +367,9 @@ VulnModelResult check_sinks(const InterpResult& interp, smt::Checker& checker,
         }
         verdict.guards = extract_guards(interp.graph, verdict.sink.reachability);
         if (verdict.constraints == smt::SatResult::kSat) {
-          verdict.attack =
-              decode_witness(interp.graph, verdict.sink.dst, bindings, options);
+          verdict.attack = decode_witness(interp.graph, verdict.sink.dst,
+                                          solved.bindings, options);
+          verdict.attack.query = solved.query;
         }
       };
 
@@ -407,7 +407,7 @@ VulnModelResult check_sinks(const InterpResult& interp, smt::Checker& checker,
       if (events != nullptr) events->solver_query({.cache_hit = true});
       verdict.constraints = it->second.result;
       verdict.witness = it->second.witness;
-      attach_evidence(verdict, it->second.bindings);
+      attach_evidence(verdict, it->second);
       if (verdict.exploitable()) result.vulnerable = true;
       result.verdicts.push_back(std::move(verdict));
       if (result.vulnerable && options.stop_at_first_finding) break;
@@ -431,7 +431,7 @@ VulnModelResult check_sinks(const InterpResult& interp, smt::Checker& checker,
         if (events != nullptr) events->solver_query({.cache_hit = true});
         verdict.constraints = hit->result;
         verdict.witness = hit->witness;
-        attach_evidence(verdict, hit->bindings);
+        attach_evidence(verdict, *hit);
         ++result.query_cache_hits;
         memo.emplace(memo_key, *hit);
         if (verdict.exploitable()) result.vulnerable = true;
@@ -508,14 +508,15 @@ VulnModelResult check_sinks(const InterpResult& interp, smt::Checker& checker,
     const smt::SolverOutcome outcome = checker.check(query);
     ++result.solver_calls;
     result.deadline_exceeded |= outcome.deadline_exceeded;
-    SolverQueryCache::Outcome solved{outcome.result, {}, {}};
+    SolverQueryCache::Outcome solved{outcome.result, {}, {}, {}};
     if (outcome.model.has_value()) {
       solved.witness = outcome.model->to_string();
       solved.bindings = outcome.model->assignments;
+      if (options.collect_evidence) solved.query = std::move(query);
     }
     verdict.constraints = solved.result;
     verdict.witness = solved.witness;
-    attach_evidence(verdict, solved.bindings);
+    attach_evidence(verdict, solved);
     if (query_cache != nullptr && (outcome.result == smt::SatResult::kSat ||
                                    outcome.result == smt::SatResult::kUnsat)) {
       query_cache->store(cache_key, solved);

@@ -46,6 +46,10 @@ class SolverQueryCache {
     // only the witness text (symbol names are part of the cache key via
     // the s-expressions, so the bindings transfer exactly).
     std::map<std::string, std::string> bindings;
+    // The SMT-LIB query the model satisfies. Kept only by a scan that
+    // collects evidence, and not persisted (encode_outcome), so a hit
+    // replayed from disk or from a scan without evidence has none.
+    std::string query;
   };
 
   // Returns the cached outcome on a hit (counted), nullopt on a miss.
@@ -116,6 +120,11 @@ struct AttackWitness {
   // "/uploads/payload.php". Unresolved subterms render as <name>.
   std::string destination;
   bool destination_complete = false;  // no unresolved subterm remains
+  // The SMT-LIB query (domain axioms, C2 and C3) the bindings satisfy,
+  // so the witness can be checked by meaning: the query plus one
+  // equality per binding is SAT. Empty when the outcome came from a
+  // cache entry that does not carry it (SolverQueryCache::Outcome).
+  std::string query;
 };
 
 // Decodes `assignments` (a model, as rendered by smt::Model) into an

@@ -2,18 +2,28 @@
 //
 // check() takes a query as SMT-LIB text (see smtlib.h) and solves it in
 // a fresh z3::context per attempt: create the context, parse the text,
-// solve, read the model. A Checker owns no Z3 state between checks, so
-// a scan that never misses the solver caches never builds a context.
+// solve with Z3's SMT core (z3::solver::simple(), the default solver
+// without its tactic front end), read the model. A Checker owns no Z3
+// state between checks, so a scan that never misses the solver caches
+// never builds a context. The context is fresh per attempt so that a
+// model depends on the query text alone: Z3 4.8.x's sequence solver is
+// sensitive to AST creation order, and a context shared across queries
+// returns models that change with the order the queries came in.
 // Everything downstream of the detector sees only SatResult /
 // SolverOutcome values.
 //
 // Robustness: check() never lets a z3::exception escape (a query Z3
 // cannot parse comes back kUnknown with Z3's message and is not
 // retried), clamps its timeout to any attached scan Deadline, and
-// retries *retryable* unknowns (Z3 timeouts/cancellations and
-// TransientError fault injections) with escalating timeouts — 1x, 2x,
-// 4x the configured base, capped at kTimeoutEscalationCap — recording
-// every attempt in the returned SolverOutcome.
+// retries *retryable* unknowns with escalating timeouts — 1x, 2x, 4x
+// the configured base, capped at kTimeoutEscalationCap — recording
+// every attempt in the returned SolverOutcome. An unknown is retryable
+// when it is a timeout: the solve ran to its attempt's budget, or Z3
+// names a cancellation (the SMT core often reports a stopped solve as
+// "(incomplete (theory arithmetic))", so the reason alone cannot tell).
+// An unknown returned before its budget is deterministic and is not
+// retried; neither is a deadline expiry. TransientError fault
+// injections retry like timeouts.
 #pragma once
 
 #include <cstdint>

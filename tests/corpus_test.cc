@@ -11,6 +11,7 @@
 #include "corpus/corpus.h"
 #include "phpparse/parser.h"
 #include "support/profile.h"
+#include "witness_resolve.h"
 
 namespace uchecker::corpus {
 namespace {
@@ -258,6 +259,29 @@ TEST(CorpusDetection, FindingsCiteRealSourceLines) {
           << entry.app.name << " @ " << f.location;
     }
   }
+}
+
+// Every finding of `corpus_verdicts --suite all` (the golden's 20
+// witness lines) is a model of its own query: pinning each binding keeps
+// the query SAT. The golden pins the witnesses' bytes; this pins what
+// they mean, which any correct solver set-up must keep.
+TEST(CorpusDetection, EveryWitnessSatisfiesItsQuery) {
+  core::ScanOptions options;
+  options.explain = true;
+  Detector detector(options);
+  std::vector<CorpusEntry> entries = full_corpus();
+  for (CorpusEntry& entry : helper_sink_suite()) {
+    entries.push_back(std::move(entry));
+  }
+  std::size_t findings = 0;
+  for (const CorpusEntry& entry : entries) {
+    SCOPED_TRACE(entry.app.name);
+    for (const core::Finding& f : detector.scan(entry.app).findings) {
+      ++findings;
+      testing_witness::expect_witness_resolves(f);
+    }
+  }
+  EXPECT_EQ(findings, 20u);
 }
 
 // --- §IV-C comparison -----------------------------------------------------------

@@ -18,6 +18,7 @@
 #include "phpast/printer.h"
 #include "phpparse/parse_pool.h"
 #include "phpparse/parser.h"
+#include "witness_resolve.h"
 
 namespace uchecker {
 namespace {
@@ -236,6 +237,24 @@ TEST_P(FuzzPipeline, InvariantsHold) {
     EXPECT_EQ(report.findings[i].location, plain.findings[i].location);
     EXPECT_EQ(report.findings[i].sink_name, plain.findings[i].sink_name);
     EXPECT_EQ(report.findings[i].fingerprint, plain.findings[i].fingerprint);
+  }
+}
+
+// Every SAT outcome of a seed's scan is a model of its query: the query
+// plus one equality per binding stays SAT (see witness_resolve.h).
+TEST_P(FuzzPipeline, WitnessesSatisfyTheirQueries) {
+  ProgramGenerator gen(GetParam());
+  const std::string php = gen.generate();
+  SCOPED_TRACE(php);
+  Application app;
+  app.name = "fuzz";
+  app.files.push_back(AppFile{"fuzz.php", php});
+  ScanOptions options;
+  options.budget.max_paths = 4096;
+  options.budget.max_objects = 200'000;
+  options.explain = true;
+  for (const Finding& f : Detector(options).scan(app).findings) {
+    testing_witness::expect_witness_resolves(f);
   }
 }
 

@@ -200,20 +200,39 @@ TEST(CheckerDeadline, CancellationReportsCancelled) {
 }
 
 TEST(Checker, GenuineTimeoutPopulatesError) {
-  // A word equation whose unsatisfiability needs a parity argument the
-  // sequence solver searches for unboundedly: x.x = y.y."a" with long
-  // minimum lengths. A 20 ms budget cancels the search; the cancellation
-  // must surface as a retried kUnknown with a reason, never a hang.
+  // Positive cubes never sum to a cube (Fermat, n = 3), and nonlinear
+  // integer arithmetic cannot show it: every attempt runs to its budget.
+  // The solver reports such a stop as arithmetic incompleteness, not as
+  // a timeout, so this pins that an attempt which used its whole budget
+  // is retried at 1x, 2x and 4x, and that each attempt returns.
   Checker checker(20);
   const SolverOutcome outcome = checker.check(
-      "(declare-fun x () String)\n(declare-fun y () String)\n"
-      "(assert (= (str.++ x x) (str.++ (str.++ y y) \"a\")))\n"
-      "(assert (> (str.len x) 2000))\n(assert (> (str.len y) 1000))\n");
-  if (outcome.result == SatResult::kUnknown) {
-    EXPECT_FALSE(outcome.error.empty());
-    EXPECT_GE(outcome.attempts, 1u);
-    EXPECT_EQ(outcome.attempts, outcome.attempt_timeouts_ms.size());
-  }
+      "(declare-fun x () Int)\n(declare-fun y () Int)\n"
+      "(declare-fun z () Int)\n"
+      "(assert (> x 0))\n(assert (> y 0))\n(assert (> z 0))\n"
+      "(assert (= (+ (* x x x) (* y y y)) (* z z z)))\n");
+  EXPECT_EQ(outcome.result, SatResult::kUnknown);
+  EXPECT_FALSE(outcome.error.empty());
+  EXPECT_FALSE(outcome.model.has_value());
+  EXPECT_FALSE(outcome.deadline_exceeded);
+  EXPECT_EQ(outcome.attempts, 3u);
+  EXPECT_EQ(outcome.attempt_timeouts_ms, (std::vector<unsigned>{20, 40, 80}));
+  EXPECT_EQ(checker.retry_count(), 2u);
+}
+
+TEST(Checker, EarlyIncompleteUnknownIsNotRetried) {
+  // The solver gives up on 2^x = 8 at once, with the same "incomplete"
+  // reason a stopped timer gives. Returned well inside its budget, the
+  // unknown is deterministic and a larger budget would not change it.
+  Checker checker(5000);
+  const SolverOutcome outcome =
+      checker.check("(declare-fun x () Int)\n(assert (= (^ 2 x) 8))\n");
+  EXPECT_EQ(outcome.result, SatResult::kUnknown);
+  EXPECT_NE(outcome.error.find("incomplete"), std::string::npos)
+      << outcome.error;
+  EXPECT_EQ(outcome.attempts, 1u);
+  EXPECT_EQ(outcome.attempt_timeouts_ms, (std::vector<unsigned>{5000}));
+  EXPECT_EQ(checker.retry_count(), 0u);
 }
 
 TEST(Checker, IntStringConversions) {
