@@ -12,7 +12,9 @@
 #
 # With --tsan the tree is instead built with ThreadSanitizer (the "tsan"
 # preset) and the concurrency-sensitive suites run: scan_many_test
-# (parallel fleet driver, shared solver query cache),
+# (parallel fleet scans, and the shared solver query cache keyed on
+# canonical query text, which two workers scanning an app and its
+# alpha-renamed copy race to fill),
 # telemetry_test (metrics registry and trace recording under concurrent
 # scans), service_test (scand worker pool, watchdog, durable cache
 # flushes under concurrent requests, and the scand/scanctl binaries of

@@ -315,7 +315,11 @@ int main(int argc, char** argv) {
     if (report.analysis_errors > 0) {
       std::printf("note: %zu analysis diagnostic(s)\n", report.analysis_errors);
     }
-    if (report.budget_exhausted) {
+    if (report.solver_budget_exhausted) {
+      std::printf("note: solver budget exhausted (%u ms per scan); sinks "
+                  "left unchecked, results are partial\n",
+                  uchecker::smt::Checker::kScanSolverBudgetMs);
+    } else if (report.budget_exhausted) {
       std::printf("note: analysis budget exhausted; results are partial\n");
     }
     if (report.deadline_exceeded) {

@@ -507,6 +507,7 @@ void Detector::scan_impl(const Application& app, const Deadline& deadline,
     try {
       VulnModelOptions vuln_options = options_.vuln;
       vuln_options.collect_evidence = options_.explain;
+      vuln_options.crosscheck = options_.crosscheck;
       vuln = check_sinks(exec, checker, vuln_options, &query_cache());
     } catch (...) {
       report.errors.push_back(describe_current_exception("solve", cost.root));
@@ -521,6 +522,11 @@ void Detector::scan_impl(const Application& app, const Deadline& deadline,
     report.solver_calls += vuln.solver_calls;
     report.solver_cache_hits += vuln.query_cache_hits;
     report.deadline_exceeded |= vuln.deadline_exceeded;
+    if (vuln.solver_budget_exhausted) {
+      // Sinks left unchecked: a partial verdict, never "Not vulnerable".
+      report.budget_exhausted = true;
+      report.solver_budget_exhausted = true;
+    }
     if (options_.crosscheck && proven_safe && vuln.vulnerable) {
       ScanError disagreement;
       disagreement.phase = "crosscheck";
@@ -553,7 +559,13 @@ void Detector::scan_impl(const Application& app, const Deadline& deadline,
         report.findings.push_back(std::move(finding));
       }
     }
-    events->root_end(cost.root, telemetry::RootOutcome::kCompleted);
+    if (vuln.solver_budget_exhausted) {
+      events->event("solver_budget_exhausted", cost.root);
+    }
+    events->root_end(cost.root,
+                     vuln.solver_budget_exhausted
+                         ? telemetry::RootOutcome::kSolverBudgetExhausted
+                         : telemetry::RootOutcome::kCompleted);
     report.root_costs.push_back(std::move(cost));
   }
   report.solver_retries = checker.retry_count();

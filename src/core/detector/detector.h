@@ -49,7 +49,9 @@ struct ScanOptions {
   // `crosscheck` runs *both* engines on every root (nothing is skipped)
   // and reports any root the pass would prune but the symbolic engine
   // finds vulnerable as Verdict::kAnalysisDisagreement (a soundness
-  // oracle — see the contract in core/staticpass/staticpass.h).
+  // oracle — see the contract in core/staticpass/staticpass.h). It is
+  // the one "prune nothing" switch: the vulnerability model's case
+  // refuter is skipped too, so every sink query goes to Z3.
   bool lint = true;
   bool crosscheck = false;
   // Inter-procedural function summaries (core/staticpass/summaries.h):
@@ -244,6 +246,11 @@ struct ScanReport {
   std::size_t summary_pruned_roots = 0;  // prunes that needed summaries
   std::size_t escaped_calls = 0;         // UC108 sites across all roots
   bool budget_exhausted = false;
+  // The budget that ran out was the solver's per-scan one
+  // (smt::Checker::kScanSolverBudgetMs), not the path budget: some sinks
+  // went unchecked. Implies budget_exhausted, which the JSON carries;
+  // this flag itself is in memory only.
+  bool solver_budget_exhausted = false;
   bool deadline_exceeded = false;  // wall-clock limit hit; report partial
   std::size_t parse_errors = 0;
   std::size_t analysis_errors = 0;  // interpreter-phase diagnostics

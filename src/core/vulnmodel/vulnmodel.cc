@@ -334,119 +334,54 @@ VulnModelResult check_sinks(const InterpResult& interp, smt::Checker& checker,
   // ("$ext !== 'php'") would be bypassable with s_ext = "x.php", which
   // no real pathinfo() result can produce. The `_ext` symbols are fixed
   // for the whole InterpResult, so collect them once; their axiom terms
-  // are built when a sink first misses both caches, and most scans never
+  // are built when a sink first misses the memo, and most scans never
   // get that far.
   std::vector<Label> ext_symbols;
-  std::string axiom_fingerprint;
   for (const Object& obj : interp.graph.objects()) {
-    if (!is_ext_symbol(obj)) continue;
-    ext_symbols.push_back(obj.label);
-    axiom_fingerprint += obj.name;
-    axiom_fingerprint += ';';
+    if (is_ext_symbol(obj)) ext_symbols.push_back(obj.label);
   }
   smt::TermGraph terms;
   std::optional<std::vector<smt::Term>> domain_axioms;
 
+  // One sink's answer under its own symbol names. `query` (the sink's
+  // own query text) is kept only for SAT answers under collect_evidence.
+  struct Answer {
+    smt::SatResult result = smt::SatResult::kUnknown;
+    std::map<std::string, std::string> bindings;
+    std::string query;
+  };
   // Paths that share the same (dst, reachability) objects would repeat
-  // the identical solver query; memoize outcomes. The witness and model
-  // bindings ride along so a memoized duplicate carries the same
-  // evidence bundle as the sink that actually solved.
-  std::unordered_map<std::pair<Label, Label>, SolverQueryCache::Outcome,
-                     LabelPairHash>
-      memo;
+  // the identical query; memoize their answers, evidence included.
+  std::unordered_map<std::pair<Label, Label>, Answer, LabelPairHash> memo;
 
   // Provenance is additive-only: attached after the verdict is decided,
   // never consulted before, so collect_evidence cannot change results.
   // The off path is a single branch (null-telemetry idiom).
-  const auto attach_evidence =
-      [&](SinkVerdict& verdict, const SolverQueryCache::Outcome& solved) {
-        if (!options.collect_evidence) return;
-        if (verdict.taint_ok && verdict.sink.src != kNoLabel) {
-          verdict.taint_path = extract_taint_path(
-              interp.graph, verdict.sink.src, verdict.sink.loc);
-        }
-        verdict.guards = extract_guards(interp.graph, verdict.sink.reachability);
-        if (verdict.constraints == smt::SatResult::kSat) {
-          verdict.attack = decode_witness(interp.graph, verdict.sink.dst,
-                                          solved.bindings, options);
-          verdict.attack.query = solved.query;
-        }
-      };
+  const auto attach_evidence = [&](SinkVerdict& verdict, const Answer& answer) {
+    if (!options.collect_evidence) return;
+    if (verdict.taint_ok && verdict.sink.src != kNoLabel) {
+      verdict.taint_path =
+          extract_taint_path(interp.graph, verdict.sink.src, verdict.sink.loc);
+    }
+    verdict.guards = extract_guards(interp.graph, verdict.sink.reachability);
+    if (verdict.constraints == smt::SatResult::kSat) {
+      verdict.attack = decode_witness(interp.graph, verdict.sink.dst,
+                                      answer.bindings, options);
+      verdict.attack.query = answer.query;
+    }
+  };
 
   telemetry::ScanEvents* const events = checker.events();
-  for (const SinkHit& sink : interp.sinks) {
-    if (checker.deadline().expired()) {
-      // Degrade instead of hanging: unchecked sinks get no verdicts and
-      // the caller reports the scan as deadline-bounded.
-      result.deadline_exceeded = true;
-      break;
-    }
-    SinkVerdict verdict;
-    verdict.sink = sink;
-    // Attribute everything the solver does for this sink — including the
-    // warm memo/query-cache hits below — to the sink occurrence.
-    if (events != nullptr) {
-      events->sink_origin(sink.sink_name, sink.loc.file.value, sink.loc.line);
-    }
-
-    // Constraint-1: the uploaded content must come from $_FILES.
-    verdict.taint_ok =
-        sink.src != kNoLabel && interp.graph.reaches_files_taint(sink.src);
-    verdict.dst_sexpr = to_sexpr(interp.graph, sink.dst);
-    verdict.reach_sexpr = sink.reachability == kNoLabel
-                              ? "true"
-                              : to_sexpr(interp.graph, sink.reachability);
-    if (!verdict.taint_ok || sink.dst == kNoLabel) {
-      verdict.constraints = smt::SatResult::kUnsat;
-      result.verdicts.push_back(std::move(verdict));
-      continue;
-    }
-
-    const auto memo_key = std::make_pair(sink.dst, sink.reachability);
-    if (const auto it = memo.find(memo_key); it != memo.end()) {
-      if (events != nullptr) events->solver_query({.cache_hit = true});
-      verdict.constraints = it->second.result;
-      verdict.witness = it->second.witness;
-      attach_evidence(verdict, it->second);
-      if (verdict.exploitable()) result.vulnerable = true;
-      result.verdicts.push_back(std::move(verdict));
-      if (result.vulnerable && options.stop_at_first_finding) break;
-      continue;
-    }
-
-    // Cross-root cache: the axiom fingerprint plus both s-expressions
-    // pin down the full constraint set, so a hit replays the earlier
-    // root's outcome — including the witness a fresh solve would yield.
-    std::string cache_key;
-    if (query_cache != nullptr) {
-      cache_key.reserve(axiom_fingerprint.size() + verdict.dst_sexpr.size() +
-                        verdict.reach_sexpr.size() + 2);
-      cache_key += axiom_fingerprint;
-      cache_key += '\x1e';
-      cache_key += verdict.dst_sexpr;
-      cache_key += '\x1f';
-      cache_key += verdict.reach_sexpr;
-      if (const std::optional<SolverQueryCache::Outcome> hit =
-              query_cache->lookup(cache_key)) {
-        if (events != nullptr) events->solver_query({.cache_hit = true});
-        verdict.constraints = hit->result;
-        verdict.witness = hit->witness;
-        attach_evidence(verdict, *hit);
-        ++result.query_cache_hits;
-        memo.emplace(memo_key, *hit);
-        if (verdict.exploitable()) result.vulnerable = true;
-        const bool stop =
-            verdict.exploitable() && options.stop_at_first_finding;
-        result.verdicts.push_back(std::move(verdict));
-        if (stop) break;
-        continue;
-      }
-    }
-
-    // Translation gets its own phase span (per sink) so the fleet's
-    // per-phase breakdown separates query printing from Z3 search.
-    std::string query;
+  // Answers a sink that missed the memo: translation, then the case
+  // refuter, the cross-root cache and Z3, in that order.
+  const auto answer_sink = [&](const SinkHit& sink) {
+    std::vector<smt::Term> constraints;
+    std::optional<smt::Term> ext_sym;  // C2 in equality form over it...
+    std::vector<std::string> c2_exts;  // ...with these extensions
+    smt::Query query;
     {
+      // Translation gets its own phase span (per sink) so the fleet's
+      // per-phase breakdown separates query printing from Z3 search.
       const telemetry::PhaseScope translate_span(events, "translate",
                                                  sink.sink_name);
       if (!domain_axioms.has_value()) {
@@ -463,7 +398,7 @@ VulnModelResult check_sinks(const InterpResult& interp, smt::Checker& checker,
         }
         domain_axioms = std::move(axioms);
       }
-      std::vector<smt::Term> constraints = *domain_axioms;
+      constraints = *domain_axioms;
       Translator trl(terms, interp.graph);
       // Constraint-2: (or (str.suffixof ".php" dst) (str.suffixof ".php5" dst)).
       // When dst structurally ends in the pre-structured "." . s_ext, use
@@ -473,7 +408,7 @@ VulnModelResult check_sinks(const InterpResult& interp, smt::Checker& checker,
       if (const Label trailing = trailing_extension_symbol(
               interp.graph, sink.dst, &excluded_searches);
           trailing != kNoLabel) {
-        const smt::Term ext_sym = trl.translate(trailing, Type::kString);
+        ext_sym = trl.translate(trailing, Type::kString);
         for (const std::string& ext : options.executable_extensions) {
           const std::string tail = "." + ext;
           const bool clobbered = std::any_of(
@@ -482,10 +417,11 @@ VulnModelResult check_sinks(const InterpResult& interp, smt::Checker& checker,
                 return tail.find(s) != std::string::npos;
               });
           if (clobbered) continue;  // ".X" cannot survive the str_replace
+          c2_exts.push_back(ext);
           ext_constraint = terms.app(
               smt::Op::kOr,
               {ext_constraint,
-               terms.app(smt::Op::kEq, {ext_sym, terms.string_val(ext)})});
+               terms.app(smt::Op::kEq, {*ext_sym, terms.string_val(ext)})});
         }
       } else {
         const smt::Term dst = trl.translate(sink.dst, Type::kString);
@@ -505,23 +441,93 @@ VulnModelResult check_sinks(const InterpResult& interp, smt::Checker& checker,
       query = terms.query(constraints);
     }
 
-    const smt::SolverOutcome outcome = checker.check(query);
-    ++result.solver_calls;
-    result.deadline_exceeded |= outcome.deadline_exceeded;
-    SolverQueryCache::Outcome solved{outcome.result, {}, {}, {}};
-    if (outcome.model.has_value()) {
-      solved.witness = outcome.model->to_string();
-      solved.bindings = outcome.model->assignments;
-      if (options.collect_evidence) solved.query = std::move(query);
+    Answer answer;
+    // Case refutation: every model binds ext to one of c2_exts, so the
+    // query is UNSAT when each of them makes some assertion false.
+    const bool refuted =
+        ext_sym.has_value() && !options.crosscheck &&
+        std::all_of(c2_exts.begin(), c2_exts.end(),
+                    [&](const std::string& ext) {
+                      return terms.evaluate(constraints, *ext_sym, ext) ==
+                             smt::Truth::kFalse;
+                    });
+    std::optional<SolverQueryCache::Outcome> hit;
+    if (refuted) {
+      if (events != nullptr) events->solver_query({.cache_hit = true});
+      answer.result = smt::SatResult::kUnsat;
+    } else if (query_cache != nullptr &&
+               (hit = query_cache->lookup(query.text)).has_value()) {
+      if (events != nullptr) events->solver_query({.cache_hit = true});
+      ++result.query_cache_hits;
+      answer.result = hit->result;
+      answer.bindings = query.own_names(hit->bindings);
+    } else {
+      const smt::SolverOutcome outcome = checker.check(query.text);
+      ++result.solver_calls;
+      result.deadline_exceeded |= outcome.deadline_exceeded;
+      result.solver_budget_exhausted |= outcome.budget_exhausted;
+      answer.result = outcome.result;
+      if (outcome.model.has_value()) {
+        answer.bindings = query.own_names(outcome.model->assignments);
+      }
+      if (query_cache != nullptr &&
+          outcome.result != smt::SatResult::kUnknown) {
+        query_cache->store(
+            query.text,
+            {outcome.result, outcome.model.value_or(smt::Model{}).assignments});
+      }
     }
-    verdict.constraints = solved.result;
-    verdict.witness = solved.witness;
-    attach_evidence(verdict, solved);
-    if (query_cache != nullptr && (outcome.result == smt::SatResult::kSat ||
-                                   outcome.result == smt::SatResult::kUnsat)) {
-      query_cache->store(cache_key, solved);
+    if (options.collect_evidence && answer.result == smt::SatResult::kSat) {
+      answer.query = terms.named_query(constraints);
     }
-    memo.emplace(memo_key, std::move(solved));
+    return answer;
+  };
+
+  for (const SinkHit& sink : interp.sinks) {
+    if (checker.deadline().expired()) {
+      // Degrade instead of hanging: unchecked sinks get no verdicts and
+      // the caller reports the scan as deadline-bounded.
+      result.deadline_exceeded = true;
+      break;
+    }
+    if (checker.budget_exhausted()) {
+      // Likewise when the scan's solver budget is spent: the caller
+      // labels the verdict partial, never "Not vulnerable".
+      result.solver_budget_exhausted = true;
+      break;
+    }
+    SinkVerdict verdict;
+    verdict.sink = sink;
+    // Attribute everything the solver does for this sink — including the
+    // answers below that need no Z3 call — to the sink occurrence.
+    if (events != nullptr) {
+      events->sink_origin(sink.sink_name, sink.loc.file.value, sink.loc.line);
+    }
+
+    // Constraint-1: the uploaded content must come from $_FILES.
+    verdict.taint_ok =
+        sink.src != kNoLabel && interp.graph.reaches_files_taint(sink.src);
+    verdict.dst_sexpr = to_sexpr(interp.graph, sink.dst);
+    verdict.reach_sexpr = sink.reachability == kNoLabel
+                              ? "true"
+                              : to_sexpr(interp.graph, sink.reachability);
+    if (!verdict.taint_ok || sink.dst == kNoLabel) {
+      verdict.constraints = smt::SatResult::kUnsat;
+      result.verdicts.push_back(std::move(verdict));
+      continue;
+    }
+
+    const auto memo_key = std::make_pair(sink.dst, sink.reachability);
+    auto it = memo.find(memo_key);
+    if (it != memo.end()) {
+      if (events != nullptr) events->solver_query({.cache_hit = true});
+    } else {
+      it = memo.emplace(memo_key, answer_sink(sink)).first;
+    }
+
+    verdict.constraints = it->second.result;
+    verdict.witness = smt::Model{it->second.bindings}.to_string();
+    attach_evidence(verdict, it->second);
     if (verdict.exploitable()) result.vulnerable = true;
     const bool stop = verdict.exploitable() && options.stop_at_first_finding;
     result.verdicts.push_back(std::move(verdict));
@@ -533,8 +539,7 @@ VulnModelResult check_sinks(const InterpResult& interp, smt::Checker& checker,
 std::string encode_outcome(const SolverQueryCache::Outcome& o) {
   std::string out = "{\"result\": \"";
   out += sat_result_name(o.result);
-  out += "\", \"witness\": " + strutil::quote(o.witness);
-  out += ", \"bindings\": {";
+  out += "\", \"bindings\": {";
   bool first = true;
   for (const auto& [symbol, raw] : o.bindings) {
     if (!first) out += ", ";
@@ -549,10 +554,9 @@ std::optional<SolverQueryCache::Outcome> decode_outcome(std::string_view json) {
   const std::optional<jsonlite::Value> doc = jsonlite::parse(json);
   if (!doc.has_value() || !doc->is_object()) return std::nullopt;
   const jsonlite::Value* result = doc->find("result");
-  const jsonlite::Value* witness = doc->find("witness");
   const jsonlite::Value* bindings = doc->find("bindings");
-  if (result == nullptr || !result->is_string() || witness == nullptr ||
-      !witness->is_string() || bindings == nullptr || !bindings->is_object()) {
+  if (result == nullptr || !result->is_string() || bindings == nullptr ||
+      !bindings->is_object()) {
     return std::nullopt;
   }
   SolverQueryCache::Outcome o;
@@ -565,7 +569,6 @@ std::optional<SolverQueryCache::Outcome> decode_outcome(std::string_view json) {
     // means the record is not one of ours.
     return std::nullopt;
   }
-  o.witness = witness->str();
   for (const auto& [symbol, raw] : bindings->members()) {
     if (!raw.is_string()) return std::nullopt;
     o.bindings[symbol] = raw.str();

@@ -27,29 +27,23 @@ namespace uchecker::core {
 
 // Solver query cache, shared by every scan of one detector. Different
 // analysis roots — and, fleet-wide, different applications built from
-// the same plugin boilerplate — frequently reach byte-identical sink
-// constraints; keying by the canonical s-expressions of (dst,
-// reachability) — prefixed by the graph's `_ext` domain-axiom
-// fingerprint, so a hit implies the *whole* constraint set is textually
-// identical — lets later queries reuse the earlier verdict and witness
-// without calling Z3. Only definitive kSat/kUnsat outcomes are stored;
-// kUnknown (timeouts, queries Z3 rejects) is always re-attempted.
+// the same plugin boilerplate — frequently reach sink constraints that
+// are equal up to the names of their symbols. The key is the query's
+// canonical SMT-LIB text (smt::TermGraph::query: constants c0, c1, ...
+// in declaration order, lets numbered in print order), which holds the
+// domain axioms, C2 and C3 whole, so a hit is the answer Z3 gives that
+// very text, and its model maps back to the asking sink's own names.
+// Only Z3's definitive kSat/kUnsat outcomes are stored; kUnknown
+// (timeouts, queries Z3 rejects) is always re-attempted, and a case
+// refutation (check_sinks) is never stored.
 // Thread-safe: parallel fleet drivers share one detector across workers.
 class SolverQueryCache {
  public:
   struct Outcome {
     smt::SatResult result = smt::SatResult::kUnknown;
-    std::string witness;
-    // The structured Z3 model the witness text was rendered from.
-    // Cached so a hit can replay the *whole* evidence bundle — witness
-    // decoding re-runs against the current root's graph — rather than
-    // only the witness text (symbol names are part of the cache key via
-    // the s-expressions, so the bindings transfer exactly).
+    // The Z3 model of a SAT answer, under the canonical names c<i> of
+    // the key (smt::Query::own_names renames it for the asking sink).
     std::map<std::string, std::string> bindings;
-    // The SMT-LIB query the model satisfies. Kept only by a scan that
-    // collects evidence, and not persisted (encode_outcome), so a hit
-    // replayed from disk or from a scan without evidence has none.
-    std::string query;
   };
 
   // Returns the cached outcome on a hit (counted), nullopt on a miss.
@@ -97,6 +91,9 @@ struct VulnModelOptions {
   // Off (the default) keeps check_sinks on its zero-overhead path —
   // verdicts are byte-identical either way, evidence is purely additive.
   bool collect_evidence = false;
+  // ScanOptions::crosscheck, carried down: prune nothing, so every
+  // query goes to Z3 (or its cache) and the case refuter is skipped.
+  bool crosscheck = false;
 };
 
 // One model assignment, decoded for human consumption.
@@ -121,15 +118,16 @@ struct AttackWitness {
   std::string destination;
   bool destination_complete = false;  // no unresolved subterm remains
   // The SMT-LIB query (domain axioms, C2 and C3) the bindings satisfy,
-  // so the witness can be checked by meaning: the query plus one
-  // equality per binding is SAT. Empty when the outcome came from a
-  // cache entry that does not carry it (SolverQueryCache::Outcome).
+  // under the sink's own symbol names, so the witness can be checked by
+  // meaning: the query plus one equality per binding is SAT.
   std::string query;
 };
 
 // Decodes `assignments` (a model, as rendered by smt::Model) into an
-// AttackWitness for the sink destination `dst`. Pure; safe to replay on
-// SolverQueryCache hits because symbol names are pinned by the cache key.
+// AttackWitness for the sink destination `dst`. Pure. On a
+// SolverQueryCache hit it gets the cached model renamed to the sink's
+// own symbols (smt::Query::own_names), so it decodes against this
+// sink's graph exactly as a fresh solve would.
 [[nodiscard]] AttackWitness decode_witness(
     const HeapGraph& graph, Label dst,
     const std::map<std::string, std::string>& assignments,
@@ -163,17 +161,27 @@ struct VulnModelResult {
   // The checker's scan deadline expired mid-check; remaining sinks were
   // skipped and the surviving verdicts are partial.
   bool deadline_exceeded = false;
+  // The checker's per-scan solver budget ran out
+  // (smt::Checker::kScanSolverBudgetMs); remaining sinks were skipped
+  // and the surviving verdicts are partial.
+  bool solver_budget_exhausted = false;
 };
 
 // Checks every sink hit recorded by the interpreter. A sink that misses
-// both the per-call memo and `query_cache` is translated to an SMT-LIB
-// query and solved by `checker`; a fresh Translator is built per sink so
-// per-path symbol memos do not leak across unrelated checks (objects
-// shared across paths still translate identically within one sink's
-// check).
-// `query_cache`, when non-null, memoizes definitive solver outcomes
-// across check_sinks calls (the detector owns one cache for all of its
-// scans; see SolverQueryCache).
+// the per-call memo is translated to a canonical SMT-LIB query (a fresh
+// Translator per sink, so per-path symbol memos do not leak across
+// unrelated checks) and answered by the first of:
+//   1. the case refuter, when C2 takes the equality form over the
+//      extension symbol ext (C2 = ext ∈ E): every model binds ext to
+//      some e ∈ E, so if for each e some assertion evaluates false
+//      under ext := e (Kleene logic, smt::TermGraph::evaluate), the
+//      query has no model and is UNSAT. Unknown symbols and operators
+//      evaluate to unknown, so this only ever answers UNSAT, and only
+//      soundly. Skipped under VulnModelOptions::crosscheck;
+//   2. `query_cache`, when non-null: definitive Z3 outcomes across
+//      check_sinks calls (the detector owns one cache for all of its
+//      scans; see SolverQueryCache);
+//   3. `checker`, which solves the canonical text on Z3.
 [[nodiscard]] VulnModelResult check_sinks(const InterpResult& interp,
                                           smt::Checker& checker,
                                           const VulnModelOptions& options = {},

@@ -17,9 +17,13 @@ namespace {
 namespace fs = std::filesystem;
 
 // Store schemas carry the engine version: upgrading the engine
-// cold-starts both caches instead of replaying stale analysis.
-std::string schema_for(std::string_view store_name) {
-  return std::string(store_name) + "/1 " + std::string(core::kEngineVersion);
+// cold-starts both caches instead of replaying stale analysis. Each
+// store also names its own record format: the solver store is at /2
+// since its keys became canonical query text and its bindings canonical
+// names (core::SolverQueryCache), so a /1 store of s-expression keys
+// cold-starts.
+std::string schema_for(std::string_view store_format) {
+  return std::string(store_format) + " " + std::string(core::kEngineVersion);
 }
 
 core::ScanReport service_error_report(std::string app_name,
@@ -106,10 +110,11 @@ bool ScanService::start() {
     std::error_code ec;
     fs::create_directories(options_.state_dir, ec);  // failure -> open fails
     const std::string dir = options_.state_dir + "/";
-    verdict_store_.open(dir + "verdicts.kv", schema_for("uchecker-verdicts"));
-    solver_store_.open(dir + "solver.kv", schema_for("uchecker-solver"));
+    verdict_store_.open(dir + "verdicts.kv",
+                        schema_for("uchecker-verdicts/1"));
+    solver_store_.open(dir + "solver.kv", schema_for("uchecker-solver/2"));
     quarantine_store_.open(dir + "quarantine.kv",
-                           schema_for("uchecker-quarantine"));
+                           schema_for("uchecker-quarantine/1"));
 
     // Replay persisted solver outcomes into the shared in-memory cache.
     // A value that passes the record checksum but no longer decodes is

@@ -23,6 +23,16 @@
 // a `let` exactly when it occurs more than once in its assertion,
 // bound in post-order, so term order is fixed by the printed text
 // alone.
+//
+// Canonical form: query() renames the constants c0, c1, ... in
+// declaration order (one name per distinct symbol, whatever its sort)
+// and numbers the `let`s of each assertion in print order, so the text
+// depends only on the query's shape. Two queries that are equal up to
+// a renaming of their symbols print byte-identical text, whatever else
+// the graph holds; anything else that differs (a literal, a sort, an
+// operator, which occurrences share one symbol) still shows in the
+// text. The solver query cache keys on that text, and Query::own_names
+// maps a model of it back to the query's own symbols.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +40,7 @@
 #include <map>
 #include <string>
 #include <string_view>
-#include <unordered_set>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -65,6 +75,21 @@ struct Term {
   std::uint32_t id = 0;
 };
 
+// A query in canonical form (see above) and the names it renamed.
+struct Query {
+  std::string text;
+  // symbols[i] is the symbol the text declares as c<i>.
+  std::vector<std::string> symbols;
+
+  // A model of `text` under the query's own names: a binding of c<i>
+  // becomes a binding of symbols[i]; any other name stays.
+  [[nodiscard]] std::map<std::string, std::string> own_names(
+      const std::map<std::string, std::string>& assignments) const;
+};
+
+// A three-valued (Kleene) truth value.
+enum class Truth : std::uint8_t { kFalse, kTrue, kUnknown };
+
 class TermGraph {
  public:
   [[nodiscard]] Term bool_val(bool b);
@@ -77,12 +102,29 @@ class TermGraph {
 
   [[nodiscard]] Sort sort(Term t) const { return nodes_[t.id].sort; }
 
-  // One term as SMT-LIB text, with `let`s for its repeated subterms.
+  // One term as SMT-LIB text under its own symbol names, with `let`s
+  // for its repeated subterms.
   [[nodiscard]] std::string print(Term t) const;
 
-  // A complete query: the declarations of every constant the assertions
-  // mention, then one (assert ...) per assertion, in order.
-  [[nodiscard]] std::string query(const std::vector<Term>& assertions) const;
+  // A complete query in canonical form: the declarations of every
+  // constant the assertions mention, then one (assert ...) per
+  // assertion, in order.
+  [[nodiscard]] Query query(const std::vector<Term>& assertions) const;
+
+  // The same query under the symbols' own names, for a reader.
+  [[nodiscard]] std::string named_query(
+      const std::vector<Term>& assertions) const;
+
+  // The Kleene value of the conjunction of `assertions` when the String
+  // term `pinned` has the value `bytes` and every other constant is
+  // unknown. Each operator is exact on known operands: `and` is false
+  // when one conjunct is, `or` true when one disjunct is, and `ite`
+  // takes the branch its known condition picks. A constant other than
+  // `pinned`, an operator the evaluator does not implement, and integer
+  // overflow give kUnknown, so kFalse means the conjunction is false
+  // for every value of the other constants.
+  [[nodiscard]] Truth evaluate(const std::vector<Term>& assertions,
+                               Term pinned, std::string_view bytes) const;
 
  private:
   enum class Kind : std::uint8_t { kLiteral, kConstant, kApp };
@@ -90,13 +132,19 @@ class TermGraph {
     Kind kind = Kind::kLiteral;
     Sort sort = Sort::kBool;
     Op op = Op::kNot;        // kApp only
-    std::string text;        // printed literal or symbol
+    std::string text;        // printed literal, or the symbol's own name
     std::vector<Term> args;  // kApp only
   };
+  // Constant node id -> canonical index c<i>; empty prints own names.
+  using Renaming = std::unordered_map<std::uint32_t, std::uint32_t>;
 
   Term add(Node node);
-  void print_node(Term t, const std::unordered_set<std::uint32_t>& bound,
+  void print_term(Term t, const Renaming& renaming, std::string& out) const;
+  void print_node(Term t, const Renaming& renaming,
+                  const std::unordered_map<std::uint32_t, std::uint32_t>& lets,
                   std::string& out) const;
+  std::string write_query(const std::vector<Term>& assertions,
+                          std::vector<std::string>* symbols) const;
 
   std::vector<Node> nodes_;
   std::map<std::pair<std::string, Sort>, Term> constants_;

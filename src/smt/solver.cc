@@ -92,14 +92,30 @@ SolverOutcome Checker::check(const std::string& query) {
       if (outcome.attempts == 0) outcome.attempts = 1;
       break;
     }
-    // Never solve past the scan deadline: clamp this attempt's budget to
-    // the remaining wall-clock time.
-    const unsigned effective = static_cast<unsigned>(std::max<std::uint64_t>(
-        1, std::min<std::uint64_t>(timeout, deadline_.remaining_ms(timeout))));
+    const auto spent_ms = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::milliseconds>(spent_).count());
+    const std::uint64_t left_ms =
+        spent_ms < kScanSolverBudgetMs ? kScanSolverBudgetMs - spent_ms : 0;
+    if (budget_exhausted_ || left_ms == 0) {
+      budget_exhausted_ = true;
+      outcome.result = SatResult::kUnknown;
+      outcome.budget_exhausted = true;
+      outcome.error = "scan solver budget exhausted";
+      if (outcome.attempts == 0) outcome.attempts = 1;
+      break;
+    }
+    // Never solve past the scan deadline or the scan's solver budget:
+    // clamp this attempt's budget to the time left of both.
+    const std::uint64_t allowed =
+        std::min<std::uint64_t>(timeout, deadline_.remaining_ms(timeout));
+    const bool clamped_by_budget = left_ms < allowed;
+    const unsigned effective = static_cast<unsigned>(
+        std::max<std::uint64_t>(1, std::min(allowed, left_ms)));
     outcome.attempts = attempt + 1;
     outcome.attempt_timeouts_ms.push_back(effective);
     outcome.error.clear();
     outcome.model.reset();
+    const auto attempt_start = std::chrono::steady_clock::now();
     bool retryable = false;
     try {
       // Per-attempt fault point, *inside* containment: an armed throw
@@ -155,7 +171,14 @@ SolverOutcome Checker::check(const std::string& query) {
       outcome.result = SatResult::kUnknown;
       outcome.error = e.msg();
     }
+    spent_ += std::chrono::steady_clock::now() - attempt_start;
     if (outcome.result != SatResult::kUnknown || !retryable) break;
+    if (clamped_by_budget) {
+      // It ran out of what was left of the budget: nothing to escalate.
+      budget_exhausted_ = true;
+      outcome.budget_exhausted = true;
+      break;
+    }
     if (attempt < kRetries) {
       ++retry_count_;
       timeout = std::min(timeout * 2, kTimeoutEscalationCap);

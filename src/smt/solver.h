@@ -8,8 +8,11 @@
 // never builds a context. The context is fresh per attempt so that a
 // model depends on the query text alone: Z3 4.8.x's sequence solver is
 // sensitive to AST creation order, and a context shared across queries
-// returns models that change with the order the queries came in.
-// Everything downstream of the detector sees only SatResult /
+// returns models that change with the order the queries came in. The
+// vulnerability model hands it canonical text (smtlib.h: constants
+// c0, c1, ... in declaration order), so a model depends on the query's
+// shape alone, and one answer serves every query equal to it up to
+// renaming. Everything downstream of the detector sees only SatResult /
 // SolverOutcome values.
 //
 // Robustness: check() never lets a z3::exception escape (a query Z3
@@ -24,8 +27,16 @@
 // An unknown returned before its budget is deterministic and is not
 // retried; neither is a deadline expiry. TransientError fault
 // injections retry like timeouts.
+//
+// A Checker lives for one scan, and all of its attempts together get
+// kScanSolverBudgetMs of wall time: each attempt is also clamped to what
+// is left of it. Once it is spent (or an attempt it clamped runs out),
+// check() answers kUnknown with budget_exhausted set and calls no Z3,
+// so hard queries cost a scan at most that much, not 5 + 10 + 20 s
+// each.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -67,6 +78,9 @@ struct SolverOutcome {
   // True when the scan deadline expired (or the scan was cancelled)
   // before or during solving; such outcomes are never retried.
   bool deadline_exceeded = false;
+  // True when the scan's solver budget ran out before or during this
+  // check (see Checker::kScanSolverBudgetMs); never retried.
+  bool budget_exhausted = false;
 };
 
 // Solves SMT-LIB queries with retry, deadline and telemetry handling.
@@ -74,8 +88,11 @@ struct SolverOutcome {
 // thread.
 class Checker {
  public:
-  // Escalated per-attempt timeouts never exceed this.
-  static constexpr unsigned kTimeoutEscalationCap = 60'000;
+  // Escalated per-attempt timeouts never exceed this: the last rung of
+  // the default 5 s ladder.
+  static constexpr unsigned kTimeoutEscalationCap = 20'000;
+  // Wall time all attempts of one Checker (one scan) may spend together.
+  static constexpr unsigned kScanSolverBudgetMs = 30'000;
   // Retries of a retryable unknown, each with a doubled timeout.
   static constexpr unsigned kRetries = 2;
 
@@ -107,9 +124,15 @@ class Checker {
   // Total retry attempts (beyond each check's first) across all checks.
   [[nodiscard]] std::uint64_t retry_count() const { return retry_count_; }
 
+  // The per-scan solver budget is spent: check() will not call Z3.
+  [[nodiscard]] bool budget_exhausted() const { return budget_exhausted_; }
+
  private:
   unsigned timeout_ms_;
   Deadline deadline_;
+  // Wall time spent in attempts so far, against kScanSolverBudgetMs.
+  std::chrono::steady_clock::duration spent_{};
+  bool budget_exhausted_ = false;
   telemetry::ScanEvents* events_ = nullptr;
   std::uint64_t check_count_ = 0;
   std::uint64_t retry_count_ = 0;

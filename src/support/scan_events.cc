@@ -38,6 +38,9 @@ void ScanEvents::root_end(std::string_view root, RootOutcome outcome) {
   if (outcome == RootOutcome::kBudgetExhausted) reason = "budget_exhausted";
   if (outcome == RootOutcome::kDeadlineExceeded) reason = "deadline_exceeded";
   if (outcome == RootOutcome::kAnalysisError) reason = "analysis_error";
+  if (outcome == RootOutcome::kSolverBudgetExhausted) {
+    reason = "solver_budget_exhausted";
+  }
   if (profiler_) profiler_->end_root(!reason.empty(), reason);
   phase_end("root", root_);
 }

@@ -36,6 +36,9 @@ enum class RootOutcome : std::uint8_t {
   kDeadlineExceeded,
   kAnalysisError,
   kPruned,
+  // Symbolic execution finished, but the scan's solver budget ran out
+  // before every sink of the root was checked.
+  kSolverBudgetExhausted,
 };
 
 // One smt::Checker::check call, or a sink answered without one.
@@ -45,8 +48,9 @@ struct SolverQuery {
   unsigned escalations = 0;  // retries with a doubled timeout
   bool deadline_exceeded = false;
   std::string_view result{};  // "sat" | "unsat" | "unknown"
-  // Answered by the per-call memo or the SolverQueryCache: no Z3 call
-  // ran, so only the profiler (which counts hits per origin) sees it.
+  // Answered without a Z3 call (the per-call memo, the SolverQueryCache
+  // or the case refuter), so only the profiler (which counts hits per
+  // origin) sees it.
   bool cache_hit = false;
 };
 

@@ -10,6 +10,7 @@
 #include "core/detector/detector.h"
 #include "corpus/corpus.h"
 #include "phpparse/parser.h"
+#include "alpha_pair.h"
 #include "support/profile.h"
 #include "witness_resolve.h"
 
@@ -282,6 +283,36 @@ TEST(CorpusDetection, EveryWitnessSatisfiesItsQuery) {
     }
   }
   EXPECT_EQ(findings, 20u);
+}
+
+// One solve answers every query equal to it up to renaming: the
+// renamed copy of an upload makes no Z3 call, and its witness and its
+// query are in its own names, and resolve against each other.
+TEST(CorpusDetection, AlphaRenamedCopyReusesTheSolveInItsOwnNames) {
+  core::ScanOptions options;
+  options.explain = true;
+  const Detector detector(options);
+  const ScanReport first = detector.scan(testing_alpha::original_app());
+  ASSERT_EQ(first.verdict, Verdict::kVulnerable);
+  EXPECT_EQ(first.solver_calls, 1u);
+  ASSERT_EQ(first.findings.size(), 1u);
+
+  const ScanReport copy = detector.scan(testing_alpha::renamed_app());
+  ASSERT_EQ(copy.verdict, Verdict::kVulnerable);
+  EXPECT_EQ(copy.solver_calls, 0u);
+  EXPECT_EQ(copy.solver_cache_hits, 1u);
+  ASSERT_EQ(copy.findings.size(), 1u);
+  const core::Finding& f = copy.findings[0];
+  EXPECT_NE(f.witness.find("s_files_photo_ext = "), std::string::npos)
+      << f.witness;
+  EXPECT_EQ(f.witness.find("avatar"), std::string::npos) << f.witness;
+  // The evidence carries the copy's own query, not the cached one.
+  EXPECT_NE(f.evidence.query.find("s_files_photo_ext"), std::string::npos)
+      << f.evidence.query;
+  EXPECT_EQ(f.evidence.query.find("avatar"), std::string::npos);
+  EXPECT_EQ(f.evidence.query.find("(declare-fun c0 "), std::string::npos);
+  testing_witness::expect_witness_resolves(f);
+  testing_witness::expect_witness_resolves(first.findings[0]);
 }
 
 // --- §IV-C comparison -----------------------------------------------------------

@@ -259,7 +259,7 @@ void expect_translation_matches(const std::string& php,
   const smt::Term disagreement =
       terms.app(smt::Op::kDistinct, {translated, concrete});
   smt::Checker checker;
-  EXPECT_EQ(checker.check(terms.query({disagreement})).result,
+  EXPECT_EQ(checker.check(terms.query({disagreement}).text).result,
             smt::SatResult::kUnsat)
       << php << "\n  object: " << to_sexpr(result.graph, label)
       << "\n  folded: " << folded->as_string();

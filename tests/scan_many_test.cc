@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "alpha_pair.h"
 #include "core/uchecker.h"  // also verifies the umbrella header compiles
 #include "corpus/corpus.h"
 
@@ -95,6 +96,30 @@ TEST(ScanMany, CorpusSubsetParallelStable) {
     EXPECT_EQ(a[i].verdict, b[i].verdict) << apps[i].name;
     EXPECT_EQ(a[i].paths, b[i].paths) << apps[i].name;
   }
+}
+
+// Two workers scan an upload and its alpha-renamed copy through one
+// detector's canonical solver cache. Whichever worker solves first,
+// the pair costs two answers between Z3 and the cache, and each
+// witness comes back in its own app's names.
+TEST(ScanMany, AlphaRenamedPairSharesOneCanonicalCache) {
+  const std::vector<Application> apps = {testing_alpha::original_app(),
+                                         testing_alpha::renamed_app()};
+  const Detector detector;
+  const std::vector<ScanReport> reports = scan_many(detector, apps, 2);
+  ASSERT_EQ(reports.size(), 2u);
+  std::size_t answers = 0;
+  for (const ScanReport& report : reports) {
+    answers += report.solver_calls + report.solver_cache_hits;
+    ASSERT_EQ(report.verdict, Verdict::kVulnerable) << report.app_name;
+    ASSERT_EQ(report.findings.size(), 1u) << report.app_name;
+  }
+  EXPECT_EQ(answers, 2u);
+  EXPECT_EQ(detector.query_cache().size(), 1u);
+  EXPECT_NE(reports[0].findings[0].witness.find("s_files_avatar_ext = "),
+            std::string::npos);
+  EXPECT_NE(reports[1].findings[0].witness.find("s_files_photo_ext = "),
+            std::string::npos);
 }
 
 }  // namespace

@@ -27,6 +27,7 @@
 #include <sstream>
 #include <thread>
 
+#include "alpha_pair.h"
 #include "core/detector/app_loader.h"
 #include "core/detector/report_io.h"
 #include "corpus/corpus.h"
@@ -210,6 +211,56 @@ TEST_F(ServiceTest, SolverOutcomesSurviveRestart) {
     EXPECT_EQ(report->report.verdict, core::Verdict::kVulnerable);
     service.stop();
   }
+}
+
+// The durable solver store keys on canonical query text: after a
+// restart, an alpha-renamed copy of an app scanned before is answered
+// from disk with no Z3 call, and its witness is in its own names.
+TEST_F(ServiceTest, RenamedCopyIsAnsweredFromDiskInItsOwnNames) {
+  {
+    ScanService service(base_options());
+    ASSERT_TRUE(service.start());
+    const auto first = service.scan(testing_alpha::original_app());
+    ASSERT_TRUE(first.has_value());
+    EXPECT_EQ(first->report.solver_calls, 1u);
+    service.stop();
+  }
+  ScanService service(base_options());
+  ASSERT_TRUE(service.start());
+  EXPECT_FALSE(service.solver_store_stats().cold_start);
+  const auto copy = service.scan(testing_alpha::renamed_app());
+  ASSERT_TRUE(copy.has_value());
+  EXPECT_FALSE(copy->from_cache);
+  EXPECT_EQ(copy->report.verdict, core::Verdict::kVulnerable);
+  EXPECT_EQ(copy->report.solver_calls, 0u);
+  EXPECT_EQ(copy->report.solver_cache_hits, 1u);
+  ASSERT_EQ(copy->report.findings.size(), 1u);
+  const std::string& witness = copy->report.findings[0].witness;
+  EXPECT_NE(witness.find("s_files_photo_ext = "), std::string::npos)
+      << witness;
+  EXPECT_EQ(witness.find("avatar"), std::string::npos) << witness;
+  service.stop();
+}
+
+// A solver store written in the /1 format (s-expression keys) is not
+// replayed: the store cold-starts and its records are dropped.
+TEST_F(ServiceTest, SolverStoreOfTheOldFormatColdStarts) {
+  fs::create_directories(state_dir());
+  {
+    store::KvStore old_store;
+    ASSERT_TRUE(old_store.open(
+        state_dir() + "/solver.kv",
+        "uchecker-solver/1 " + std::string(core::kEngineVersion)));
+    ASSERT_TRUE(old_store.put(
+        "s_files_f_ext;\x1e(. \"/u/\" s_files_f_name)\x1ftrue",
+        core::encode_outcome({smt::SatResult::kUnsat, {}})));
+    old_store.close();
+  }
+  ScanService service(base_options());
+  ASSERT_TRUE(service.start());
+  EXPECT_TRUE(service.solver_store_stats().cold_start);
+  EXPECT_EQ(service.solver_cache().size(), 0u);
+  service.stop();
 }
 
 TEST_F(ServiceTest, CrashWithoutDrainStillRecovers) {

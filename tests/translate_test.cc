@@ -25,7 +25,7 @@ class TranslateTest : public ::testing::Test {
            terms_.print(t);
   }
   [[nodiscard]] SatResult check(std::initializer_list<Term> assertions) {
-    return checker_.check(terms_.query(assertions)).result;
+    return checker_.check(terms_.query(assertions).text).result;
   }
   [[nodiscard]] Term eq(Term a, Term b) { return terms_.app(Op::kEq, {a, b}); }
   [[nodiscard]] Term ne(Term a, Term b) {
@@ -84,7 +84,7 @@ TEST_F(TranslateTest, UnknownSymbolAtTwoSortsIsDeclaredOnce) {
   const Term as_str = trl.translate(n, Type::kString);
   EXPECT_EQ(text(as_int), "Int s_param_n_1");
   EXPECT_EQ(text(as_str), "String (str.from_int s_param_n_1)");
-  const std::string query = terms_.query(
+  const std::string query = terms_.named_query(
       {terms_.app(Op::kGt, {as_int, num(3)}), eq(as_str, str("5"))});
   std::size_t declarations = 0;
   for (std::size_t at = query.find("(declare-fun s_param_n_1 ");
