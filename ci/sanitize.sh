@@ -26,8 +26,8 @@
 # over generated multi-file apps, end to end through the detector) and
 # summaries_test (the inter-procedural summary store's memoized
 # instantiation cache exercised under scans the fleet driver may run
-# concurrently; the store itself is per-scan, so this pins that no
-# state leaks into shared registries) and profile_test (the path-
+# concurrently; the store itself is per-scan and fills itself on query,
+# so this pins that no state leaks into shared registries) and profile_test (the path-
 # explosion profiler's snapshot() racing a writer thread driving
 # begin_root/enter_site/sample/end_root, the scand `profile` op's
 # access pattern).

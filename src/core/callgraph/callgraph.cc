@@ -50,8 +50,12 @@ Program build_program(const std::vector<const phpast::PhpFile*>& files) {
             program.functions.emplace(
                 qualified,
                 Program::FunctionInfo{qualified, method, file->file});
-            // Also register by bare method name if unambiguous, since
-            // WordPress hooks often receive bare method names.
+            // Also register by bare method name, since WordPress hooks
+            // often receive bare method names. The bare name is not
+            // checked for ambiguity: emplace keeps the first
+            // registration of each name in file and declaration order,
+            // and a later method or function of that name does not
+            // replace it.
             const std::string bare = strutil::to_lower(method->name);
             program.functions.emplace(
                 bare, Program::FunctionInfo{bare, method, file->file});

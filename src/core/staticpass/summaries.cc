@@ -31,16 +31,6 @@ bool reads_attacker_input(std::string_view var) {
          var == "_REQUEST" || var == "_COOKIE";
 }
 
-// Per-function local facts and interp-inlinable call edges, before the
-// bottom-up propagation.
-struct LocalFacts {
-  bool sink = false;     // lexical call to a registered sink name
-  bool files = false;    // reads $_FILES (or another attacker superglobal)
-  bool escapes = false;  // dynamic call, callback builtin, include,
-                         // closure, or by-ref parameter
-  std::vector<std::string> callees;  // user-defined, deduped, sorted
-};
-
 }  // namespace
 
 SummaryStore::SummaryStore(const Program& program, const CallGraph& graph,
@@ -51,212 +41,204 @@ SummaryStore::SummaryStore(const Program& program, const CallGraph& graph,
       graph_(graph),
       sources_(sources),
       sinks_(sinks),
-      options_(options) {
-  build();
+      options_(options) {}
+
+// Edges follow only calls the symbolic interpreter actually inlines:
+// direct calls, method calls resolved by bare name, static calls
+// resolved "class::method"-then-bare. Callback registrations,
+// constructors (never run by the interpreter) and closures (never
+// invoked) are not edges; the opaque ones count as escapes instead.
+SummaryStore::LocalFacts SummaryStore::local_facts(
+    const Program::FunctionInfo& info) const {
+  LocalFacts local;
+  if (info.decl == nullptr) {
+    local.escapes = true;  // registry entry without a body
+    return local;
+  }
+  for (const phpast::Param& p : info.decl->params) {
+    // A by-ref parameter lets the body mutate the caller's scope,
+    // which the summary environment does not model.
+    if (p.by_ref) local.escapes = true;
+  }
+  std::set<std::string, std::less<>> callees;
+  auto visit = [&](const Node& n) -> bool {
+    switch (n.kind()) {
+      case NodeKind::kFunctionDecl:
+      case NodeKind::kClassDecl:
+        return false;  // separately registered scopes
+      case NodeKind::kClosure:
+      case NodeKind::kIncludeExpr:
+        local.escapes = true;
+        return false;
+      case NodeKind::kVariable: {
+        const auto& v = static_cast<const phpast::Variable&>(n);
+        if (reads_attacker_input(v.name)) local.files = true;
+        return true;
+      }
+      case NodeKind::kCall: {
+        const auto& call = static_cast<const phpast::Call&>(n);
+        if (call.is_dynamic()) {
+          local.escapes = true;
+          return true;  // still scan the arguments
+        }
+        if (callback_builtins().count(call.callee) != 0) {
+          local.escapes = true;
+          return true;
+        }
+        if (sinks_.is_sink(call.callee)) {
+          local.sink = true;
+          return true;
+        }
+        if (program_.functions.count(call.callee) != 0) {
+          callees.insert(std::string(call.callee));
+        }
+        return true;
+      }
+      case NodeKind::kMethodCall: {
+        const std::string m = strutil::to_lower(
+            static_cast<const phpast::MethodCall&>(n).method);
+        if (program_.functions.count(m) != 0) callees.insert(m);
+        return true;
+      }
+      case NodeKind::kStaticCall: {
+        const auto& sc = static_cast<const phpast::StaticCall&>(n);
+        std::string q = strutil::to_lower(sc.class_name) +
+                        "::" + strutil::to_lower(sc.method);
+        if (program_.functions.count(q) == 0) {
+          q = strutil::to_lower(sc.method);
+        }
+        if (program_.functions.count(q) != 0) callees.insert(std::move(q));
+        return true;
+      }
+      default:
+        return true;
+    }
+  };
+  for (const StmtPtr& s : info.decl->body) {
+    if (s != nullptr) phpast::walk(*s, visit);
+  }
+  local.callees.assign(callees.begin(), callees.end());
+  return local;
 }
 
-void SummaryStore::build() {
-  // 1. Local facts + interp-inlinable call edges per registered function.
-  //    Edges follow only calls the symbolic interpreter actually inlines:
-  //    direct calls, method calls resolved by bare name, static calls
-  //    resolved "class::method"-then-bare. Callback registrations,
-  //    constructors (never run by the interpreter) and closures (never
-  //    invoked) are not edges; the opaque ones count as escapes instead.
-  std::map<std::string, LocalFacts, std::less<>> locals;
-  for (const auto& [name, info] : program_.functions) {
-    LocalFacts local;
-    if (info.decl == nullptr) {
-      local.escapes = true;  // registry entry without a body
-      locals.emplace(name, std::move(local));
-      continue;
-    }
-    for (const phpast::Param& p : info.decl->params) {
-      // A by-ref parameter lets the body mutate the caller's scope,
-      // which the summary environment does not model.
-      if (p.by_ref) local.escapes = true;
-    }
-    std::set<std::string, std::less<>> callees;
-    auto visit = [&](const Node& n) -> bool {
-      switch (n.kind()) {
-        case NodeKind::kFunctionDecl:
-        case NodeKind::kClassDecl:
-          return false;  // separately registered scopes
-        case NodeKind::kClosure:
-        case NodeKind::kIncludeExpr:
-          local.escapes = true;
-          return false;
-        case NodeKind::kVariable: {
-          const auto& v = static_cast<const phpast::Variable&>(n);
-          if (reads_attacker_input(v.name)) local.files = true;
-          return true;
-        }
-        case NodeKind::kCall: {
-          const auto& call = static_cast<const phpast::Call&>(n);
-          if (call.is_dynamic()) {
-            local.escapes = true;
-            return true;  // still scan the arguments
-          }
-          if (callback_builtins().count(call.callee) != 0) {
-            local.escapes = true;
-            return true;
-          }
-          if (sinks_.is_sink(call.callee)) {
-            local.sink = true;
-            return true;
-          }
-          if (program_.functions.count(call.callee) != 0) {
-            callees.insert(std::string(call.callee));
-          }
-          return true;
-        }
-        case NodeKind::kMethodCall: {
-          const std::string m = strutil::to_lower(
-              static_cast<const phpast::MethodCall&>(n).method);
-          if (program_.functions.count(m) != 0) callees.insert(m);
-          return true;
-        }
-        case NodeKind::kStaticCall: {
-          const auto& sc = static_cast<const phpast::StaticCall&>(n);
-          std::string q = strutil::to_lower(sc.class_name) +
-                          "::" + strutil::to_lower(sc.method);
-          if (program_.functions.count(q) == 0) {
-            q = strutil::to_lower(sc.method);
-          }
-          if (program_.functions.count(q) != 0) callees.insert(std::move(q));
-          return true;
-        }
-        default:
-          return true;
-      }
-    };
-    for (const StmtPtr& s : info.decl->body) {
-      if (s != nullptr) phpast::walk(*s, visit);
-    }
-    local.callees.assign(callees.begin(), callees.end());
-    locals.emplace(name, std::move(local));
-  }
-
-  // 2. Iterative Tarjan SCC condensation. SCCs are emitted callee-first
-  //    (an SCC completes only after every component reachable from it),
-  //    which is exactly the bottom-up order the fact propagation needs.
-  std::map<std::string, int, std::less<>> index;
-  std::map<std::string, int, std::less<>> low;
-  std::set<std::string, std::less<>> on_stack;
-  std::vector<std::string> stack;
+// Iterative Tarjan SCC condensation from `start` over the functions not
+// summarized yet. A component completes only after every component
+// reachable from it, so its callees' facts are final when it is; one
+// that an earlier query finished is an external callee like any other.
+// Every node indexed here and not yet summarized is on the Tarjan stack.
+void SummaryStore::summarize(const std::string& start) {
+  std::map<std::string_view, int, std::less<>> index;
+  std::map<std::string_view, int, std::less<>> low;
+  std::vector<std::string_view> stack;
   int next_index = 0;
 
   struct Frame {
-    const std::string* name = nullptr;
+    std::string_view name;
     const LocalFacts* local = nullptr;
     std::size_t next = 0;
   };
   std::vector<Frame> frames;
-  auto open_node = [&](const std::string& stable_name,
-                       const LocalFacts& local) {
-    index[stable_name] = low[stable_name] = next_index++;
-    stack.push_back(stable_name);
-    on_stack.insert(stable_name);
-    frames.push_back(Frame{&stable_name, &local, 0});
+  auto open_node = [&](const std::string& name) {
+    const Program::FunctionInfo& info = program_.functions.find(name)->second;
+    auto lit = locals_.emplace(name, local_facts(info)).first;
+    index[lit->first] = low[lit->first] = next_index++;
+    stack.push_back(lit->first);
+    frames.push_back(Frame{lit->first, &lit->second, 0});
   };
 
-  for (const auto& [start, start_local] : locals) {
-    if (index.count(start) != 0) continue;
-    open_node(start, start_local);
-    while (!frames.empty()) {
-      Frame& f = frames.back();
-      if (f.next < f.local->callees.size()) {
-        const std::string& callee = f.local->callees[f.next];
-        ++f.next;
-        auto cit = locals.find(callee);
-        if (cit == locals.end()) continue;
-        auto iit = index.find(callee);
-        if (iit == index.end()) {
-          open_node(cit->first, cit->second);  // invalidates f; loop re-reads
-        } else if (on_stack.count(callee) != 0) {
-          int& lw = low[*f.name];
-          lw = std::min(lw, iit->second);
-        }
-        continue;
+  open_node(start);
+  while (!frames.empty()) {
+    Frame& f = frames.back();
+    if (f.next < f.local->callees.size()) {
+      const std::string& callee = f.local->callees[f.next];
+      ++f.next;
+      if (facts_.count(callee) != 0) continue;  // finished component
+      auto iit = index.find(callee);
+      if (iit == index.end()) {
+        open_node(callee);  // invalidates f; loop re-reads
+      } else {
+        int& lw = low[f.name];
+        lw = std::min(lw, iit->second);
       }
-      const std::string done = *f.name;
-      frames.pop_back();
-      if (!frames.empty()) {
-        int& parent_low = low[*frames.back().name];
-        parent_low = std::min(parent_low, low[done]);
+      continue;
+    }
+    const std::string_view done = f.name;
+    frames.pop_back();
+    if (!frames.empty()) {
+      int& parent_low = low[frames.back().name];
+      parent_low = std::min(parent_low, low[done]);
+    }
+    if (low[done] == index[done]) {
+      std::vector<std::string> scc;
+      while (true) {
+        const std::string_view member = stack.back();
+        stack.pop_back();
+        scc.emplace_back(member);
+        if (member == done) break;
       }
-      if (low[done] == index[done]) {
-        std::vector<std::string> scc;
-        while (true) {
-          std::string member = std::move(stack.back());
-          stack.pop_back();
-          on_stack.erase(member);
-          const bool is_root = member == done;
-          scc.push_back(std::move(member));
-          if (is_root) break;
-        }
-        std::sort(scc.begin(), scc.end());
-        sccs_.push_back(std::move(scc));
-      }
+      std::sort(scc.begin(), scc.end());
+      finish_component(std::move(scc));
     }
   }
+}
 
-  // 3. Fact propagation in emission (callee-first) order. Reachability
-  //    bits are uniform within an SCC, so one union pass over the members
-  //    and their already-finalized external callees is the fixpoint.
-  for (std::size_t si = 0; si < sccs_.size(); ++si) {
-    const std::vector<std::string>& members = sccs_[si];
-    bool recursive = members.size() > 1;
-    bool sink = false;
-    bool files = false;
-    bool escapes = false;
-    bool reaches = false;
-    for (const std::string& m : members) {
-      const LocalFacts& l = locals.find(m)->second;
-      sink = sink || l.sink;
-      files = files || l.files;
-      escapes = escapes || l.escapes;
-      for (const std::string& c : l.callees) {
-        if (c == m) recursive = true;  // self-loop
-        if (std::find(members.begin(), members.end(), c) != members.end()) {
-          continue;  // intra-SCC edge: bits already unioned above
-        }
-        auto cf = facts_.find(c);
-        if (cf == facts_.end()) continue;
-        reaches = reaches || cf->second.reaches_sink;
-        escapes = escapes || cf->second.escapes;
-        files = files || cf->second.reads_files;
+void SummaryStore::finish_component(std::vector<std::string> members) {
+  // Reachability bits are uniform within an SCC, so one union pass over
+  // the members and their already-finalized external callees is the
+  // fixpoint.
+  bool recursive = members.size() > 1;
+  bool sink = false;
+  bool files = false;
+  bool escapes = false;
+  bool reaches = false;
+  for (const std::string& m : members) {
+    const LocalFacts& l = locals_.find(m)->second;
+    sink = sink || l.sink;
+    files = files || l.files;
+    escapes = escapes || l.escapes;
+    for (const std::string& c : l.callees) {
+      if (c == m) recursive = true;  // self-loop
+      if (std::find(members.begin(), members.end(), c) != members.end()) {
+        continue;  // intra-SCC edge: bits already unioned above
       }
-    }
-    reaches = reaches || sink;
-    for (const std::string& m : members) {
-      FunctionFacts ff;
-      ff.name = m;
-      ff.scc = static_cast<int>(si);
-      ff.recursive = recursive;
-      ff.has_local_sink = locals.find(m)->second.sink;
-      ff.reaches_sink = reaches;
-      ff.reads_files = files;
-      ff.escapes = escapes;
-      facts_.emplace(m, std::move(ff));
+      const FunctionFacts& cf = facts_.find(c)->second;
+      reaches = reaches || cf.reaches_sink;
+      escapes = escapes || cf.escapes;
+      files = files || cf.reads_files;
     }
   }
+  reaches = reaches || sink;
+  const int scc = static_cast<int>(sccs_.size());
+  for (const std::string& m : members) {
+    FunctionFacts ff;
+    ff.name = m;
+    ff.scc = scc;
+    ff.recursive = recursive;
+    ff.has_local_sink = locals_.find(m)->second.sink;
+    ff.reaches_sink = reaches;
+    ff.reads_files = files;
+    ff.escapes = escapes;
+    facts_.emplace(m, std::move(ff));
+  }
 
-  // 4. UC107 witness chains: function -> ... -> sink-containing function.
-  for (auto& [name, ff] : facts_) {
+  // UC107 witness chains: function -> ... -> sink-containing function.
+  // Every function a chain can visit is in this component or a finished
+  // one, so its facts are final.
+  for (const std::string& m : members) {
+    FunctionFacts& ff = facts_.find(m)->second;
     if (!ff.reaches_sink) continue;
     std::vector<std::string> chain;
     std::set<std::string, std::less<>> visited;
-    std::string cur = name;
+    std::string cur = m;
     while (chain.size() < 8) {
       chain.push_back(cur);
       visited.insert(cur);
-      const LocalFacts& l = locals.find(cur)->second;
+      const LocalFacts& l = locals_.find(cur)->second;
       if (l.sink) break;
       std::string next;
       for (const std::string& c : l.callees) {
         if (visited.count(c) != 0) continue;
-        auto cf = facts_.find(c);
-        if (cf != facts_.end() && cf->second.reaches_sink) {
+        if (facts_.find(c)->second.reaches_sink) {
           next = c;
           break;
         }
@@ -266,14 +248,21 @@ void SummaryStore::build() {
     }
     ff.sink_chain = std::move(chain);
   }
+  sccs_.push_back(std::move(members));
 }
 
-const FunctionFacts* SummaryStore::facts(std::string_view lower_name) const {
+const FunctionFacts* SummaryStore::facts(std::string_view lower_name) {
   auto it = facts_.find(lower_name);
-  return it == facts_.end() ? nullptr : &it->second;
+  if (it == facts_.end()) {
+    auto fit = program_.functions.find(lower_name);
+    if (fit == program_.functions.end()) return nullptr;
+    summarize(fit->first);
+    it = facts_.find(lower_name);
+  }
+  return &it->second;
 }
 
-bool SummaryStore::function_reaches_sink(std::string_view lower_name) const {
+bool SummaryStore::function_reaches_sink(std::string_view lower_name) {
   const FunctionFacts* f = facts(lower_name);
   return f != nullptr && (f->reaches_sink || f->escapes);
 }

@@ -6,14 +6,16 @@
 // whole root onto the symbolic path. This module closes that hole with
 // two cooperating layers:
 //
-//  1. Context-insensitive FunctionFacts, computed once per scan by
-//     walking the user-function call graph bottom-up (iterative Tarjan
-//     SCC condensation; the per-SCC bit fixpoint is trivially reached in
-//     one union pass because reachability bits are uniform within an
-//     SCC). The facts record whether a function lexically contains a
-//     sink, transitively reaches one, reads $_FILES/superglobals, or
-//     "escapes" the analysis (dynamic call, eval/extract, callback
-//     builtin, include, closure) — the blind spots UC108 reports.
+//  1. Context-insensitive FunctionFacts, computed on demand: the first
+//     query for a function runs an iterative Tarjan SCC condensation
+//     from it over the functions not summarized yet, so a scan only
+//     summarizes what its roots call (the per-SCC bit fixpoint is
+//     trivially reached in one union pass because reachability bits are
+//     uniform within an SCC). The facts record whether a function
+//     lexically contains a sink, transitively reaches one, reads
+//     $_FILES/superglobals, or "escapes" the analysis (dynamic call,
+//     eval/extract, callback builtin, include, closure) — the blind
+//     spots UC108 reports.
 //
 //  2. Context-keyed SummaryInstances: a memoized run of the body
 //     analyzer with the *actual* abstract argument values of one call
@@ -57,7 +59,8 @@ namespace uchecker::core::staticpass {
 [[nodiscard]] const std::set<std::string, std::less<>>& callback_builtins();
 
 // Context-insensitive facts about one user-defined function, valid at
-// every call site. Computed bottom-up over the SCC condensation.
+// every call site. Computed bottom-up over the SCC condensation of the
+// functions it reaches.
 struct FunctionFacts {
   std::string name;     // lowercase key in Program::functions
   int scc = -1;         // condensation index; callees never have a larger one
@@ -87,19 +90,25 @@ struct SummaryStats {
   std::uint64_t cache_misses = 0;
 };
 
+// The store does no work when constructed: it fills itself as it is
+// queried. A function's facts depend only on the components it reaches,
+// and each component is finished before any of its callers, so the
+// facts do not depend on which function was asked about first.
 class SummaryStore {
  public:
   SummaryStore(const Program& program, const CallGraph& graph,
                const SourceManager& sources, const SinkRegistry& sinks,
                const StaticPassOptions& options);
 
-  // Null when `lower_name` is not a user-defined function.
-  [[nodiscard]] const FunctionFacts* facts(std::string_view lower_name) const;
+  // Null when `lower_name` is not a user-defined function. The first
+  // query summarizes the function and every function it reaches that
+  // no earlier query summarized.
+  [[nodiscard]] const FunctionFacts* facts(std::string_view lower_name);
 
   // Conservative reachability query replacing the analyzer's call-graph
   // walk: true when the function reaches a sink over interp-inlinable
   // calls OR escapes the analysis (an escaped body might do anything).
-  [[nodiscard]] bool function_reaches_sink(std::string_view lower_name) const;
+  [[nodiscard]] bool function_reaches_sink(std::string_view lower_name);
 
   // Memoized context-keyed instantiation. Recursive or escaped functions
   // yield a conservative instance (return top, not analyzable).
@@ -109,14 +118,28 @@ class SummaryStore {
   [[nodiscard]] SummaryStats& stats() { return stats_; }
   [[nodiscard]] const SummaryStats& stats() const { return stats_; }
 
-  // SCCs of the user-function call graph in bottom-up (callee-first)
-  // emission order; members sorted by name. Exposed for tests.
+  // The SCCs summarized so far, in bottom-up (callee-first) emission
+  // order; members sorted by name. Only components some query reached
+  // are here. Exposed for tests.
   [[nodiscard]] const std::vector<std::vector<std::string>>& sccs() const {
     return sccs_;
   }
 
  private:
-  void build();
+  // A function's own facts and interp-inlinable call edges, before the
+  // bottom-up propagation.
+  struct LocalFacts {
+    bool sink = false;     // lexical call to a registered sink name
+    bool files = false;    // reads $_FILES (or another attacker superglobal)
+    bool escapes = false;  // dynamic call, callback builtin, include,
+                           // closure, or by-ref parameter
+    std::vector<std::string> callees;  // user-defined, deduped, sorted
+  };
+
+  [[nodiscard]] LocalFacts local_facts(
+      const Program::FunctionInfo& info) const;
+  void summarize(const std::string& start);
+  void finish_component(std::vector<std::string> members);
 
   const Program& program_;
   const CallGraph& graph_;
@@ -124,6 +147,7 @@ class SummaryStore {
   const SinkRegistry& sinks_;
   const StaticPassOptions& options_;
 
+  std::map<std::string, LocalFacts, std::less<>> locals_;
   std::map<std::string, FunctionFacts, std::less<>> facts_;
   std::vector<std::vector<std::string>> sccs_;
   std::map<std::string, SummaryInstance, std::less<>> instances_;

@@ -1,6 +1,8 @@
 // Tests for the inter-procedural function-summary layer
 // (core/staticpass/summaries): SCC condensation order, recursive-SCC
-// conservatism, context-insensitive facts, memoized instantiation vs.
+// conservatism, context-insensitive facts, on-demand summarization
+// (only what a query reaches, the same facts in any query order),
+// memoized instantiation vs.
 // inlined ground truth, and the end-to-end pruning/lint behaviour that
 // only summaries enable (UC107/UC108, summary_pruned roots).
 #include "core/staticpass/summaries.h"
@@ -8,13 +10,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/callgraph/callgraph.h"
 #include "core/detector/detector.h"
 #include "core/staticpass/absdomain.h"
+#include "corpus/corpus.h"
 #include "phpparse/parser.h"
+#include "program_generator.h"
 #include "support/diag.h"
 #include "support/source.h"
 
@@ -64,7 +70,7 @@ struct Fixture {
   }
 };
 
-int scc_of(const SummaryStore& store, const std::string& name) {
+int scc_of(SummaryStore& store, const std::string& name) {
   const FunctionFacts* f = store.facts(name);
   return f == nullptr ? -1 : f->scc;
 }
@@ -179,6 +185,113 @@ TEST(Summaries, FactsForUnknownFunctionIsNull) {
   Fixture f("<?php function g() { return 1; }");
   EXPECT_EQ(f.store.facts("nonexistent"), nullptr);
   EXPECT_EQ(f.store.facts("strlen"), nullptr);
+}
+
+// ---------------------------------------------------------------------------
+// On-demand summarization.
+
+TEST(Summaries, OnlyReachableFunctionsAreSummarized) {
+  std::string php = R"php(<?php
+function handler() { return helper(); }
+function helper() { return 1; }
+)php";
+  for (int i = 0; i < 200; ++i) {
+    // A chain of unrelated functions, each calling the next.
+    php += "function unrelated_" + std::to_string(i) + "() { return " +
+           (i + 1 < 200 ? "unrelated_" + std::to_string(i + 1) + "()"
+                        : std::string("0")) +
+           "; }\n";
+  }
+  Fixture f(php);
+  EXPECT_TRUE(f.store.sccs().empty());  // construction summarizes nothing
+  ASSERT_NE(f.store.facts("handler"), nullptr);
+  const std::vector<std::vector<std::string>> expected = {{"helper"},
+                                                          {"handler"}};
+  EXPECT_EQ(f.store.sccs(), expected);
+  // A finished component is reused, not summarized again.
+  ASSERT_NE(f.store.facts("helper"), nullptr);
+  EXPECT_EQ(f.store.sccs(), expected);
+  EXPECT_EQ(f.store.facts("nonexistent"), nullptr);
+  EXPECT_EQ(f.store.sccs(), expected);
+}
+
+// Queries every function of `f`'s program in ascending name order in
+// one store and in descending order in another: every fact but the
+// component index must agree, and in both stores every component must
+// come after the components it reaches.
+void expect_facts_independent_of_query_order(const Fixture& f) {
+  std::vector<std::string> names;
+  for (const auto& [name, info] : f.program.functions) names.push_back(name);
+  SummaryStore up(f.program, f.graph, f.sources, f.sinks, f.options);
+  SummaryStore down(f.program, f.graph, f.sources, f.sinks, f.options);
+  for (const std::string& name : names) ASSERT_NE(up.facts(name), nullptr);
+  for (auto it = names.rbegin(); it != names.rend(); ++it) {
+    ASSERT_NE(down.facts(*it), nullptr);
+  }
+  for (const std::string& name : names) {
+    SCOPED_TRACE(name);
+    const FunctionFacts& a = *up.facts(name);
+    const FunctionFacts& b = *down.facts(name);
+    EXPECT_EQ(a.name, b.name);
+    EXPECT_EQ(a.recursive, b.recursive);
+    EXPECT_EQ(a.has_local_sink, b.has_local_sink);
+    EXPECT_EQ(a.reaches_sink, b.reaches_sink);
+    EXPECT_EQ(a.reads_files, b.reads_files);
+    EXPECT_EQ(a.escapes, b.escapes);
+    EXPECT_EQ(a.sink_chain, b.sink_chain);
+  }
+  for (SummaryStore* store : {&up, &down}) {
+    const std::vector<std::vector<std::string>>& sccs = store->sccs();
+    std::map<std::string, int> position;
+    for (std::size_t i = 0; i < sccs.size(); ++i) {
+      for (const std::string& member : sccs[i]) {
+        EXPECT_EQ(store->facts(member)->scc, static_cast<int>(i)) << member;
+        position[member] = static_cast<int>(i);
+      }
+    }
+    EXPECT_EQ(position.size(), names.size());
+    // A fresh store asked about one component summarizes exactly the
+    // components that component reaches, finishing it last.
+    for (std::size_t i = 0; i < sccs.size(); ++i) {
+      SummaryStore alone(f.program, f.graph, f.sources, f.sinks, f.options);
+      ASSERT_NE(alone.facts(sccs[i].front()), nullptr);
+      ASSERT_FALSE(alone.sccs().empty());
+      EXPECT_EQ(alone.sccs().back(), sccs[i]);
+      for (const std::vector<std::string>& reached : alone.sccs()) {
+        EXPECT_LE(position[reached.front()], static_cast<int>(i))
+            << sccs[i].front() << " reaches " << reached.front();
+      }
+    }
+  }
+}
+
+std::vector<std::pair<std::string, std::string>> sources_of(
+    const Application& app) {
+  std::vector<std::pair<std::string, std::string>> out;
+  for (const AppFile& file : app.files) {
+    out.emplace_back(file.name, file.content);
+  }
+  return out;
+}
+
+TEST(Summaries, FactsDoNotDependOnQueryOrder) {
+  // Every app `corpus_verdicts --suite all` scans.
+  std::vector<corpus::CorpusEntry> entries = corpus::full_corpus();
+  for (corpus::CorpusEntry& e : corpus::helper_sink_suite()) {
+    entries.push_back(std::move(e));
+  }
+  for (const corpus::CorpusEntry& entry : entries) {
+    SCOPED_TRACE(entry.app.name);
+    const Fixture f(sources_of(entry.app));
+    expect_facts_independent_of_query_order(f);
+  }
+  // The property fuzzer's generated programs.
+  for (unsigned seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE(seed);
+    testing_fuzz::ProgramGenerator gen(seed);
+    const Fixture f(gen.generate());
+    expect_facts_independent_of_query_order(f);
+  }
 }
 
 // ---------------------------------------------------------------------------
