@@ -27,6 +27,20 @@ bool mentions_files(const Node& node) {
   return found;
 }
 
+bool passes_files(const phpast::Call& call) {
+  return std::any_of(call.args.begin(), call.args.end(),
+                     [](const phpast::Expr* a) { return mentions_files(*a); });
+}
+
+// "class::method", then the bare method name (both lowercase).
+const Program::FunctionInfo* find_method(const Program& program,
+                                         std::string_view class_name,
+                                         std::string_view method) {
+  const Program::FunctionInfo* fn =
+      program.function(strutil::cat(class_name, "::", method));
+  return fn != nullptr ? fn : program.function(method);
+}
+
 }  // namespace
 
 Program build_program(const std::vector<const phpast::PhpFile*>& files) {
@@ -44,21 +58,17 @@ Program build_program(const std::vector<const phpast::PhpFile*>& files) {
         }
         if (node.kind() == NodeKind::kClassDecl) {
           const auto& cls = static_cast<const phpast::ClassDecl&>(node);
-          for (const auto& method : cls.methods) {
-            const std::string qualified =
-                strutil::to_lower(cls.name) + "::" + strutil::to_lower(method->name);
-            program.functions.emplace(
-                qualified,
-                Program::FunctionInfo{qualified, method, file->file});
-            // Also register by bare method name, since WordPress hooks
-            // often receive bare method names. The bare name is not
-            // checked for ambiguity: emplace keeps the first
-            // registration of each name in file and declaration order,
-            // and a later method or function of that name does not
-            // replace it.
-            const std::string bare = strutil::to_lower(method->name);
-            program.functions.emplace(
-                bare, Program::FunctionInfo{bare, method, file->file});
+          for (const phpast::FunctionDecl* method : cls.methods) {
+            const Program::FunctionInfo info{
+                strutil::to_lower(cls.name) + "::" +
+                    strutil::to_lower(method->name),
+                method, file->file};
+            // The bare name is not checked for ambiguity: like every
+            // key, it stays with its first registration. A method whose
+            // own key an earlier class took gets neither key.
+            if (program.functions.emplace(info.name, info).second) {
+              program.functions.emplace(strutil::to_lower(method->name), info);
+            }
           }
           return false;  // methods handled above
         }
@@ -67,6 +77,56 @@ Program build_program(const std::vector<const phpast::PhpFile*>& files) {
     }
   }
   return program;
+}
+
+const Program::FunctionInfo* Program::function(
+    std::string_view lower_name) const {
+  const auto it = functions.find(lower_name);
+  return it != functions.end() ? &it->second : nullptr;
+}
+
+const Program::FunctionInfo* Program::callee(const Node& call,
+                                             const SinkRegistry& sinks) const {
+  switch (call.kind()) {
+    case NodeKind::kCall: {
+      const auto& c = static_cast<const phpast::Call&>(call);
+      if (c.is_dynamic() || sinks.is_sink(c.callee)) return nullptr;
+      return function(c.callee);
+    }
+    case NodeKind::kMethodCall:
+      return function(strutil::to_lower(
+          static_cast<const phpast::MethodCall&>(call).method));
+    case NodeKind::kStaticCall: {
+      const auto& c = static_cast<const phpast::StaticCall&>(call);
+      return find_method(*this, strutil::to_lower(c.class_name),
+                         strutil::to_lower(c.method));
+    }
+    default:
+      return nullptr;
+  }
+}
+
+const phpast::PhpFile* Program::include_target(const phpast::Expr& path,
+                                               FileId including) const {
+  std::string_view suffix;
+  phpast::walk(path, [&suffix](const Node& n) {
+    if (n.kind() == NodeKind::kStringLit) {
+      suffix = static_cast<const phpast::StringLit&>(n).value;
+    }
+    return true;
+  });
+  while (!suffix.empty() && (suffix.front() == '/' || suffix.front() == '.')) {
+    suffix.remove_prefix(1);
+  }
+  if (suffix.empty()) return nullptr;
+  const phpast::PhpFile* target = nullptr;
+  for (const phpast::PhpFile* file : files) {
+    if (file->file != including && file->name.ends_with(suffix) &&
+        (target == nullptr || file->name < target->name)) {
+      target = file;
+    }
+  }
+  return target;
 }
 
 NodeId CallGraph::add_node(CallGraphNode::Kind kind, std::string name,
@@ -189,21 +249,21 @@ class GraphBuilder {
   GraphBuilder(const Program& program, const SinkRegistry& sinks)
       : program_(program), sinks_(sinks) {
     for (const phpast::PhpFile* file : program.files) {
-      file_nodes_[file->name] =
+      file_nodes_[file] =
           graph_.add_node(CallGraphNode::Kind::kFile, file->name);
     }
     for (const auto& [name, info] : program.functions) {
-      if (function_nodes_.contains(name)) continue;
-      function_nodes_[name] = graph_.add_node(CallGraphNode::Kind::kFunction,
-                                              name, info.decl->loc());
+      if (name != info.name) continue;  // a method's bare-name entry
+      function_nodes_[info.decl] = graph_.add_node(
+          CallGraphNode::Kind::kFunction, name, info.decl->loc());
     }
   }
 
   CallGraph build() {
     for (const phpast::PhpFile* file : program_.files) {
-      const NodeId file_node = file_nodes_.at(file->name);
+      const NodeId file_node = file_nodes_.at(file);
       for (const auto& stmt : file->statements) {
-        scan_scope_stmt(*stmt, file_node, file);
+        scan_scope_stmt(*stmt, file_node, file->file);
       }
     }
     return std::move(graph_);
@@ -226,27 +286,21 @@ class GraphBuilder {
     return id;
   }
 
+  NodeId node_of(const Program::FunctionInfo& fn) const {
+    return function_nodes_.at(fn.decl);
+  }
+
   // Scans a statement that is part of scope `scope`. Function/method
   // declarations open their own scope; everything else is walked.
-  void scan_scope_stmt(const Node& node, NodeId scope,
-                       const phpast::PhpFile* file) {
+  void scan_scope_stmt(const Node& node, NodeId scope, FileId file) {
     if (node.kind() == NodeKind::kFunctionDecl) {
-      const auto& fn = static_cast<const phpast::FunctionDecl&>(node);
-      const auto it = function_nodes_.find(strutil::to_lower(fn.name));
-      if (it != function_nodes_.end()) {
-        for (const auto& s : fn.body) scan_scope_stmt(*s, it->second, file);
-      }
+      scan_body(static_cast<const phpast::FunctionDecl&>(node), file);
       return;
     }
     if (node.kind() == NodeKind::kClassDecl) {
-      const auto& cls = static_cast<const phpast::ClassDecl&>(node);
-      for (const auto& method : cls.methods) {
-        const auto it = function_nodes_.find(strutil::to_lower(method->name));
-        if (it != function_nodes_.end()) {
-          for (const auto& s : method->body) {
-            scan_scope_stmt(*s, it->second, file);
-          }
-        }
+      for (const phpast::FunctionDecl* method :
+           static_cast<const phpast::ClassDecl&>(node).methods) {
+        scan_body(*method, file);
       }
       return;
     }
@@ -258,8 +312,15 @@ class GraphBuilder {
     });
   }
 
-  void record_node(const Node& node, NodeId scope,
-                   const phpast::PhpFile* file) {
+  // A declaration's body is the scope of its own node. A declaration the
+  // registry does not hold has no node: no call site runs it.
+  void scan_body(const phpast::FunctionDecl& fn, FileId file) {
+    const auto it = function_nodes_.find(&fn);
+    if (it == function_nodes_.end()) return;
+    for (const auto& s : fn.body) scan_scope_stmt(*s, it->second, file);
+  }
+
+  void record_node(const Node& node, NodeId scope, FileId file) {
     switch (node.kind()) {
       case NodeKind::kVariable: {
         const auto& var = static_cast<const phpast::Variable&>(node);
@@ -275,17 +336,8 @@ class GraphBuilder {
           graph_.add_edge(scope, sink_node(call.callee));
           break;
         }
-        const auto it = function_nodes_.find(call.callee);
-        if (it != function_nodes_.end()) {
-          graph_.add_edge(scope, it->second);
-          // Parameter-input access to $_FILES (paper §III-A edge rule):
-          // the callee is treated as accessing $_FILES.
-          for (const auto& arg : call.args) {
-            if (mentions_files(*arg)) {
-              graph_.add_edge(it->second, files_access_node());
-              break;
-            }
-          }
+        if (const Program::FunctionInfo* fn = program_.callee(call, sinks_)) {
+          record_plain_call(call, node_of(*fn), scope);
         }
         // Callback edges: string-literal arguments naming user functions
         // (WordPress hook registration and PHP callable arguments).
@@ -303,31 +355,42 @@ class GraphBuilder {
       }
       case NodeKind::kMethodCall: {
         const auto& call = static_cast<const phpast::MethodCall&>(node);
-        const auto it = function_nodes_.find(strutil::to_lower(call.method));
-        if (it != function_nodes_.end()) graph_.add_edge(scope, it->second);
+        if (const Program::FunctionInfo* fn = program_.callee(call, sinks_)) {
+          graph_.add_edge(scope, node_of(*fn));
+        }
         for (const auto& arg : call.args) {
           record_callback_arg(*arg, scope, /*admin_gated=*/false);
         }
         break;
       }
-      case NodeKind::kStaticCall: {
-        const auto& call = static_cast<const phpast::StaticCall&>(node);
-        const std::string qualified = strutil::to_lower(call.class_name) +
-                                      "::" + strutil::to_lower(call.method);
-        auto it = function_nodes_.find(qualified);
-        if (it == function_nodes_.end()) {
-          it = function_nodes_.find(strutil::to_lower(call.method));
+      case NodeKind::kStaticCall:
+        if (const Program::FunctionInfo* fn = program_.callee(node, sinks_)) {
+          graph_.add_edge(scope, node_of(*fn));
         }
-        if (it != function_nodes_.end()) graph_.add_edge(scope, it->second);
         break;
-      }
-      case NodeKind::kIncludeExpr: {
-        const auto& inc = static_cast<const phpast::IncludeExpr&>(node);
-        resolve_include(*inc.path, scope, file);
+      case NodeKind::kIncludeExpr:
+        if (const phpast::PhpFile* target = program_.include_target(
+                *static_cast<const phpast::IncludeExpr&>(node).path, file)) {
+          graph_.add_edge(scope, file_nodes_.at(target));
+        }
         break;
-      }
       default:
         break;
+    }
+  }
+
+  // A plain call of user function `callee` from `scope`. Parameter-input
+  // access to $_FILES (paper §III-A edge rule): a callee passed $_FILES
+  // is treated as accessing it, and locality binds its parameters from
+  // such a call site when there is one.
+  void record_plain_call(const phpast::Call& call, NodeId callee,
+                         NodeId scope) {
+    graph_.add_edge(scope, callee);
+    const bool files = passes_files(call);
+    if (files) graph_.add_edge(callee, files_access_node());
+    const phpast::Call* bound = graph_.node(callee).binding_call;
+    if (bound == nullptr || (files && !passes_files(*bound))) {
+      graph_.set_binding_call(callee, &call);
     }
   }
 
@@ -338,71 +401,37 @@ class GraphBuilder {
   //   array('Class', 'method'), [...]     bare method name
   void record_callback_arg(const phpast::Expr& arg, NodeId scope,
                            bool admin_gated) {
+    const Program::FunctionInfo* fn = nullptr;
     if (arg.kind() == NodeKind::kStringLit) {
-      const auto& lit = static_cast<const phpast::StringLit&>(arg);
-      const auto cb = function_nodes_.find(strutil::to_lower(lit.value));
-      if (cb != function_nodes_.end()) {
-        graph_.add_edge(scope, cb->second, admin_gated);
-      }
-      return;
-    }
-    if (arg.kind() == NodeKind::kArrayLit) {
+      fn = program_.function(
+          strutil::to_lower(static_cast<const phpast::StringLit&>(arg).value));
+    } else if (arg.kind() == NodeKind::kArrayLit) {
       const auto& lit = static_cast<const phpast::ArrayLit&>(arg);
       if (lit.items.size() != 2) return;
+      const phpast::Expr* receiver = lit.items[0].value;
       const phpast::Expr* member = lit.items[1].value;
       if (member == nullptr || member->kind() != NodeKind::kStringLit) return;
       const std::string method = strutil::to_lower(
           static_cast<const phpast::StringLit&>(*member).value);
       // Prefer Class::method when the receiver names a class.
-      if (lit.items[0].value != nullptr &&
-          lit.items[0].value->kind() == NodeKind::kStringLit) {
-        const std::string qualified =
-            strutil::to_lower(static_cast<const phpast::StringLit&>(
-                                  *lit.items[0].value)
-                                  .value) +
-            "::" + method;
-        if (const auto it = function_nodes_.find(qualified);
-            it != function_nodes_.end()) {
-          graph_.add_edge(scope, it->second, admin_gated);
-          return;
-        }
-      }
-      if (const auto it = function_nodes_.find(method);
-          it != function_nodes_.end()) {
-        graph_.add_edge(scope, it->second, admin_gated);
+      if (receiver != nullptr && receiver->kind() == NodeKind::kStringLit) {
+        fn = find_method(program_,
+                         strutil::to_lower(
+                             static_cast<const phpast::StringLit&>(*receiver)
+                                 .value),
+                         method);
+      } else {
+        fn = program_.function(method);
       }
     }
-  }
-
-  void resolve_include(const phpast::Expr& path, NodeId scope,
-                       const phpast::PhpFile* including) {
-    // Collect trailing string literals in the path expression and match
-    // them against registered file names by suffix.
-    std::string suffix;
-    phpast::walk(path, [&suffix](const Node& n) {
-      if (n.kind() == NodeKind::kStringLit) {
-        suffix = static_cast<const phpast::StringLit&>(n).value;
-      }
-      return true;
-    });
-    if (suffix.empty()) return;
-    while (!suffix.empty() && (suffix.front() == '/' || suffix.front() == '.')) {
-      suffix.erase(suffix.begin());
-    }
-    for (const auto& [name, node_id] : file_nodes_) {
-      if (name != including->name && name.size() >= suffix.size() &&
-          name.compare(name.size() - suffix.size(), suffix.size(), suffix) == 0) {
-        graph_.add_edge(scope, node_id);
-        return;
-      }
-    }
+    if (fn != nullptr) graph_.add_edge(scope, node_of(*fn), admin_gated);
   }
 
   const Program& program_;
   const SinkRegistry& sinks_;
   CallGraph graph_;
-  std::map<std::string, NodeId, std::less<>> file_nodes_;
-  std::map<std::string, NodeId, std::less<>> function_nodes_;
+  std::map<const phpast::PhpFile*, NodeId> file_nodes_;
+  std::map<const phpast::FunctionDecl*, NodeId> function_nodes_;
   std::map<std::string, NodeId, std::less<>> sink_nodes_;
   NodeId files_node_ = kNoNode;
 };

@@ -1,11 +1,12 @@
 // Extended call graph of paper §III-A.
 //
-// Nodes represent PHP files, functions (including class methods), read
-// accesses to the $_FILES superglobal, and invocations of the file-upload
-// sinks move_uploaded_file() / file_put_contents(). Edges:
-//   file -> file          (include / require with a resolvable path)
-//   file -> function      (call in the file body)
-//   function -> function  (call in the function body)
+// Nodes represent PHP files, function and method declarations (one node
+// per declaration, named by its Program::functions key), read accesses
+// to the $_FILES superglobal, and invocations of the file-upload sinks
+// move_uploaded_file() / file_put_contents(). Edges:
+//   file -> file          (include / require, Program::include_target)
+//   file -> function      (call in the file body, Program::callee)
+//   function -> function  (call in the function body, Program::callee)
 //   scope -> $_FILES      (read access)
 //   scope -> sink         (sink invocation)
 // plus WordPress-style callback edges: a string-literal argument of a
@@ -22,6 +23,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/sinks.h"
@@ -30,17 +32,51 @@
 
 namespace uchecker::core {
 
-// The program under analysis: all parsed files plus a function registry.
+// The program under analysis: all parsed files, a function registry, and
+// the one rule for which code a call site or an include runs. Locality
+// picks its roots from the call graph, and symbolic execution runs them;
+// both are sound together only if they agree on that rule, so the call
+// graph, locality's binding calls, the static pass and its summaries,
+// the sink slice and the interpreter all ask callee() and
+// include_target() instead of resolving names themselves.
 struct Program {
   std::vector<const phpast::PhpFile*> files;
 
   struct FunctionInfo {
-    std::string name;  // lowercase; methods as "class::method" (lowercase)
+    // The declaration's own key (lowercase): a function's name, a
+    // method's "class::method". Also the name of its call-graph node.
+    std::string name;
     const phpast::FunctionDecl* decl = nullptr;
     FileId file;
   };
-  // Keyed by lowercase name. Populated by build_program().
+  // Keyed by lowercase name. Populated by build_program(): every
+  // declaration under its own key, and every method also under its bare
+  // method name, since WordPress hooks and `$obj->m()` calls name methods
+  // by the bare name. The first registration of a key wins, in file and
+  // declaration order; a later function or method of that name does not
+  // replace it, and a later declaration that holds no key of its own is
+  // not in the registry at all.
   std::map<std::string, FunctionInfo, std::less<>> functions;
+
+  // The registry entry under `lower_name`, or null.
+  [[nodiscard]] const FunctionInfo* function(std::string_view lower_name) const;
+
+  // The user declaration a Call, MethodCall or StaticCall node inlines,
+  // or null (a builtin or unknown name, a dynamic call, any other node).
+  // A plain call to a registered sink is the sink, never a user
+  // function. Otherwise a plain call resolves by its name, a method call
+  // by its bare lowercased name, and a static call by "class::method",
+  // then the bare name.
+  [[nodiscard]] const FunctionInfo* callee(const phpast::Node& call,
+                                           const SinkRegistry& sinks) const;
+
+  // The file an include/require of `path`, run by code of file
+  // `including`, executes, or null. The path's last string literal,
+  // stripped of leading '/' and '.', is matched as a suffix of the file
+  // names: the first match in file-name order that is not `including`
+  // wins, and an empty suffix matches nothing. Load order plays no part.
+  [[nodiscard]] const phpast::PhpFile* include_target(const phpast::Expr& path,
+                                                      FileId including) const;
 };
 
 // Collects every file-level and method-level function into a registry.
@@ -53,9 +89,13 @@ struct CallGraphNode {
   enum class Kind : std::uint8_t { kFile, kFunction, kFilesAccess, kSink };
 
   Kind kind = Kind::kFile;
-  std::string name;  // file name, function name, "$_FILES", or sink name
+  std::string name;  // file name, FunctionInfo::name, "$_FILES" or sink
   SourceLoc loc;
   std::vector<NodeId> children;  // outgoing edges, insertion order
+  // Function nodes only: the plain call site locality binds the
+  // parameters from -- the first one whose arguments mention $_FILES,
+  // else the first one (null when no plain call reaches the node).
+  const phpast::Call* binding_call = nullptr;
 };
 
 class CallGraph {
@@ -68,6 +108,9 @@ class CallGraph {
   // only to administrators (add_action('admin_menu', ...)); see
   // admin_only_nodes().
   void add_edge(NodeId from, NodeId to, bool admin_gated = false);
+  void set_binding_call(NodeId id, const phpast::Call* call) {
+    nodes_[id].binding_call = call;
+  }
 
   [[nodiscard]] const CallGraphNode& node(NodeId id) const { return nodes_[id]; }
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }

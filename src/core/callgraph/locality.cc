@@ -26,48 +26,6 @@ std::uint64_t loc_between(const SourceFile& file, std::uint32_t first,
   return count;
 }
 
-// Does any node of this subtree read the $_FILES superglobal?
-bool mentions_files(const phpast::Node& node) {
-  bool found = false;
-  phpast::walk(node, [&found](const phpast::Node& n) {
-    if (n.kind() == phpast::NodeKind::kVariable &&
-        static_cast<const phpast::Variable&>(n).name == "_FILES") {
-      found = true;
-    }
-    return !found;
-  });
-  return found;
-}
-
-// Finds a call site of `name` whose arguments mention $_FILES (preferred)
-// or, failing that, any call site of `name`.
-const phpast::Call* find_binding_call(const Program& program,
-                                      const std::string& name) {
-  const phpast::Call* any_call = nullptr;
-  const phpast::Call* files_call = nullptr;
-  for (const phpast::PhpFile* file : program.files) {
-    for (const auto& stmt : file->statements) {
-      phpast::walk(*stmt, [&](const phpast::Node& n) {
-        if (files_call != nullptr) return false;
-        if (n.kind() != phpast::NodeKind::kCall) return true;
-        const auto& call = static_cast<const phpast::Call&>(n);
-        if (call.is_dynamic() || call.callee != name) return true;
-        if (any_call == nullptr) any_call = &call;
-        for (const auto& arg : call.args) {
-          if (mentions_files(*arg)) {
-            files_call = &call;
-            break;
-          }
-        }
-        return true;
-      });
-      if (files_call != nullptr) break;
-    }
-    if (files_call != nullptr) break;
-  }
-  return files_call != nullptr ? files_call : any_call;
-}
-
 std::uint64_t function_body_loc(const phpast::FunctionDecl& fn,
                                 FileId file_id, const SourceManager& sources) {
   const SourceFile* file = sources.file(file_id);
@@ -140,12 +98,11 @@ LocalityResult analyze_locality(const Program& program, const CallGraph& graph,
       const SourceFile* sf = sources.file_by_name(node.name);
       root.body_loc = sf != nullptr ? sf->loc_count() : 0;
     } else {
-      const auto it = program.functions.find(node.name);
-      if (it == program.functions.end()) continue;
-      root.function = it->second.decl;
-      root.binding_call = find_binding_call(program, node.name);
-      root.body_loc =
-          function_body_loc(*it->second.decl, it->second.file, sources);
+      const Program::FunctionInfo* fn = program.function(node.name);
+      if (fn == nullptr) continue;
+      root.function = fn->decl;
+      root.binding_call = node.binding_call;
+      root.body_loc = function_body_loc(*fn->decl, fn->file, sources);
     }
     result.analyzed_loc += root.body_loc;
     result.roots.push_back(root);

@@ -25,10 +25,11 @@ struct AnalysisRoot {
   // Exactly one of `file` / `function` is non-null.
   const phpast::PhpFile* file = nullptr;
   const phpast::FunctionDecl* function = nullptr;
-  // For function roots: a call site whose arguments mention $_FILES, if
-  // one exists. The interpreter evaluates these arguments to bind the
-  // function's parameters, so upload taint flows into the root (this is
-  // how the paper's WooCommerce example, whose LCA is the function
+  // For function roots: the root node's CallGraphNode::binding_call, a
+  // plain call site of the declaration, preferring one whose arguments
+  // mention $_FILES. The interpreter evaluates these arguments to bind
+  // the function's parameters, so upload taint flows into the root (this
+  // is how the paper's WooCommerce example, whose LCA is the function
   // wc_cus_upload_picture($_FILES['profile_pic']), stays detectable).
   const phpast::Call* binding_call = nullptr;
   // Physical LoC of the root body (for the "% analyzed" metric).

@@ -1,8 +1,10 @@
 #include "core/detector/app_loader.h"
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 namespace uchecker::core {
 namespace {
@@ -47,16 +49,21 @@ std::optional<Application> load_application(
   if (fs::is_regular_file(root_path, ec)) {
     add_file(root_path, root_path.filename().string());
   } else if (fs::is_directory(root_path, ec)) {
+    // Directory order varies by filesystem, and file order sets FileIds,
+    // root order and finding order: collect, then add by relative path.
+    std::vector<std::pair<std::string, fs::path>> found;
     for (const auto& entry : fs::recursive_directory_iterator(root_path, ec)) {
       if (!is_php_file(entry.path())) continue;
       std::error_code sec;
       // Broken symlinks fail is_regular_file; route them through
       // add_file so they are reported, not silently dropped.
       if (entry.is_regular_file(sec) || fs::is_symlink(entry.path(), sec)) {
-        add_file(entry.path(),
-                 fs::relative(entry.path(), root_path, ec).string());
+        found.emplace_back(fs::relative(entry.path(), root_path, ec).string(),
+                           entry.path());
       }
     }
+    std::sort(found.begin(), found.end());
+    for (auto& [name, path] : found) add_file(path, std::move(name));
   } else {
     error = root + " is not a file or directory";
     return std::nullopt;

@@ -12,7 +12,8 @@ namespace uchecker::core {
 
 // Recursively collects *.php / *.module / *.inc files under `root` (or
 // the single file itself) into an Application named after the path;
-// file names are relative to `root`. Symlinks are followed, and a
+// file names are relative to `root`, and files come in the order of those
+// names whatever the directory order. Symlinks are followed, and a
 // broken one counts as unreadable. Unreadable files are skipped, and
 // their paths appended to `unreadable` when it is non-null. Returns
 // nullopt with `error` set when `root` is neither a file nor a

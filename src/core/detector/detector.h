@@ -34,8 +34,12 @@ namespace uchecker::core {
 // Bumped whenever a change can alter verdicts, findings or the report
 // JSON schema. Persistent caches (scand's verdict and solver stores)
 // key on it, so an engine upgrade cold-starts them instead of replaying
-// stale analysis results.
-inline constexpr std::string_view kEngineVersion = "uchecker-pr18";
+// stale analysis results. Last bumped when the call graph, locality and
+// the interpreter began to share one call and include resolution rule
+// (Program::callee / Program::include_target): verdicts changed for apps
+// with static method calls, same-named methods in two classes, or an
+// include that more than one file name matches.
+inline constexpr std::string_view kEngineVersion = "uchecker-pr23";
 
 struct ScanOptions {
   Budget budget;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <utility>
 
 #include "core/interp/builtins.h"
 #include "core/interp/slice.h"
@@ -20,12 +21,6 @@ using phpast::Stmt;
 using phpast::UnaryOp;
 
 namespace {
-
-bool is_superglobal(std::string_view name) {
-  return name == "_FILES" || name == "_POST" || name == "_GET" ||
-         name == "_REQUEST" || name == "_SERVER" || name == "_COOKIE" ||
-         name == "_SESSION" || name == "_ENV" || name == "GLOBALS";
-}
 
 OpKind op_kind_for(BinaryOp op) {
   switch (op) {
@@ -280,10 +275,11 @@ InterpResult Interpreter::run(const AnalysisRoot& root) {
   aborted_ = false;
   deadline_poll_ = 0;
 
-  const std::optional<std::vector<std::string>> slice = sink_relevant_vars(
-      program_, root, sink_registry_, [this](const Expr& path) {
-        return resolve_include_target(path);
-      });
+  current_file_ =
+      root.file != nullptr ? root.file->file : root.function->loc().file;
+
+  const std::optional<std::vector<std::string>> slice =
+      sink_relevant_vars(program_, root, sink_registry_);
   merge_ = slice.has_value();
   relevant_.clear();
   if (merge_) {
@@ -948,31 +944,6 @@ void Interpreter::exec_foreach(const phpast::Foreach& stmt) {
   check_budget();
 }
 
-const phpast::PhpFile* Interpreter::resolve_include_target(
-    const phpast::Expr& path) const {
-  // Trailing string literal, matched by suffix against program file names
-  // (same resolution rule the call-graph builder uses).
-  std::string suffix;
-  phpast::walk(path, [&suffix](const phpast::Node& n) {
-    if (n.kind() == NodeKind::kStringLit) {
-      suffix = static_cast<const phpast::StringLit&>(n).value;
-    }
-    return true;
-  });
-  while (!suffix.empty() && (suffix.front() == '/' || suffix.front() == '.')) {
-    suffix.erase(suffix.begin());
-  }
-  if (suffix.empty()) return nullptr;
-  for (const phpast::PhpFile* file : program_.files) {
-    if (file->name.size() >= suffix.size() &&
-        file->name.compare(file->name.size() - suffix.size(), suffix.size(),
-                           suffix) == 0) {
-      return file;
-    }
-  }
-  return nullptr;
-}
-
 void Interpreter::eval_include(const phpast::IncludeExpr& include) {
   const SourceLoc loc = include.loc();
   // Evaluate the path for its side effects, then discard it.
@@ -981,7 +952,8 @@ void Interpreter::eval_include(const phpast::IncludeExpr& include) {
     if (env.running()) pop(env);
   }
 
-  const phpast::PhpFile* target = resolve_include_target(*include.path);
+  const phpast::PhpFile* target =
+      program_.include_target(*include.path, current_file_);
   const bool once =
       include.include_kind == phpast::IncludeKind::kIncludeOnce ||
       include.include_kind == phpast::IncludeKind::kRequireOnce;
@@ -1006,7 +978,9 @@ void Interpreter::eval_include(const phpast::IncludeExpr& include) {
 
   included_once_.insert(target->name);
   include_chain_.push_back(target->name);
+  const FileId includer = std::exchange(current_file_, target->file);
   exec_stmts(as_span(target->statements));
+  current_file_ = includer;
   include_chain_.pop_back();
   // A PHP include evaluates to 1 unless the file returns a value; the
   // distinction rarely matters, so push the conventional 1.
@@ -1250,33 +1224,12 @@ void Interpreter::eval_expr(const Expr& expr) {
       for (Env& env : envs_) {
         if (env.running()) pop(env);  // receiver is not modeled
       }
-      const auto it = program_.functions.find(strutil::to_lower(call.method));
-      std::vector<const Expr*> arg_exprs;
-      for (const auto& a : call.args) arg_exprs.push_back(a);
-      if (it != program_.functions.end()) {
-        for (const auto& a : call.args) eval_expr(*a);
-        eval_user_function(it->second, call.args.size(), loc);
-      } else {
-        eval_builtin_or_unknown(strutil::to_lower(call.method), arg_exprs, loc);
-      }
+      eval_resolved_call(expr, call.args, strutil::to_lower(call.method));
       break;
     }
     case NodeKind::kStaticCall: {
       const auto& call = static_cast<const phpast::StaticCall&>(expr);
-      const std::string qualified = strutil::to_lower(call.class_name) +
-                                    "::" + strutil::to_lower(call.method);
-      auto it = program_.functions.find(qualified);
-      if (it == program_.functions.end()) {
-        it = program_.functions.find(strutil::to_lower(call.method));
-      }
-      std::vector<const Expr*> arg_exprs;
-      for (const auto& a : call.args) arg_exprs.push_back(a);
-      if (it != program_.functions.end()) {
-        for (const auto& a : call.args) eval_expr(*a);
-        eval_user_function(it->second, call.args.size(), loc);
-      } else {
-        eval_builtin_or_unknown(strutil::to_lower(call.method), arg_exprs, loc);
-      }
+      eval_resolved_call(expr, call.args, strutil::to_lower(call.method));
       break;
     }
     case NodeKind::kNew: {
@@ -1403,7 +1356,7 @@ void Interpreter::eval_expr(const Expr& expr) {
 
 void Interpreter::eval_variable(const phpast::Variable& var) {
   const SourceLoc loc = var.loc();
-  if (is_superglobal(var.name)) {
+  if (phpast::is_superglobal(var.name)) {
     auto it = superglobals_.find(var.name);
     if (it == superglobals_.end()) {
       const bool is_files = var.name == "_FILES";
@@ -1659,16 +1612,18 @@ void Interpreter::eval_call(const phpast::Call& call) {
     return;
   }
 
-  const auto it = program_.functions.find(call.callee);
-  if (it != program_.functions.end()) {
-    for (const auto& a : call.args) eval_expr(*a);
-    eval_user_function(it->second, call.args.size(), loc);
+  eval_resolved_call(call, call.args, call.callee);
+}
+
+void Interpreter::eval_resolved_call(const Expr& call, phpast::ExprList args,
+                                     std::string_view builtin) {
+  if (const Program::FunctionInfo* fn = program_.callee(call, sink_registry_)) {
+    for (const Expr* a : args) eval_expr(*a);
+    eval_user_function(*fn, args.size(), call.loc());
     return;
   }
-
-  std::vector<const Expr*> arg_exprs;
-  for (const auto& a : call.args) arg_exprs.push_back(a);
-  eval_builtin_or_unknown(call.callee, arg_exprs, loc);
+  eval_builtin_or_unknown(
+      builtin, std::vector<const Expr*>(args.begin(), args.end()), call.loc());
 }
 
 void Interpreter::record_sink(std::string_view name, std::size_t arg_count,
@@ -1729,6 +1684,7 @@ void Interpreter::eval_user_function(const Program::FunctionInfo& info,
   const ForkSiteScope fork_scope(budget_.events, envs_,
                                  profile::ForkKind::kCall, loc, info.name);
   call_chain_.push_back(info.name);
+  const FileId caller_file = std::exchange(current_file_, info.file);
   const phpast::FunctionDecl& fn = *info.decl;
 
   // Set non-running environments aside: they take no part in the call,
@@ -1812,6 +1768,7 @@ void Interpreter::eval_user_function(const Program::FunctionInfo& info,
     if (env.running()) push(env, result);
   }
   for (Env& env : set_aside) envs_.push_back(std::move(env));
+  current_file_ = caller_file;
   call_chain_.pop_back();
 }
 

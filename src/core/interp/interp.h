@@ -13,6 +13,13 @@
 // partial results aligned with their paths even when a user-defined
 // function call forks mid-expression.
 //
+// A call inlines the user function Program::callee() names, and an
+// include runs the file Program::include_target() names from the file
+// executing at that point (core/callgraph/callgraph.h): the same rule the
+// call graph follows, so the roots locality picks are the code run here.
+// A call that names no user function is a builtin model or an opaque
+// symbol.
+//
 // Loops are not executed precisely (paper §VI acknowledges the same
 // limitation): each loop forks into a skip path and a bounded number of
 // unrolled iterations.
@@ -163,6 +170,10 @@ class Interpreter {
   void eval_array_access(const phpast::ArrayAccess& access);
   void eval_assign(const phpast::Assign& assign);
   void eval_call(const phpast::Call& call);
+  // A call, method call or static call: inlines the user function
+  // Program::callee() resolves it to, else evaluates `builtin`.
+  void eval_resolved_call(const phpast::Expr& call, phpast::ExprList args,
+                          std::string_view builtin);
   void eval_builtin_or_unknown(std::string_view name,
                                const std::vector<const phpast::Expr*>& arg_exprs,
                                SourceLoc loc);
@@ -208,12 +219,10 @@ class Interpreter {
   void close_join(const ForkJoin& fork, std::vector<Env>& arms);
   [[nodiscard]] bool same_join_state(const Env& a, const Env& b) const;
 
-  // include/require: resolves the path expression against the program's
-  // files (trailing-string-literal suffix match, as in the call graph)
-  // and executes the included file's top-level statements inline.
+  // include/require: resolves the path expression with
+  // Program::include_target() from the file executing now, and executes
+  // the included file's top-level statements inline.
   void eval_include(const phpast::IncludeExpr& include);
-  [[nodiscard]] const phpast::PhpFile* resolve_include_target(
-      const phpast::Expr& path) const;
 
   const Program& program_;
   DiagnosticSink& diags_;
@@ -241,6 +250,9 @@ class Interpreter {
 
   std::vector<std::string> call_chain_;     // active user-function inlining
   std::vector<std::string> include_chain_;  // active include nesting
+  // The file whose code runs now: the root's file, an inlined function's
+  // declaring file, or an included file. An include never resolves to it.
+  FileId current_file_;
   std::set<std::string> included_once_;     // include_once/require_once
   std::uint64_t symbol_counter_ = 0;
   std::uint32_t deadline_poll_ = 0;  // stride counter for deadline checks

@@ -49,13 +49,13 @@ const phpast::Variable* target_root(const phpast::Expr& target) {
 
 class SliceBuilder {
  public:
-  SliceBuilder(const Program& program, const SinkRegistry& sinks,
-               const IncludeResolver& resolve_include)
-      : program_(program), sinks_(sinks), resolve_include_(resolve_include) {}
+  SliceBuilder(const Program& program, const SinkRegistry& sinks)
+      : program_(program), sinks_(sinks) {}
 
   void add_root(const AnalysisRoot& root) {
     if (root.function != nullptr) {
-      add_function(*root.function, /*returns_used=*/false);
+      add_function(*root.function, root.function->loc().file,
+                   /*returns_used=*/false);
       // The interpreter binds the parameters from the call site locality
       // captured, evaluating its arguments first.
       if (root.binding_call != nullptr) {
@@ -67,9 +67,10 @@ class SliceBuilder {
       add_file(*root.file);
     }
     while (!pending_.empty() && !dynamic_) {
-      const auto [body, returns_used] = pending_.back();
+      const Body body = pending_.back();
       pending_.pop_back();
-      scan(body, returns_used);
+      file_ = body.file;
+      scan(body.stmts, body.returns_used);
     }
   }
 
@@ -118,41 +119,24 @@ class SliceBuilder {
     return v;
   }
 
-  void add_function(const phpast::FunctionDecl& fn, bool returns_used) {
+  // A body to scan, with the file its code belongs to (includes in it
+  // resolve from there).
+  struct Body {
+    Span<const phpast::StmtPtr> stmts;
+    FileId file;
+    bool returns_used = false;
+  };
+
+  void add_function(const phpast::FunctionDecl& fn, FileId file,
+                    bool returns_used) {
     if (!functions_seen_.insert(&fn).second) return;
     for (const phpast::Param& p : fn.params) dynamic_ = dynamic_ || p.by_ref;
-    pending_.emplace_back(fn.body, returns_used);
+    pending_.push_back(Body{fn.body, file, returns_used});
   }
 
   void add_file(const phpast::PhpFile& file) {
     if (!files_seen_.insert(&file).second) return;
-    pending_.emplace_back(as_span(file.statements), false);
-  }
-
-  // The user function a call node inlines, exactly as the interpreter
-  // resolves it (sinks first; methods by bare name; static calls by
-  // qualified name, then bare name).
-  [[nodiscard]] const Program::FunctionInfo* user_function(
-      const phpast::Node& n) const {
-    std::string name;
-    if (n.kind() == NodeKind::kCall) {
-      const auto& call = static_cast<const phpast::Call&>(n);
-      if (call.is_dynamic() || sinks_.is_sink(call.callee)) return nullptr;
-      name = call.callee;
-    } else if (n.kind() == NodeKind::kMethodCall) {
-      name = strutil::to_lower(static_cast<const phpast::MethodCall&>(n).method);
-    } else if (n.kind() == NodeKind::kStaticCall) {
-      const auto& call = static_cast<const phpast::StaticCall&>(n);
-      const auto it = program_.functions.find(
-          strutil::to_lower(call.class_name) + "::" +
-          strutil::to_lower(call.method));
-      if (it != program_.functions.end()) return &it->second;
-      name = strutil::to_lower(call.method);
-    } else {
-      return nullptr;
-    }
-    const auto it = program_.functions.find(name);
-    return it != program_.functions.end() ? &it->second : nullptr;
+    pending_.push_back(Body{as_span(file.statements), file.file, false});
   }
 
   // The builtin name a call node dispatches to when it is not a user
@@ -281,8 +265,8 @@ class SliceBuilder {
         case NodeKind::kMethodCall:
         case NodeKind::kStaticCall: {
           const std::string name = builtin_name(n);
-          pinned = sinks_.is_sink(name) || user_function(n) != nullptr ||
-                   is_terminator(name);
+          pinned = sinks_.is_sink(name) ||
+                   program_.callee(n, sinks_) != nullptr || is_terminator(name);
           break;
         }
         case NodeKind::kIf:
@@ -438,17 +422,18 @@ class SliceBuilder {
           if (n.kind() == NodeKind::kCall && sinks_.is_sink(name)) {
             saw_sink_ = true;
             for (const phpast::Expr* a : args) vars(a, seeds_);
-          } else if (const Program::FunctionInfo* fn = user_function(n)) {
+          } else if (const Program::FunctionInfo* fn =
+                         program_.callee(n, sinks_)) {
             bind_params(*fn->decl, args);
-            add_function(*fn->decl, /*returns_used=*/true);
+            add_function(*fn->decl, fn->file, /*returns_used=*/true);
           } else if (is_dynamic_builtin(name)) {
             dynamic_ = true;
           }
           break;
         }
         case NodeKind::kIncludeExpr:
-          if (const phpast::PhpFile* file = resolve_include_(
-                  *static_cast<const phpast::IncludeExpr&>(n).path)) {
+          if (const phpast::PhpFile* file = program_.include_target(
+                  *static_cast<const phpast::IncludeExpr&>(n).path, file_)) {
             add_file(*file);
           }
           break;
@@ -473,14 +458,14 @@ class SliceBuilder {
 
   const Program& program_;
   const SinkRegistry& sinks_;
-  const IncludeResolver& resolve_include_;
 
   std::map<std::string, int, std::less<>> ids_;
   std::vector<std::string> names_;
   std::vector<int> seeds_;
   std::vector<std::pair<int, std::vector<int>>> flows_;
   std::vector<Branch> branches_;
-  std::vector<std::pair<Span<const phpast::StmtPtr>, bool>> pending_;
+  std::vector<Body> pending_;
+  FileId file_;  // the file of the body being scanned
   std::set<const phpast::FunctionDecl*> functions_seen_;
   std::set<const phpast::PhpFile*> files_seen_;
   bool saw_sink_ = false;
@@ -491,8 +476,8 @@ class SliceBuilder {
 
 std::optional<std::vector<std::string>> sink_relevant_vars(
     const Program& program, const AnalysisRoot& root,
-    const SinkRegistry& sinks, const IncludeResolver& resolve_include) {
-  SliceBuilder builder(program, sinks, resolve_include);
+    const SinkRegistry& sinks) {
+  SliceBuilder builder(program, sinks);
   builder.add_root(root);
   return builder.solve();
 }

@@ -4,7 +4,6 @@
 // what keeps branch ladders the sink never reads from multiplying paths.
 #pragma once
 
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -16,15 +15,11 @@
 
 namespace uchecker::core {
 
-// Resolves an include/require path expression to a file of the program
-// (null when it names none).
-using IncludeResolver =
-    std::function<const phpast::PhpFile*(const phpast::Expr& path)>;
-
 // Flow-insensitive, over-approximate set R of sink-relevant variable
 // names for `root`, over the root body, the user functions it can reach
-// and the files it includes (variables are matched by name across
-// scopes). R is the backward closure of:
+// and the files it includes, both resolved by Program::callee() and
+// Program::include_target() as the interpreter resolves them (variables
+// are matched by name across scopes). R is the backward closure of:
 //  - the variables in the arguments of every registered sink call;
 //  - a binding's right-hand side (phpast/dataflow's binding sites, plus
 //    property writes) when its variable is in R, and a call's argument
@@ -42,6 +37,6 @@ using IncludeResolver =
 // by-reference binding, or a variable function.
 [[nodiscard]] std::optional<std::vector<std::string>> sink_relevant_vars(
     const Program& program, const AnalysisRoot& root,
-    const SinkRegistry& sinks, const IncludeResolver& resolve_include);
+    const SinkRegistry& sinks);
 
 }  // namespace uchecker::core

@@ -187,12 +187,6 @@ struct GuardEval {
 
 // -------------------------------------------------------------------------
 
-bool is_superglobal(std::string_view name) {
-  return name == "_POST" || name == "_GET" || name == "_REQUEST" ||
-         name == "_COOKIE" || name == "_SERVER" || name == "_SESSION" ||
-         name == "_ENV" || name == "GLOBALS";
-}
-
 class Analyzer {
  public:
   // Root mode: analyzes one locality root.
@@ -388,7 +382,7 @@ AbsVal Analyzer::transfer(const VarBinding& b, const Env& env) {
 
 AbsVal Analyzer::eval_var(std::string_view name, const Env& env) {
   if (name == "_FILES") return files(Kind::kFilesArray, "");
-  if (is_superglobal(name)) return top();
+  if (phpast::is_superglobal(name)) return top();
   if (caller_scope_) return top();
   if (bound_names_.count(name) != 0) {
     auto it = env.find(name);
@@ -475,17 +469,17 @@ AbsVal Analyzer::eval_call(const Call& call, const Env& env) {
   if (call.is_dynamic()) return top();
   const std::string_view name = call.callee;
   // User-defined functions resolve by summary instantiation instead of
-  // degrading to top(). They are checked before the builtin models to
-  // match the interpreter's resolution order (sink registry, then user
-  // functions, then builtins).
-  if (summaries_ != nullptr && !sinks_.is_sink(name) &&
-      program_.functions.count(name) != 0) {
+  // degrading to top(). They are checked before the builtin models, as
+  // the interpreter checks them (Program::callee).
+  const Program::FunctionInfo* fn =
+      summaries_ != nullptr ? program_.callee(call, sinks_) : nullptr;
+  if (fn != nullptr) {
     std::vector<AbsVal> vals;
     vals.reserve(call.args.size());
     for (const Expr* a : call.args) {
       vals.push_back(a != nullptr ? eval(*a, env) : top());
     }
-    return summaries_->instantiate(name, vals).return_value;
+    return summaries_->instantiate(fn->name, vals).return_value;
   }
   auto arg = [&](std::size_t i) -> AbsVal {
     if (i >= call.args.size() || call.args[i] == nullptr) return top();
@@ -1463,13 +1457,10 @@ SinkSummary Analyzer::classify_sink(const SinkSite& site) {
 
 // --- escape hatches ------------------------------------------------------
 
+// The summaries-off fallback: whether the call-graph node of function
+// `lower_name` (a declaration's own key) reaches a sink. With the
+// summary layer, find_bail vets call sites against facts instead.
 bool Analyzer::function_reaches_sink(std::string_view lower_name) {
-  // With the summary layer available this becomes a fact lookup (over
-  // interp-inlinable calls, escapes counted as reaching); the call-graph
-  // walk below remains the purely intraprocedural fallback.
-  if (summaries_ != nullptr) {
-    return summaries_->function_reaches_sink(lower_name);
-  }
   if (function_nodes_.empty()) {
     for (NodeId i = 0; i < static_cast<NodeId>(graph_.node_count()); ++i) {
       const CallGraphNode& n = graph_.node(i);
@@ -1498,7 +1489,17 @@ bool Analyzer::method_reaches_sink(const std::string& lower_method) {
 
 std::string Analyzer::find_bail(Span<const StmtPtr> stmts) {
   std::string reason;
-  auto visit = [this, &reason](const Node& n) -> bool {
+  // With summaries, a call site is vetted against the facts of the user
+  // function the interpreter inlines there (Program::callee); a
+  // sink-named call is a sink site even when a user function shadows the
+  // name, and an unknown name never records a sink.
+  const auto vet = [this, &reason](const Node& call, phpast::ExprList args) {
+    if (const Program::FunctionInfo* fn = program_.callee(call, sinks_)) {
+      reason = vet_call_site(fn->name, args, call.loc());
+    }
+    return reason.empty();
+  };
+  auto visit = [this, &reason, &vet](const Node& n) -> bool {
     if (!reason.empty()) return false;
     switch (n.kind()) {
       case NodeKind::kFunctionDecl:
@@ -1521,36 +1522,18 @@ std::string Analyzer::find_bail(Span<const StmtPtr> stmts) {
           reason += call.callee;
           return false;
         }
-        if (summaries_ != nullptr) {
-          // Sink-named calls are classified as sink sites even when a
-          // user function shadows the name (the interpreter checks the
-          // sink registry before the function registry).
-          if (!sinks_.is_sink(call.callee) &&
-              program_.functions.count(call.callee) != 0) {
-            reason = vet_call_site(call.callee, call.args, call.loc());
-          }
-          return reason.empty();
-        }
-        if (program_.functions.count(call.callee) != 0 &&
-            function_reaches_sink(call.callee)) {
-          reason = "call into ";
-          reason += call.callee;
-          reason += "() which reaches a sink";
+        if (summaries_ != nullptr) return vet(call, call.args);
+        const Program::FunctionInfo* fn = program_.callee(call, sinks_);
+        if (fn != nullptr && function_reaches_sink(fn->name)) {
+          reason = "call into " + fn->name + "() which reaches a sink";
           return false;
         }
         return true;
       }
       case NodeKind::kMethodCall: {
         const auto& mc = static_cast<const MethodCall&>(n);
+        if (summaries_ != nullptr) return vet(mc, mc.args);
         const std::string m = to_lower(mc.method);
-        if (summaries_ != nullptr) {
-          // The interpreter resolves method calls by bare lowercased
-          // name; unknown names never record sinks.
-          if (program_.functions.count(m) != 0) {
-            reason = vet_call_site(m, mc.args, mc.loc());
-          }
-          return reason.empty();
-        }
         if (method_reaches_sink(m)) {
           reason = "method call ->" + m + "() may reach a sink";
           return false;
@@ -1559,16 +1542,8 @@ std::string Analyzer::find_bail(Span<const StmtPtr> stmts) {
       }
       case NodeKind::kStaticCall: {
         const auto& sc = static_cast<const StaticCall&>(n);
+        if (summaries_ != nullptr) return vet(sc, sc.args);
         const std::string m = to_lower(sc.method);
-        if (summaries_ != nullptr) {
-          // Interpreter resolution order: "class::method", then bare.
-          std::string resolved = to_lower(sc.class_name) + "::" + m;
-          if (program_.functions.count(resolved) == 0) resolved = m;
-          if (program_.functions.count(resolved) != 0) {
-            reason = vet_call_site(resolved, sc.args, sc.loc());
-          }
-          return reason.empty();
-        }
         if (method_reaches_sink(m)) {
           reason = "static call ::" + m + "() may reach a sink";
           return false;

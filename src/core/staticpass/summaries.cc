@@ -44,8 +44,7 @@ SummaryStore::SummaryStore(const Program& program, const CallGraph& graph,
       options_(options) {}
 
 // Edges follow only calls the symbolic interpreter actually inlines:
-// direct calls, method calls resolved by bare name, static calls
-// resolved "class::method"-then-bare. Callback registrations,
+// the callees Program::callee() resolves. Callback registrations,
 // constructors (never run by the interpreter) and closures (never
 // invoked) are not edges; the opaque ones count as escapes instead.
 SummaryStore::LocalFacts SummaryStore::local_facts(
@@ -77,39 +76,22 @@ SummaryStore::LocalFacts SummaryStore::local_facts(
       }
       case NodeKind::kCall: {
         const auto& call = static_cast<const phpast::Call&>(n);
-        if (call.is_dynamic()) {
+        if (call.is_dynamic() || callback_builtins().count(call.callee) != 0) {
           local.escapes = true;
           return true;  // still scan the arguments
-        }
-        if (callback_builtins().count(call.callee) != 0) {
-          local.escapes = true;
-          return true;
         }
         if (sinks_.is_sink(call.callee)) {
           local.sink = true;
           return true;
         }
-        if (program_.functions.count(call.callee) != 0) {
-          callees.insert(std::string(call.callee));
+        [[fallthrough]];
+      }
+      case NodeKind::kMethodCall:
+      case NodeKind::kStaticCall:
+        if (const Program::FunctionInfo* fn = program_.callee(n, sinks_)) {
+          callees.insert(fn->name);
         }
         return true;
-      }
-      case NodeKind::kMethodCall: {
-        const std::string m = strutil::to_lower(
-            static_cast<const phpast::MethodCall&>(n).method);
-        if (program_.functions.count(m) != 0) callees.insert(m);
-        return true;
-      }
-      case NodeKind::kStaticCall: {
-        const auto& sc = static_cast<const phpast::StaticCall&>(n);
-        std::string q = strutil::to_lower(sc.class_name) +
-                        "::" + strutil::to_lower(sc.method);
-        if (program_.functions.count(q) == 0) {
-          q = strutil::to_lower(sc.method);
-        }
-        if (program_.functions.count(q) != 0) callees.insert(std::move(q));
-        return true;
-      }
       default:
         return true;
     }
@@ -254,10 +236,15 @@ void SummaryStore::finish_component(std::vector<std::string> members) {
 const FunctionFacts* SummaryStore::facts(std::string_view lower_name) {
   auto it = facts_.find(lower_name);
   if (it == facts_.end()) {
-    auto fit = program_.functions.find(lower_name);
-    if (fit == program_.functions.end()) return nullptr;
-    summarize(fit->first);
-    it = facts_.find(lower_name);
+    // Facts are kept under each declaration's own key, so a method's
+    // bare name finds them through the registry.
+    const Program::FunctionInfo* fn = program_.function(lower_name);
+    if (fn == nullptr) return nullptr;
+    it = facts_.find(fn->name);
+    if (it == facts_.end()) {
+      summarize(fn->name);
+      it = facts_.find(fn->name);
+    }
   }
   return &it->second;
 }

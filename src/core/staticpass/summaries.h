@@ -28,8 +28,8 @@
 //     recursive calls with a fresh unknown symbol.
 //
 // Reachability here deliberately follows only calls the symbolic
-// interpreter actually inlines (direct calls, method/static calls
-// resolved by name) — not the call graph's callback-registration edges,
+// interpreter actually inlines (the callees Program::callee() resolves)
+// — not the call graph's callback-registration edges,
 // which the interpreter never executes. That makes "summary-proven
 // sink-free" an over-approximation of what interp can find, so pruning
 // a root whose whole transitive callee set is sink-free is sound; the
@@ -62,7 +62,7 @@ namespace uchecker::core::staticpass {
 // every call site. Computed bottom-up over the SCC condensation of the
 // functions it reaches.
 struct FunctionFacts {
-  std::string name;     // lowercase key in Program::functions
+  std::string name;     // the declaration's own key, FunctionInfo::name
   int scc = -1;         // condensation index; callees never have a larger one
   bool recursive = false;       // member of a nontrivial SCC or self-loop
   bool has_local_sink = false;  // own body contains a lexical sink call
@@ -100,7 +100,8 @@ class SummaryStore {
                const SourceManager& sources, const SinkRegistry& sinks,
                const StaticPassOptions& options);
 
-  // Null when `lower_name` is not a user-defined function. The first
+  // Null when `lower_name` is not a user-defined function; a method's
+  // bare name gives the facts of the method it resolves to. The first
   // query summarizes the function and every function it reaches that
   // no earlier query summarized.
   [[nodiscard]] const FunctionFacts* facts(std::string_view lower_name);

@@ -144,6 +144,15 @@ class Variable final : public Expr {
   std::string_view name;  // without the leading '$'
 };
 
+// Whether a variable name (without the '$') is one of PHP's superglobals:
+// _FILES, _POST, _GET, _REQUEST, _SERVER, _COOKIE, _SESSION, _ENV and
+// GLOBALS.
+[[nodiscard]] constexpr bool is_superglobal(std::string_view name) {
+  return name == "_FILES" || name == "_POST" || name == "_GET" ||
+         name == "_REQUEST" || name == "_SERVER" || name == "_COOKIE" ||
+         name == "_SESSION" || name == "_ENV" || name == "GLOBALS";
+}
+
 // A bare identifier used as an expression: PHP constants such as
 // PATHINFO_EXTENSION, __DIR__, UPLOAD_ERR_OK, or class constants.
 class ConstFetch final : public Expr {

@@ -97,6 +97,48 @@ TEST(CallGraph, IncludeWithDirnamePrefix) {
   EXPECT_TRUE(f.has_edge("main.php", "inc/x.php"));
 }
 
+TEST(CallGraph, IncludeWithEmptySuffixLinksNothing) {
+  // `$dir . '/'` strips to an empty suffix, which names no file.
+  Fixture f({{"main.php", R"php(<?php
+$f = $_FILES['x'];
+include $dir . '/';
+)php"},
+             {"other.php", "<?php move_uploaded_file($a, $b);"}});
+  EXPECT_EQ(f.graph.node(f.find_node("main.php")).children.size(), 1u);
+  EXPECT_FALSE(f.has_edge("main.php", "other.php"));
+  EXPECT_TRUE(f.locality.roots.empty());
+}
+
+TEST(CallGraph, IncludeSkipsTheIncludingFileAndIgnoresLoadOrder) {
+  const char* main = "<?php include 'upload.php';";
+  Fixture ab({{"upload.php", main}, {"a/upload.php", "<?php"},
+              {"b/upload.php", "<?php"}});
+  Fixture ba({{"upload.php", main}, {"b/upload.php", "<?php"},
+              {"a/upload.php", "<?php"}});
+  for (const Fixture* f : {&ab, &ba}) {
+    EXPECT_TRUE(f->has_edge("upload.php", "a/upload.php"));
+    EXPECT_FALSE(f->has_edge("upload.php", "b/upload.php"));
+    EXPECT_FALSE(f->has_edge("upload.php", "upload.php"));
+  }
+}
+
+TEST(CallGraph, MethodBodyIsItsDeclarationsNode) {
+  Fixture f({{"a.php", R"php(<?php
+class Up {
+    static function save($f) {
+        move_uploaded_file($f['tmp_name'], '/var/www/uploads/' . $f['name']);
+    }
+}
+Up::save($_FILES['x']);
+)php"}});
+  EXPECT_TRUE(f.has_edge("a.php", "up::save"));
+  EXPECT_TRUE(f.has_edge("up::save", "move_uploaded_file()"));
+  // The bare-name registry entry is the same declaration, not a node.
+  EXPECT_EQ(f.find_node("save"), kNoNode);
+  ASSERT_EQ(f.locality.roots.size(), 1u);
+  EXPECT_NE(f.locality.roots[0].file, nullptr);
+}
+
 TEST(CallGraph, CallbackEdgeFromStringLiteral) {
   Fixture f({{"a.php", R"php(<?php
 add_action('wp_ajax_upload', 'my_handler');
@@ -264,7 +306,7 @@ class Uploader {
 }
 $u = new Uploader();
 )php"}});
-  EXPECT_TRUE(f.has_edge("__construct", "handle"));
+  EXPECT_TRUE(f.has_edge("uploader::__construct", "uploader::handle"));
 }
 
 TEST(CallGraph, ArrayCallbackWithClassNameString) {

@@ -4,8 +4,13 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <unistd.h>
 
+#include <cmath>
+#include <filesystem>
+#include <fstream>
+
+#include "core/detector/app_loader.h"
 #include "core/detector/report_io.h"
 
 namespace uchecker::core {
@@ -371,6 +376,86 @@ function do_upload() {
 )php"});
   const ScanReport report = Detector().scan(app);
   EXPECT_EQ(report.verdict, Verdict::kVulnerable);
+}
+
+// --- call and include resolution (Program::callee, include_target) -----------
+
+TEST(Detector, StaticMethodCallReachesItsOwnBody) {
+  const ScanReport report = scan(R"(
+class Up {
+    static function save($f) {
+        move_uploaded_file($f['tmp_name'], '/var/www/uploads/' . $f['name']);
+    }
+}
+Up::save($_FILES['x']);
+)");
+  EXPECT_EQ(report.verdict, Verdict::kVulnerable);
+  EXPECT_EQ(report.roots, 1u);
+}
+
+TEST(Detector, SameNamedMethodsOfTwoClassesAreDistinct) {
+  // The bare name `save` belongs to Safe::save, declared first; the
+  // static call names Up::save, and its body is what runs.
+  EXPECT_TRUE(vulnerable(R"(
+class Safe {
+    static function save($f) {
+        move_uploaded_file($f['tmp_name'], '/var/www/uploads/upload.jpg');
+    }
+}
+class Up {
+    static function save($f) {
+        move_uploaded_file($f['tmp_name'], '/var/www/uploads/' . $f['name']);
+    }
+}
+Up::save($_FILES['x']);
+)"));
+}
+
+TEST(Detector, IncludeTargetDoesNotDependOnFileOrder) {
+  // Both a/upload.php and b/upload.php end in the included name; the
+  // first in name order, a/upload.php, is the one that runs.
+  const AppFile main{"main.php", R"php(<?php
+$f = $_FILES['x'];
+include 'upload.php';
+)php"};
+  const AppFile a{"a/upload.php", R"php(<?php
+move_uploaded_file($f['tmp_name'], '/var/www/uploads/' . $f['name']);
+)php"};
+  const AppFile b{"b/upload.php", "<?php\necho 'saved';\n"};
+  std::vector<ScanReport> reports;
+  for (const std::vector<AppFile>& order :
+       {std::vector<AppFile>{main, a, b}, std::vector<AppFile>{main, b, a}}) {
+    Application app;
+    app.name = "include-order";
+    app.files = order;
+    reports.push_back(Detector().scan(app));
+  }
+  for (const ScanReport& report : reports) {
+    EXPECT_EQ(report.verdict, Verdict::kVulnerable);
+    ASSERT_EQ(report.root_costs.size(), 1u);
+    EXPECT_EQ(report.root_costs[0].root, reports[0].root_costs[0].root);
+  }
+  EXPECT_EQ(reports[0].roots, reports[1].roots);
+}
+
+TEST(AppLoader, FilesComeBackSortedByRelativePath) {
+  namespace fs = std::filesystem;
+  const fs::path root = fs::temp_directory_path() /
+                        ("uchecker_app_loader_" + std::to_string(::getpid()));
+  fs::remove_all(root);
+  for (const char* name : {"z.php", "b.php", "m/x.inc", "a/b.php", "a/a.module",
+                           "notes.txt"}) {
+    fs::create_directories((root / name).parent_path());
+    std::ofstream(root / name) << "<?php\n";
+  }
+  std::string error;
+  const std::optional<Application> app = load_application(root.string(), error);
+  fs::remove_all(root);
+  ASSERT_TRUE(app.has_value()) << error;
+  std::vector<std::string> names;
+  for (const AppFile& file : app->files) names.push_back(file.name);
+  EXPECT_EQ(names, (std::vector<std::string>{"a/a.module", "a/b.php", "b.php",
+                                             "m/x.inc", "z.php"}));
 }
 
 // --- zero-denominator regressions -----------------------------------------
