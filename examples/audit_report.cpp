@@ -19,6 +19,7 @@
 #include "baselines/rips.h"
 #include "baselines/wap.h"
 #include "core/detector/detector.h"
+#include "core/detector/report_io.h"
 #include "corpus/corpus.h"
 #include "support/telemetry.h"
 
@@ -115,30 +116,7 @@ int main() {
     std::printf("  ground truth: %s%s\n",
                 entry.ground_truth_vulnerable ? "vulnerable" : "benign",
                 entry.ground_truth_vulnerable ? "" : "  (FALSE POSITIVE)");
-    for (const Finding& f : report.findings) {
-      std::printf("  %s at %s  [%s]\n", f.sink_name.c_str(),
-                  f.location.c_str(), f.fingerprint.c_str());
-      std::printf("      %s\n", f.source_line.c_str());
-      std::printf("      exploit witness: %s\n", f.witness.c_str());
-      const FindingEvidence& ev = f.evidence;
-      for (const EvidenceHop& hop : ev.taint_path) {
-        std::printf("      taint: %-8s %s%s%s%s\n", hop.kind.c_str(),
-                    hop.description.c_str(),
-                    hop.location.empty() ? "" : "  [", hop.location.c_str(),
-                    hop.location.empty() ? "" : "]");
-      }
-      for (const EvidenceGuard& g : ev.guards) {
-        std::printf("      guard: %s%s%s%s\n", g.sexpr.c_str(),
-                    g.location.empty() ? "" : "  [", g.location.c_str(),
-                    g.location.empty() ? "" : "]");
-      }
-      if (!ev.upload_filename.empty()) {
-        std::printf("      attack: upload \"%s\" -> written to \"%s\"%s\n",
-                    ev.upload_filename.c_str(), ev.destination.c_str(),
-                    ev.destination_complete ? "" : " (partially resolved)");
-      }
-    }
-    std::printf("\n");
+    std::printf("%s\n", to_text(report, /*quiet=*/true).c_str());
   }
 
   std::printf("=== aggregate ===\n");

@@ -17,16 +17,16 @@
 //
 // Recursively collects *.php (and *.module) files under the given
 // directory, runs the full UChecker pipeline, and prints a report
-// (human-readable by default, stable JSON with --json). This is the
+// (core::to_text by default, stable JSON with --json). This is the
 // example to start from when embedding the library in CI.
 //
 // Observability: --trace-out writes the scan's span tree (all pipeline
 // phases, per-root children, solver calls, interpreter progress samples)
 // as Chrome trace-event JSON — load it in Perfetto or chrome://tracing.
 // --metrics-out writes the metrics registry plus the per-phase latency
-// breakdown as JSON. Verbosity is routed through the telemetry event
-// sink: --quiet suppresses warnings/notes, -v additionally logs
-// structured progress (one JSON object per event) to stderr.
+// breakdown as JSON. --quiet suppresses warnings and notes; -v logs
+// them, and one app_done line per scan, to stderr as structured JSON
+// (one object per line) instead of plain text.
 //
 // Introspection: --profile-out enables the path-explosion profiler and
 // writes its JSON (support/profile.h schema) to FILE: per root, the
@@ -79,18 +79,17 @@ enum class Verbosity { kQuiet, kNormal, kVerbose };
 
 // All diagnostics-to-the-operator flow through here (not ad-hoc
 // fprintf): quiet drops them, normal prints plain text to stderr, and
-// verbose routes a structured JSON line through the telemetry sink.
+// verbose prints a structured JSON line to stderr.
 struct EventLog {
   Verbosity verbosity = Verbosity::kNormal;
-  uchecker::telemetry::Telemetry* telemetry = nullptr;
 
   void warn(const std::string& event, const std::string& detail,
             const std::string& plain) const {
     if (verbosity == Verbosity::kQuiet) return;
-    if (verbosity == Verbosity::kVerbose && telemetry != nullptr) {
-      telemetry->emit_progress(
-          "{\"event\": " + uchecker::strutil::quote(event) +
-          ", \"detail\": " + uchecker::strutil::quote(detail) + "}");
+    if (verbosity == Verbosity::kVerbose) {
+      std::fprintf(stderr, "{\"event\": %s, \"detail\": %s}\n",
+                   uchecker::strutil::quote(event).c_str(),
+                   uchecker::strutil::quote(detail).c_str());
       return;
     }
     std::fprintf(stderr, "%s\n", plain.c_str());
@@ -199,19 +198,11 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Telemetry is attached when anything consumes it: an export file or
-  // verbose structured logging. Otherwise the scan runs on the
-  // zero-overhead path.
+  // Telemetry is attached only when an export file consumes it;
+  // otherwise the scan runs on the zero-overhead path.
   uchecker::telemetry::Telemetry telemetry;
-  const bool want_telemetry = !trace_out.empty() || !metrics_out.empty() ||
-                              verbosity == Verbosity::kVerbose;
-  if (verbosity == Verbosity::kVerbose) {
-    telemetry.set_progress_sink([](const std::string& line) {
-      std::fprintf(stderr, "%s\n", line.c_str());
-    });
-  }
-
-  EventLog log{verbosity, want_telemetry ? &telemetry : nullptr};
+  const bool want_telemetry = !trace_out.empty() || !metrics_out.empty();
+  const EventLog log{verbosity};
 
   std::string error;
   std::vector<std::string> unreadable;
@@ -240,11 +231,12 @@ int main(int argc, char** argv) {
   const ScanReport report = detector.scan(app);
 
   if (verbosity == Verbosity::kVerbose) {
-    telemetry.emit_progress(
-        "{\"event\": \"app_done\", \"app\": " +
-        uchecker::strutil::quote(report.app_name) + ", \"verdict\": \"" +
-        std::string(verdict_slug(report.verdict)) +
-        "\", \"seconds\": " + std::to_string(report.seconds) + "}");
+    std::fprintf(stderr,
+                 "{\"event\": \"app_done\", \"app\": %s, \"verdict\": "
+                 "\"%s\", \"seconds\": %s}\n",
+                 uchecker::strutil::quote(report.app_name).c_str(),
+                 std::string(verdict_slug(report.verdict)).c_str(),
+                 std::to_string(report.seconds).c_str());
   }
   if (!trace_out.empty()) {
     // A profiled scan's trace additionally carries per-root fork-site
@@ -295,8 +287,8 @@ int main(int argc, char** argv) {
     return exit_code;
   }
 
-  const bool chatty = verbosity != Verbosity::kQuiet;
-  if (chatty) {
+  const bool quiet = verbosity == Verbosity::kQuiet;
+  if (!quiet) {
     std::printf("scanned %zu file(s), %llu LoC; analyzed %.2f%% "
                 "(%zu analysis root(s))\n",
                 app.files.size(),
@@ -306,102 +298,7 @@ int main(int argc, char** argv) {
       std::printf("note: %zu file(s) could not be read and were skipped\n",
                   unreadable.size());
     }
-    std::printf("symbolic execution: %zu paths, %zu objects, %.2f MB, %.3fs\n",
-                report.paths, report.objects, report.memory_mb, report.seconds);
-    if (report.parse_errors > 0) {
-      std::printf("note: %zu parse error(s); analysis continued on the rest\n",
-                  report.parse_errors);
-    }
-    if (report.analysis_errors > 0) {
-      std::printf("note: %zu analysis diagnostic(s)\n", report.analysis_errors);
-    }
-    if (report.solver_budget_exhausted) {
-      std::printf("note: solver budget exhausted (%u ms per scan); sinks "
-                  "left unchecked, results are partial\n",
-                  uchecker::smt::Checker::kScanSolverBudgetMs);
-    } else if (report.budget_exhausted) {
-      std::printf("note: analysis budget exhausted; results are partial\n");
-    }
-    if (report.deadline_exceeded) {
-      std::printf("note: scan deadline exceeded; results are partial\n");
-    }
-    if (report.profiled) {
-      for (const auto& rp : report.profile.roots) {
-        if (!rp.post_mortem.has_value()) continue;
-        std::printf("note: root %s incomplete (%s) at %llu live paths%s%s\n",
-                    rp.root.c_str(), rp.post_mortem->reason.c_str(),
-                    static_cast<unsigned long long>(rp.post_mortem->peak_paths),
-                    rp.post_mortem->dominant_loop.empty()
-                        ? ""
-                        : "; dominant loop ",
-                    rp.post_mortem->dominant_loop.c_str());
-      }
-    }
-    if (report.solver_retries > 0) {
-      std::printf("note: %zu solver retr%s with escalated timeouts\n",
-                  report.solver_retries,
-                  report.solver_retries == 1 ? "y" : "ies");
-    }
   }
-  for (const ScanError& e : report.errors) {
-    std::printf("error: [%s] %s%s%s%s\n", e.phase.c_str(), e.root.c_str(),
-                e.root.empty() ? "" : ": ", e.message.c_str(),
-                e.transient ? " (transient)" : "");
-  }
-  for (const ScanError& e : report.disagreements) {
-    std::printf("disagreement: %s: %s\n", e.root.c_str(), e.message.c_str());
-  }
-  if (show_lints) {
-    for (const auto& l : report.lints) {
-      std::printf("lint: [%s/%s] %s: %s\n", l.rule.c_str(),
-                  std::string(staticpass::severity_name(l.severity))
-                      .c_str(),
-                  l.location.c_str(), l.message.c_str());
-      if (!l.evidence.empty()) std::printf("      %s\n", l.evidence.c_str());
-    }
-    if (chatty && report.pruned_roots > 0) {
-      std::printf("note: static pass pruned %zu of %zu root(s) before "
-                  "symbolic execution (%zu via function summaries)\n",
-                  report.pruned_roots, report.roots,
-                  report.summary_pruned_roots);
-    }
-    if (chatty && (report.summary_cache_hits > 0 || report.escaped_calls > 0)) {
-      std::printf("note: function summaries: %zu memoized instantiation "
-                  "hit(s), %zu escaped call site(s)\n",
-                  report.summary_cache_hits, report.escaped_calls);
-    }
-  }
-
-  std::printf("%sverdict: %s\n", chatty ? "\n" : "",
-              std::string(verdict_name(report.verdict)).c_str());
-  for (const Finding& f : report.findings) {
-    std::printf("\n  %s at %s\n", f.sink_name.c_str(), f.location.c_str());
-    std::printf("    %s\n", f.source_line.c_str());
-    std::printf("    exploitable when: %s\n", f.witness.c_str());
-    std::printf("    fingerprint: %s\n", f.fingerprint.c_str());
-    const FindingEvidence& ev = f.evidence;
-    if (ev.empty()) continue;
-    if (!ev.taint_path.empty()) {
-      std::printf("    taint path:\n");
-      for (const EvidenceHop& hop : ev.taint_path) {
-        std::printf("      %-8s %s%s%s%s\n", hop.kind.c_str(),
-                    hop.description.c_str(), hop.location.empty() ? "" : "  [",
-                    hop.location.c_str(), hop.location.empty() ? "" : "]");
-      }
-    }
-    if (!ev.guards.empty()) {
-      std::printf("    guarded by:\n");
-      for (const EvidenceGuard& g : ev.guards) {
-        std::printf("      %s%s%s%s\n", g.sexpr.c_str(),
-                    g.location.empty() ? "" : "  [", g.location.c_str(),
-                    g.location.empty() ? "" : "]");
-      }
-    }
-    if (!ev.upload_filename.empty()) {
-      std::printf("    attack: upload \"%s\" -> written to \"%s\"%s\n",
-                  ev.upload_filename.c_str(), ev.destination.c_str(),
-                  ev.destination_complete ? "" : " (partially resolved)");
-    }
-  }
+  std::printf("%s", to_text(report, quiet, show_lints).c_str());
   return exit_code;
 }

@@ -119,9 +119,16 @@ const phpast::PhpFile* Program::include_target(const phpast::Expr& path,
     suffix.remove_prefix(1);
   }
   if (suffix.empty()) return nullptr;
+  // Whole path components: 'helper.php' is lib/helper.php, never
+  // myhelper.php.
+  const auto matches = [suffix](std::string_view name) {
+    return name.ends_with(suffix) &&
+           (name.size() == suffix.size() ||
+            name[name.size() - suffix.size() - 1] == '/');
+  };
   const phpast::PhpFile* target = nullptr;
   for (const phpast::PhpFile* file : files) {
-    if (file->file != including && file->name.ends_with(suffix) &&
+    if (file->file != including && matches(file->name) &&
         (target == nullptr || file->name < target->name)) {
       target = file;
     }

@@ -72,9 +72,11 @@ struct Program {
 
   // The file an include/require of `path`, run by code of file
   // `including`, executes, or null. The path's last string literal,
-  // stripped of leading '/' and '.', is matched as a suffix of the file
-  // names: the first match in file-name order that is not `including`
-  // wins, and an empty suffix matches nothing. Load order plays no part.
+  // stripped of leading '/' and '.', names a file by whole path
+  // components: 'x/a.php' matches the file x/a.php and any file whose
+  // name ends in '/x/a.php', never b/xx/a.php. The first match in
+  // file-name order that is not `including` wins, and an empty name
+  // matches nothing. Load order plays no part.
   [[nodiscard]] const phpast::PhpFile* include_target(const phpast::Expr& path,
                                                       FileId including) const;
 };

@@ -34,12 +34,11 @@ namespace uchecker::core {
 // Bumped whenever a change can alter verdicts, findings or the report
 // JSON schema. Persistent caches (scand's verdict and solver stores)
 // key on it, so an engine upgrade cold-starts them instead of replaying
-// stale analysis results. Last bumped when the call graph, locality and
-// the interpreter began to share one call and include resolution rule
-// (Program::callee / Program::include_target): verdicts changed for apps
-// with static method calls, same-named methods in two classes, or an
-// include that more than one file name matches.
-inline constexpr std::string_view kEngineVersion = "uchecker-pr23";
+// stale analysis results. Last bumped when Program::include_target
+// began to match an include's name by whole path components ('helper.php'
+// no longer runs myhelper.php): verdicts changed for apps whose include
+// names the tail of another file's name.
+inline constexpr std::string_view kEngineVersion = "uchecker-24";
 
 struct ScanOptions {
   Budget budget;

@@ -1,7 +1,9 @@
 #include "core/detector/report_io.h"
 
+#include <cstdarg>
 #include <cstdio>
 
+#include "smt/solver.h"
 #include "support/jsonlite.h"
 #include "support/profile.h"
 #include "support/strutil.h"
@@ -156,19 +158,11 @@ std::optional<ScanReport> report_from_json(std::string_view json) {
       !get_bool(*stats, "deadline_exceeded", r.deadline_exceeded) ||
       !get_uint(*stats, "parse_errors", r.parse_errors) ||
       !get_uint(*stats, "analysis_errors", r.analysis_errors) ||
-      !get_uint(*stats, "pruned_roots", r.pruned_roots)) {
-    return std::nullopt;
-  }
-  // Optional summary-layer counters (absent in pre-PR9 reports) and the
-  // accounted-bytes gauge (absent in pre-PR10 reports).
-  if ((stats->find("summary_cache_hits") != nullptr &&
-       !get_uint(*stats, "summary_cache_hits", r.summary_cache_hits)) ||
-      (stats->find("summary_pruned_roots") != nullptr &&
-       !get_uint(*stats, "summary_pruned_roots", r.summary_pruned_roots)) ||
-      (stats->find("escaped_calls") != nullptr &&
-       !get_uint(*stats, "escaped_calls", r.escaped_calls)) ||
-      (stats->find("accounted_bytes") != nullptr &&
-       !get_uint(*stats, "accounted_bytes", r.accounted_bytes))) {
+      !get_uint(*stats, "pruned_roots", r.pruned_roots) ||
+      !get_uint(*stats, "summary_cache_hits", r.summary_cache_hits) ||
+      !get_uint(*stats, "summary_pruned_roots", r.summary_pruned_roots) ||
+      !get_uint(*stats, "escaped_calls", r.escaped_calls) ||
+      !get_uint(*stats, "accounted_bytes", r.accounted_bytes)) {
     return std::nullopt;
   }
 
@@ -208,15 +202,9 @@ std::optional<ScanReport> report_from_json(std::string_view json) {
     }
   }
 
-  // Optional engine-introspection profile (ScanOptions::profile).
-  if (const jsonlite::Value* prof = doc->find("profile")) {
-    std::optional<profile::ExplosionProfile> parsed =
-        profile::from_json(*prof);
-    if (!parsed.has_value()) return std::nullopt;
-    r.profile = std::move(*parsed);
-    r.profiled = true;
-    r.peak_rss_bytes = r.profile.peak_rss_bytes;
-  }
+  // A profiled report is never stored (its profile is wall-clock
+  // samples), so one that carries a profile is not read back.
+  if (doc->find("profile") != nullptr) return std::nullopt;
 
   const jsonlite::Value* errors = doc->find("errors");
   if (errors == nullptr || !errors->is_array()) return std::nullopt;
@@ -432,109 +420,141 @@ std::string to_json(const ScanReport& report) {
   return out;
 }
 
-std::string to_text(const ScanReport& report) {
+namespace {
+
+// printf into the end of `out`: the text report keeps the CLI's
+// fixed-width and fixed-precision fields.
+[[gnu::format(printf, 2, 3)]] void appendf(std::string& out, const char* fmt,
+                                           ...) {
+  std::va_list args;
+  va_start(args, fmt);
+  std::va_list again;
+  va_copy(again, args);
+  const int n = std::vsnprintf(nullptr, 0, fmt, args);
+  va_end(args);
+  if (n > 0) {
+    const std::size_t at = out.size();
+    out.resize(at + static_cast<std::size_t>(n) + 1);
+    std::vsnprintf(out.data() + at, static_cast<std::size_t>(n) + 1, fmt,
+                   again);
+    out.resize(at + static_cast<std::size_t>(n));
+  }
+  va_end(again);
+}
+
+// The "  [file:line]" suffix of an evidence line; empty when unanchored.
+std::string bracketed(const std::string& location) {
+  return location.empty() ? "" : "  [" + location + "]";
+}
+
+}  // namespace
+
+std::string to_text(const ScanReport& report, bool quiet, bool lints) {
   std::string out;
-  out += "application : " + report.app_name + "\n";
-  if (!report.trace_id.empty()) {
-    out += "trace       : " + report.trace_id + "\n";
-  }
-  out += "verdict     : " + std::string(verdict_name(report.verdict)) + "\n";
-  char line[256];
-  std::snprintf(line, sizeof(line),
-                "analysis    : %llu LoC total, %llu analyzed (%.2f%%), "
-                "%zu root(s)\n",
-                static_cast<unsigned long long>(report.total_loc),
-                static_cast<unsigned long long>(report.analyzed_loc),
-                report.analyzed_percent, report.roots);
-  out += line;
-  std::snprintf(line, sizeof(line),
-                "execution   : %zu paths, %zu objects (%.1f/path), %.2f MB, "
-                "%.3fs, %zu solver call(s)\n",
-                report.paths, report.objects, report.objects_per_path,
-                report.memory_mb, report.seconds, report.solver_calls);
-  out += line;
-  if (!report.phase_ms.empty()) {
-    out += "cost        :";
-    for (const char* phase :
-         {"parse", "locality", "staticpass", "interp", "solve"}) {
-      const auto it = report.phase_ms.find(phase);
-      if (it == report.phase_ms.end()) continue;
-      std::snprintf(line, sizeof(line), " %s=%.1fms", phase, it->second);
-      out += line;
+  if (!quiet) {
+    appendf(out, "symbolic execution: %zu paths, %zu objects, %.2f MB, %.3fs\n",
+            report.paths, report.objects, report.memory_mb, report.seconds);
+    if (!report.trace_id.empty()) out += "trace: " + report.trace_id + "\n";
+    if (!report.phase_ms.empty()) {
+      out += "cost:";
+      for (const char* phase :
+           {"parse", "locality", "staticpass", "interp", "solve"}) {
+        const auto it = report.phase_ms.find(phase);
+        if (it != report.phase_ms.end()) {
+          appendf(out, " %s=%.1fms", phase, it->second);
+        }
+      }
+      out += "\n";
     }
-    out += "\n";
-  }
-  if (report.budget_exhausted) {
-    out += "warning     : analysis budget exhausted; results are partial\n";
-  }
-  if (report.deadline_exceeded) {
-    out += "warning     : scan deadline exceeded; results are partial\n";
-  }
-  if (report.parse_errors > 0) {
-    out += "warning     : " + std::to_string(report.parse_errors) +
-           " parse error(s)\n";
-  }
-  if (report.analysis_errors > 0) {
-    out += "warning     : " + std::to_string(report.analysis_errors) +
-           " analysis diagnostic(s)\n";
-  }
-  if (!report.diagnostics_by_phase.empty()) {
-    out += "diagnostics :";
-    for (const auto& [phase, count] : report.diagnostics_by_phase) {
-      out += " " + (phase.empty() ? std::string("<unattributed>") : phase) +
-             "=" + std::to_string(count);
+    if (report.parse_errors > 0) {
+      appendf(out, "note: %zu parse error(s); analysis continued on the rest\n",
+              report.parse_errors);
     }
-    out += "\n";
-  }
-  if (report.solver_retries > 0) {
-    out += "warning     : " + std::to_string(report.solver_retries) +
-           " solver retr" + (report.solver_retries == 1 ? "y" : "ies") +
-           " with escalated timeouts\n";
+    if (report.analysis_errors > 0) {
+      appendf(out, "note: %zu analysis diagnostic(s)\n",
+              report.analysis_errors);
+    }
+    if (!report.diagnostics_by_phase.empty()) {
+      out += "diagnostics:";
+      for (const auto& [phase, count] : report.diagnostics_by_phase) {
+        out += " " + (phase.empty() ? std::string("<unattributed>") : phase) +
+               "=" + std::to_string(count);
+      }
+      out += "\n";
+    }
+    if (report.solver_budget_exhausted) {
+      appendf(out,
+              "note: solver budget exhausted (%u ms per scan); sinks left "
+              "unchecked, results are partial\n",
+              smt::Checker::kScanSolverBudgetMs);
+    } else if (report.budget_exhausted) {
+      out += "note: analysis budget exhausted; results are partial\n";
+    }
+    if (report.deadline_exceeded) {
+      out += "note: scan deadline exceeded; results are partial\n";
+    }
+    for (const profile::RootProfile& rp : report.profile.roots) {
+      if (!rp.post_mortem.has_value()) continue;
+      appendf(out, "note: root %s incomplete (%s) at %llu live paths%s%s\n",
+              rp.root.c_str(), rp.post_mortem->reason.c_str(),
+              static_cast<unsigned long long>(rp.post_mortem->peak_paths),
+              rp.post_mortem->dominant_loop.empty() ? "" : "; dominant loop ",
+              rp.post_mortem->dominant_loop.c_str());
+    }
+    if (report.solver_retries > 0) {
+      appendf(out, "note: %zu solver retr%s with escalated timeouts\n",
+              report.solver_retries, report.solver_retries == 1 ? "y" : "ies");
+    }
   }
   for (const ScanError& e : report.errors) {
-    out += "error       : [" + e.phase + "] ";
-    if (!e.root.empty()) out += e.root + ": ";
-    out += e.message;
-    if (e.transient) out += " (transient)";
-    out += "\n";
+    out += "error: [" + e.phase + "] " + e.root + (e.root.empty() ? "" : ": ") +
+           e.message + (e.transient ? " (transient)" : "") + "\n";
   }
   for (const ScanError& e : report.disagreements) {
     out += "disagreement: " + e.root + ": " + e.message + "\n";
   }
-  for (const staticpass::LintFinding& l : report.lints) {
-    out += "lint        : [" + l.rule + "/" +
-           std::string(staticpass::severity_name(l.severity)) + "] " +
-           l.location + ": " + l.message + "\n";
-    if (!l.evidence.empty()) out += "              " + l.evidence + "\n";
-  }
-  for (const Finding& f : report.findings) {
-    out += "finding     : " + f.sink_name + " at " + f.location + "\n";
-    out += "              " + f.source_line + "\n";
-    out += "              exploitable when " + f.witness + "\n";
-    out += "              fingerprint " + f.fingerprint + "\n";
-    const FindingEvidence& ev = f.evidence;
-    if (ev.empty()) continue;
-    if (!ev.taint_path.empty()) {
-      out += "  taint path:\n";
-      for (const EvidenceHop& hop : ev.taint_path) {
-        out += "    " + hop.kind + " " + hop.description;
-        if (!hop.location.empty()) out += "  [" + hop.location + "]";
-        out += "\n";
-      }
+  if (lints) {
+    for (const staticpass::LintFinding& l : report.lints) {
+      out += "lint: [" + l.rule + "/" +
+             std::string(staticpass::severity_name(l.severity)) + "] " +
+             l.location + ": " + l.message + "\n";
+      if (!l.evidence.empty()) out += "      " + l.evidence + "\n";
     }
-    if (!ev.guards.empty()) {
-      out += "  guarded by:\n";
-      for (const EvidenceGuard& g : ev.guards) {
-        out += "    " + g.sexpr;
-        if (!g.location.empty()) out += "  [" + g.location + "]";
-        out += "\n";
-      }
+    if (!quiet && report.pruned_roots > 0) {
+      appendf(out,
+              "note: static pass pruned %zu of %zu root(s) before symbolic "
+              "execution (%zu via function summaries)\n",
+              report.pruned_roots, report.roots, report.summary_pruned_roots);
+    }
+    if (!quiet && (report.summary_cache_hits > 0 || report.escaped_calls > 0)) {
+      appendf(out,
+              "note: function summaries: %zu memoized instantiation hit(s), "
+              "%zu escaped call site(s)\n",
+              report.summary_cache_hits, report.escaped_calls);
+    }
+  }
+
+  out += (quiet ? "" : "\n") + std::string("verdict: ") +
+         std::string(verdict_name(report.verdict)) + "\n";
+  for (const Finding& f : report.findings) {
+    out += "\n  " + f.sink_name + " at " + f.location + "\n";
+    out += "    " + f.source_line + "\n";
+    out += "    exploitable when: " + f.witness + "\n";
+    out += "    fingerprint: " + f.fingerprint + "\n";
+    const FindingEvidence& ev = f.evidence;
+    if (!ev.taint_path.empty()) out += "    taint path:\n";
+    for (const EvidenceHop& hop : ev.taint_path) {
+      appendf(out, "      %-8s %s%s\n", hop.kind.c_str(),
+              hop.description.c_str(), bracketed(hop.location).c_str());
+    }
+    if (!ev.guards.empty()) out += "    guarded by:\n";
+    for (const EvidenceGuard& g : ev.guards) {
+      out += "      " + g.sexpr + bracketed(g.location) + "\n";
     }
     if (!ev.upload_filename.empty()) {
-      out += "  attack      : upload \"" + ev.upload_filename +
-             "\" -> written to \"" + ev.destination + "\"";
-      if (!ev.destination_complete) out += " (partially resolved)";
-      out += "\n";
+      out += "    attack: upload \"" + ev.upload_filename +
+             "\" -> written to \"" + ev.destination + "\"" +
+             (ev.destination_complete ? "" : " (partially resolved)") + "\n";
     }
   }
   return out;

@@ -80,14 +80,26 @@ namespace uchecker::core {
 //    the per-scan cross-root solver query cache instead of a Z3 call.
 [[nodiscard]] std::string to_json(const ScanReport& report);
 
-// Multi-line human-readable rendering (what scan_directory prints).
-[[nodiscard]] std::string to_text(const ScanReport& report);
+// The human-readable report, the one scan_directory prints (after its
+// own lines about loading: files scanned, files it could not read):
+// execution stats, cost, "note: ..." lines on partial or degraded
+// results, "error: [...]" and "disagreement: ..." lines, the
+// "verdict: ..." line, then each finding with its evidence. `quiet`
+// (scan_directory --quiet) drops everything but the errors, lints,
+// verdict and findings; `lints` (--lint) adds the static pass's
+// "lint: [...]" lines and, unless quiet, its pruning notes.
+[[nodiscard]] std::string to_text(const ScanReport& report, bool quiet = false,
+                                  bool lints = false);
 
-// Parses a report previously rendered by to_json back into a ScanReport.
-// Exact inverse on to_json's output: to_json(*report_from_json(j)) == j.
-// Returns nullopt on any structural mismatch — a persistent verdict
-// cache treats that as a corrupt record and recomputes, so a schema
-// drift can never be replayed as a wrong verdict.
+// Parses a report previously rendered by to_json back into a ScanReport
+// (the scand verdict cache's reader). Exact inverse on every text it
+// accepts: to_json(*report_from_json(j)) == j. Every field to_json
+// always writes is required. A report with a "profile" member is
+// rejected: the cache never stores one (ScanService strips the
+// profile first), and a profile is written, never read back. Returns
+// nullopt on any structural mismatch — the cache treats that as a
+// corrupt record and recomputes, so a schema drift can never be
+// replayed as a wrong verdict.
 [[nodiscard]] std::optional<ScanReport> report_from_json(
     std::string_view json);
 

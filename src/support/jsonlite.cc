@@ -10,143 +10,6 @@ namespace {
 
 constexpr int kMaxDepth = 256;
 
-struct Parser {
-  std::string_view text;
-  std::size_t pos = 0;
-
-  [[nodiscard]] bool at_end() const { return pos >= text.size(); }
-  [[nodiscard]] char peek() const { return text[pos]; }
-
-  void skip_ws() {
-    while (!at_end() && (text[pos] == ' ' || text[pos] == '\t' ||
-                         text[pos] == '\n' || text[pos] == '\r')) {
-      ++pos;
-    }
-  }
-
-  bool consume(char c) {
-    if (at_end() || text[pos] != c) return false;
-    ++pos;
-    return true;
-  }
-
-  bool literal(std::string_view word) {
-    if (text.substr(pos, word.size()) != word) return false;
-    pos += word.size();
-    return true;
-  }
-
-  bool string() {
-    if (!consume('"')) return false;
-    while (!at_end()) {
-      const char c = text[pos++];
-      if (c == '"') return true;
-      if (static_cast<unsigned char>(c) < 0x20) return false;  // raw control
-      if (c == '\\') {
-        if (at_end()) return false;
-        const char esc = text[pos++];
-        switch (esc) {
-          case '"': case '\\': case '/': case 'b': case 'f':
-          case 'n': case 'r': case 't':
-            break;
-          case 'u': {
-            for (int i = 0; i < 4; ++i) {
-              if (at_end() || !std::isxdigit(
-                                  static_cast<unsigned char>(text[pos]))) {
-                return false;
-              }
-              ++pos;
-            }
-            break;
-          }
-          default:
-            return false;
-        }
-      }
-    }
-    return false;  // unterminated
-  }
-
-  bool digits() {
-    if (at_end() || !std::isdigit(static_cast<unsigned char>(peek()))) {
-      return false;
-    }
-    while (!at_end() && std::isdigit(static_cast<unsigned char>(peek()))) {
-      ++pos;
-    }
-    return true;
-  }
-
-  bool number() {
-    consume('-');
-    if (consume('0')) {
-      // no leading zeros
-    } else if (!digits()) {
-      return false;
-    }
-    if (consume('.') && !digits()) return false;
-    if (!at_end() && (peek() == 'e' || peek() == 'E')) {
-      ++pos;
-      if (!at_end() && (peek() == '+' || peek() == '-')) ++pos;
-      if (!digits()) return false;
-    }
-    return true;
-  }
-
-  bool value(int depth) {
-    if (depth > kMaxDepth) return false;
-    skip_ws();
-    if (at_end()) return false;
-    const char c = peek();
-    if (c == '{') return object(depth);
-    if (c == '[') return array(depth);
-    if (c == '"') return string();
-    if (c == 't') return literal("true");
-    if (c == 'f') return literal("false");
-    if (c == 'n') return literal("null");
-    return number();
-  }
-
-  bool object(int depth) {
-    consume('{');
-    skip_ws();
-    if (consume('}')) return true;
-    while (true) {
-      skip_ws();
-      if (!string()) return false;
-      skip_ws();
-      if (!consume(':')) return false;
-      if (!value(depth + 1)) return false;
-      skip_ws();
-      if (consume('}')) return true;
-      if (!consume(',')) return false;
-    }
-  }
-
-  bool array(int depth) {
-    consume('[');
-    skip_ws();
-    if (consume(']')) return true;
-    while (true) {
-      if (!value(depth + 1)) return false;
-      skip_ws();
-      if (consume(']')) return true;
-      if (!consume(',')) return false;
-    }
-  }
-};
-
-}  // namespace
-
-bool valid(std::string_view text) {
-  Parser p{text};
-  if (!p.value(0)) return false;
-  p.skip_ws();
-  return p.at_end();
-}
-
-namespace {
-
 // Appends `cp` (a Unicode scalar value) to `out` as UTF-8.
 void append_utf8(std::string& out, unsigned cp) {
   if (cp < 0x80) {
@@ -168,10 +31,9 @@ void append_utf8(std::string& out, unsigned cp) {
 
 }  // namespace
 
-// DOM-building twin of the validating Parser above. The grammar is the
-// same; this one additionally decodes string escapes and materializes
-// values, so valid() stays allocation-free for hot CI checks.
-struct DomParser {
+// Recursive-descent RFC 8259 parser: decodes string escapes and
+// materializes values into a DOM.
+struct Parser {
   std::string_view text;
   std::size_t pos = 0;
 
@@ -365,7 +227,7 @@ struct DomParser {
 };
 
 std::optional<Value> parse(std::string_view text) {
-  DomParser p{text};
+  Parser p{text};
   Value root;
   if (!p.value(root, 0)) return std::nullopt;
   p.skip_ws();

@@ -1,7 +1,9 @@
-// Minimal dependency-free JSON support (RFC 8259 grammar, UTF-8 not
-// verified). Used by tests and CI to assert that emitted trace/metrics/
-// report JSON parses — and, via parse(), to structurally inspect SARIF
-// output — without pulling in a JSON library.
+// Minimal dependency-free JSON support: one reader, parse() (RFC 8259
+// grammar, UTF-8 not verified), behind every JSON text the project
+// reads back (scand's verdict and solver-outcome stores, scand
+// requests, the SARIF validator) and behind the tests that check an
+// emitted trace/metrics/report parses; plus format_number, the one
+// number format every JSON writer shares.
 #pragma once
 
 #include <memory>
@@ -12,10 +14,6 @@
 #include <vector>
 
 namespace uchecker::jsonlite {
-
-// True iff `text` is exactly one valid JSON value (surrounding
-// whitespace allowed). Nesting deeper than 256 levels is rejected.
-[[nodiscard]] bool valid(std::string_view text);
 
 // One parsed JSON value. Objects preserve insertion order (duplicate
 // keys keep the last occurrence, matching most consumers). Numbers are
@@ -65,7 +63,7 @@ class Value {
 
  private:
   friend std::optional<Value> parse(std::string_view);
-  friend struct DomParser;
+  friend struct Parser;
 
   Kind kind_ = Kind::kNull;
   bool bool_ = false;
@@ -76,8 +74,8 @@ class Value {
 };
 
 // Parses exactly one JSON value (surrounding whitespace allowed) into a
-// DOM; nullopt on any syntax error or nesting beyond 256 levels. A text
-// accepted by parse() is also accepted by valid() and vice versa.
+// DOM; nullopt on any syntax error (a lone UTF-16 surrogate escape
+// included) or nesting beyond 256 levels.
 [[nodiscard]] std::optional<Value> parse(std::string_view text);
 
 // Typed member readers for strict parsers: false when `key` is missing

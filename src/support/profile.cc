@@ -50,32 +50,6 @@ std::string sample_json(const telemetry::ProgressSample& s) {
 }
 
 using jsonlite::format_number;
-using jsonlite::get_bool;
-using jsonlite::get_double;
-using jsonlite::get_string;
-using jsonlite::get_uint;
-
-bool parse_fork_site(const jsonlite::Value& v, ForkSiteStats& out) {
-  std::string kind;
-  if (!v.is_object() || !get_string(v, "site", out.site) ||
-      !get_string(v, "kind", kind) || !get_string(v, "detail", out.detail) ||
-      !get_uint(v, "visits", out.visits) ||
-      !get_uint(v, "paths_spawned", out.cumulative_paths) ||
-      !get_uint(v, "self_paths", out.self_paths)) {
-    return false;
-  }
-  const std::optional<ForkKind> parsed = fork_kind_from_name(kind);
-  if (!parsed.has_value()) return false;
-  out.kind = *parsed;
-  return true;
-}
-
-bool parse_sample(const jsonlite::Value& v, telemetry::ProgressSample& out) {
-  return v.is_object() && get_uint(v, "t_us", out.t_us) &&
-         get_uint(v, "live_paths", out.live_paths) &&
-         get_uint(v, "objects", out.objects) &&
-         get_uint(v, "heap_bytes", out.heap_bytes);
-}
 
 }  // namespace
 
@@ -89,15 +63,6 @@ std::string_view fork_kind_name(ForkKind kind) {
     case ForkKind::kCall: return "call";
   }
   return "invalid";
-}
-
-std::optional<ForkKind> fork_kind_from_name(std::string_view name) {
-  for (const ForkKind kind :
-       {ForkKind::kConditional, ForkKind::kSwitch, ForkKind::kLoop,
-        ForkKind::kForeach, ForkKind::kTryCatch, ForkKind::kCall}) {
-    if (name == fork_kind_name(kind)) return kind;
-  }
-  return std::nullopt;
 }
 
 void rank_root_profile(RootProfile& root) {
@@ -231,84 +196,6 @@ std::string to_json(const ExplosionProfile& profile) {
   }
   out += "]}";
   return out;
-}
-
-std::optional<ExplosionProfile> from_json(const jsonlite::Value& value) {
-  if (!value.is_object()) return std::nullopt;
-  ExplosionProfile profile;
-  if (!get_uint(value, "peak_rss_bytes", profile.peak_rss_bytes)) {
-    return std::nullopt;
-  }
-  const jsonlite::Value* roots = value.find("roots");
-  if (roots == nullptr || !roots->is_array()) return std::nullopt;
-  for (const jsonlite::Value& rv : roots->items()) {
-    RootProfile root;
-    if (!rv.is_object() || !get_string(rv, "root", root.root) ||
-        !get_bool(rv, "incomplete", root.incomplete) ||
-        !get_string(rv, "reason", root.reason) ||
-        !get_uint(rv, "peak_paths", root.peak_paths)) {
-      return std::nullopt;
-    }
-    const jsonlite::Value* sites = rv.find("fork_sites");
-    const jsonlite::Value* solver = rv.find("solver");
-    const jsonlite::Value* heap = rv.find("heap_by_depth");
-    if (sites == nullptr || !sites->is_array() || solver == nullptr ||
-        !solver->is_array() || heap == nullptr || !heap->is_array()) {
-      return std::nullopt;
-    }
-    for (const jsonlite::Value& sv : sites->items()) {
-      ForkSiteStats site;
-      if (!parse_fork_site(sv, site)) return std::nullopt;
-      root.fork_sites.push_back(std::move(site));
-    }
-    for (const jsonlite::Value& sv : solver->items()) {
-      SolverSiteStats s;
-      if (!sv.is_object() || !get_string(sv, "sink", s.sink) ||
-          !get_string(sv, "origin", s.origin) ||
-          !get_uint(sv, "queries", s.queries) ||
-          !get_uint(sv, "cache_hits", s.cache_hits) ||
-          !get_double(sv, "wall_ms", s.wall_ms)) {
-        return std::nullopt;
-      }
-      root.solver.push_back(std::move(s));
-    }
-    for (const jsonlite::Value& hv : heap->items()) {
-      HeapDepthStats h;
-      if (!hv.is_object() || !get_uint(hv, "depth", h.depth) ||
-          !get_uint(hv, "objects", h.objects) ||
-          !get_uint(hv, "bytes", h.bytes)) {
-        return std::nullopt;
-      }
-      root.heap_by_depth.push_back(h);
-    }
-    if (const jsonlite::Value* pm = rv.find("post_mortem")) {
-      PostMortem post;
-      if (!pm->is_object() || !get_string(*pm, "reason", post.reason) ||
-          !get_uint(*pm, "peak_paths", post.peak_paths) ||
-          !get_string(*pm, "dominant_loop", post.dominant_loop)) {
-        return std::nullopt;
-      }
-      const jsonlite::Value* top = pm->find("top_fork_sites");
-      const jsonlite::Value* histogram = pm->find("live_path_histogram");
-      if (top == nullptr || !top->is_array() || histogram == nullptr ||
-          !histogram->is_array()) {
-        return std::nullopt;
-      }
-      for (const jsonlite::Value& sv : top->items()) {
-        ForkSiteStats site;
-        if (!parse_fork_site(sv, site)) return std::nullopt;
-        post.top_sites.push_back(std::move(site));
-      }
-      for (const jsonlite::Value& sv : histogram->items()) {
-        telemetry::ProgressSample s;
-        if (!parse_sample(sv, s)) return std::nullopt;
-        post.live_path_histogram.push_back(s);
-      }
-      root.post_mortem = std::move(post);
-    }
-    profile.roots.push_back(std::move(root));
-  }
-  return profile;
 }
 
 PathProfiler::PathProfiler() : root_epoch_(std::chrono::steady_clock::now()) {}

@@ -41,10 +41,6 @@
 
 #include "support/telemetry.h"
 
-namespace uchecker::jsonlite {
-class Value;
-}  // namespace uchecker::jsonlite
-
 namespace uchecker::profile {
 
 // The fork constructs the interpreter attributes paths to.
@@ -58,8 +54,6 @@ enum class ForkKind {
 };
 
 [[nodiscard]] std::string_view fork_kind_name(ForkKind kind);
-[[nodiscard]] std::optional<ForkKind> fork_kind_from_name(
-    std::string_view name);
 
 // One source fork site, ranked by the paths it spawned.
 struct ForkSiteStats {
@@ -150,12 +144,10 @@ void rank_root_profile(RootProfile& root);
 // /proc/self/status). Returns 0 when unavailable.
 [[nodiscard]] std::uint64_t peak_rss_bytes();
 
-// JSON round-trip for the report's "profile" object. to_json emits a
-// compact object in the report_io house style; from_json is the strict
-// inverse (nullopt on any structural mismatch).
+// The report's "profile" object: a compact JSON object in the
+// report_io house style. It is written, never read back: a profile
+// carries wall-clock samples, so no cache replays one.
 [[nodiscard]] std::string to_json(const ExplosionProfile& profile);
-[[nodiscard]] std::optional<ExplosionProfile> from_json(
-    const jsonlite::Value& value);
 
 // The recorder. The scan event hook owns one per profiled scan and
 // forwards the interpreter's fork/sample events and the solver's

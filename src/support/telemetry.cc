@@ -351,15 +351,4 @@ std::vector<PhaseStats> Telemetry::fleet_phase_stats() const {
   return out;
 }
 
-void Telemetry::set_progress_sink(
-    std::function<void(const std::string&)> sink) {
-  std::lock_guard<std::mutex> lock(sink_mu_);
-  progress_sink_ = std::move(sink);
-}
-
-void Telemetry::emit_progress(const std::string& json_line) {
-  std::lock_guard<std::mutex> lock(sink_mu_);
-  if (progress_sink_) progress_sink_(json_line);
-}
-
 }  // namespace uchecker::telemetry

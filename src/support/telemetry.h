@@ -304,18 +304,11 @@ class Telemetry {
   // Pipeline phases come first in pipeline order, then others by name.
   [[nodiscard]] std::vector<PhaseStats> fleet_phase_stats() const;
 
-  // Structured progress lines (one JSON object per line). emit_progress
-  // is thread-safe and a no-op until a sink is installed.
-  void set_progress_sink(std::function<void(const std::string&)> sink);
-  void emit_progress(const std::string& json_line);
-
  private:
   std::chrono::steady_clock::time_point epoch_;
   MetricsRegistry metrics_;
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<ScanTrace>> traces_;
-  std::mutex sink_mu_;
-  std::function<void(const std::string&)> progress_sink_;
 };
 
 }  // namespace uchecker::telemetry

@@ -438,6 +438,33 @@ move_uploaded_file($f['tmp_name'], '/var/www/uploads/' . $f['name']);
   EXPECT_EQ(reports[0].roots, reports[1].roots);
 }
 
+TEST(Detector, IncludeNamesWholePathComponents) {
+  // 'helper.php' is not myhelper.php: with only myhelper.php (which
+  // holds the sink) in the app, the include runs nothing.
+  const AppFile main{"main.php", R"php(<?php
+$f = $_FILES['x'];
+include 'helper.php';
+)php"};
+  const AppFile sink{"myhelper.php", R"php(<?php
+move_uploaded_file($f['tmp_name'], '/var/www/uploads/' . $f['name']);
+)php"};
+  Application app;
+  app.name = "include-component";
+  app.files = {main, sink};
+  EXPECT_EQ(Detector().scan(app).verdict, Verdict::kNotVulnerable);
+  // A file whose name ends in the whole component is the one that runs,
+  // though myhelper.php comes first in name order
+  // (data/resolution/include_component).
+  app.files = {main,
+               AppFile{"myhelper.php", "<?php\nmove_uploaded_file("
+                                       "$f['tmp_name'], '/u/avatar.jpg');\n"},
+               AppFile{"up/helper.php", sink.content}};
+  const ScanReport report = Detector().scan(app);
+  EXPECT_EQ(report.verdict, Verdict::kVulnerable);
+  ASSERT_EQ(report.findings.size(), 1u);
+  EXPECT_EQ(report.findings[0].file, "up/helper.php");
+}
+
 TEST(AppLoader, FilesComeBackSortedByRelativePath) {
   namespace fs = std::filesystem;
   const fs::path root = fs::temp_directory_path() /

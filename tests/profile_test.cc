@@ -207,26 +207,24 @@ move_uploaded_file($_FILES['f']['tmp_name'], $dest);
   EXPECT_GT(queries, 0u);
 }
 
-TEST(ProfileTest, ProfileJsonRoundTrips) {
+// A profile is written, never read back: the report reader rejects a
+// profiled report, and reads the same report once its profile is gone.
+TEST(ProfileTest, ReportReaderRejectsAProfiledReport) {
   core::ScanOptions options;
   options.profile = true;
   options.budget.max_paths = 32;
   options.budget.loop_unroll = 40;
-  const core::ScanReport report = scan(kExplodingApp, options);
+  core::ScanReport report = scan(kExplodingApp, options);
   ASSERT_TRUE(report.profiled);
-  const std::string rendered = profile::to_json(report.profile);
-  const auto parsed = jsonlite::parse(rendered);
-  ASSERT_TRUE(parsed.has_value());
-  const auto decoded = profile::from_json(*parsed);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(profile::to_json(*decoded), rendered);
-  // And through the full report JSON: the profile survives a
-  // to_json/from_json cycle attached to its report.
   const std::string report_json = core::to_json(report);
-  const auto reparsed = core::report_from_json(report_json);
+  ASSERT_TRUE(jsonlite::parse(report_json).has_value());
+  EXPECT_FALSE(core::report_from_json(report_json).has_value());
+  report.profiled = false;
+  report.profile = {};
+  const std::string stripped = core::to_json(report);
+  const auto reparsed = core::report_from_json(stripped);
   ASSERT_TRUE(reparsed.has_value());
-  EXPECT_TRUE(reparsed->profiled);
-  EXPECT_EQ(core::to_json(*reparsed), report_json);
+  EXPECT_EQ(core::to_json(*reparsed), stripped);
 }
 
 TEST(ProfileTest, PeakRssAndAccountedBytesAreRecorded) {
@@ -239,7 +237,7 @@ TEST(ProfileTest, PeakRssAndAccountedBytesAreRecorded) {
 
 // Every Table III app, plus one ladder that exhausts the path budget so
 // the post-mortem branch is exercised: each profile is well formed on
-// the structs and survives a JSON round trip.
+// the structs and renders as valid JSON.
 TEST(ProfileTest, EveryCorpusAppProfilesWellFormed) {
   std::vector<core::Application> apps;
   for (corpus::CorpusEntry& entry : corpus::full_corpus()) {
@@ -280,12 +278,8 @@ TEST(ProfileTest, EveryCorpusAppProfilesWellFormed) {
       }
     }
     if (!report.profiled) continue;
-    const std::string rendered = profile::to_json(report.profile);
-    const auto parsed = jsonlite::parse(rendered);
-    ASSERT_TRUE(parsed.has_value()) << app.name;
-    const auto decoded = profile::from_json(*parsed);
-    ASSERT_TRUE(decoded.has_value()) << app.name;
-    EXPECT_EQ(profile::to_json(*decoded), rendered) << app.name;
+    EXPECT_TRUE(jsonlite::parse(profile::to_json(report.profile)).has_value())
+        << app.name;
   }
   EXPECT_GT(roots, 0u);
   EXPECT_GT(incomplete, 0u);

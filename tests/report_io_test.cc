@@ -89,7 +89,7 @@ TEST(ReportJson, EvidenceSerializedWhenPresent) {
 TEST(ReportText, EvidenceRendered) {
   const std::string text = to_text(evidence_report());
   EXPECT_NE(text.find("taint path:"), std::string::npos);
-  EXPECT_NE(text.find("symbol s_files_f_tmp  [upload.php:3]"),
+  EXPECT_NE(text.find("symbol   s_files_f_tmp  [upload.php:3]"),
             std::string::npos);
   EXPECT_NE(text.find("guarded by:"), std::string::npos);
   EXPECT_NE(text.find("(> s_size 10)  [upload.php:4]"), std::string::npos);
@@ -138,7 +138,7 @@ TEST(ReportJson, BalancedBracesAndQuotes) {
 
 TEST(ReportText, HumanReadable) {
   const std::string text = to_text(sample_report());
-  EXPECT_NE(text.find("verdict     : Vulnerable"), std::string::npos);
+  EXPECT_NE(text.find("\nverdict: Vulnerable\n"), std::string::npos);
   EXPECT_NE(text.find("8 paths"), std::string::npos);
   EXPECT_NE(text.find("move_uploaded_file at upload.php:7:5"),
             std::string::npos);
@@ -151,8 +151,67 @@ TEST(ReportText, WarningsShown) {
   r.budget_exhausted = true;
   r.parse_errors = 3;
   const std::string text = to_text(r);
-  EXPECT_NE(text.find("budget exhausted"), std::string::npos);
-  EXPECT_NE(text.find("3 parse error(s)"), std::string::npos);
+  EXPECT_NE(text.find("note: analysis budget exhausted"), std::string::npos);
+  EXPECT_NE(text.find("note: 3 parse error(s)"), std::string::npos);
+}
+
+// The wording the CLI rows match (scan_directory_solver_budget_ends_scan,
+// scan_directory_resolution_fixture) comes from to_text.
+TEST(ReportText, PrintsTheCliVerdictAndSolverBudgetNote) {
+  ScanReport r;
+  r.app_name = "fuzz";
+  r.verdict = Verdict::kAnalysisIncomplete;
+  r.solver_budget_exhausted = true;
+  r.budget_exhausted = true;
+  const std::string text = to_text(r);
+  EXPECT_NE(text.find("\nverdict: Analysis incomplete\n"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("note: solver budget exhausted ("), std::string::npos);
+  // The solver budget is the reason named; the path-budget note is not
+  // repeated.
+  EXPECT_EQ(text.find("note: analysis budget exhausted"), std::string::npos);
+}
+
+ScanReport linted_report() {
+  ScanReport r = sample_report();
+  r.parse_errors = 1;
+  r.roots = 2;
+  r.pruned_roots = 1;
+  staticpass::LintFinding lint;
+  lint.rule = "UC103";
+  lint.severity = staticpass::Severity::kWarning;
+  lint.location = "upload.php:4";
+  lint.message = "extension compared without strtolower()";
+  lint.evidence = "if ($ext == 'jpg')";
+  r.lints.push_back(std::move(lint));
+  return r;
+}
+
+TEST(ReportText, LintsOnlyWhenAsked) {
+  EXPECT_EQ(to_text(linted_report()).find("lint: ["), std::string::npos);
+  const std::string text = to_text(linted_report(), /*quiet=*/false,
+                                   /*lints=*/true);
+  EXPECT_NE(text.find("lint: [UC103/warning] upload.php:4: extension "
+                      "compared without strtolower()\n      if ($ext == "
+                      "'jpg')\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("note: static pass pruned 1 of 2 root(s)"),
+            std::string::npos);
+}
+
+TEST(ReportText, QuietDropsNotesButKeepsVerdictLintsAndFindings) {
+  ScanReport r = linted_report();
+  r.errors.push_back(ScanError{"interp", "upload.php", "injected fault", true});
+  const std::string text = to_text(r, /*quiet=*/true, /*lints=*/true);
+  EXPECT_EQ(text.find("note:"), std::string::npos) << text;
+  EXPECT_EQ(text.find("symbolic execution:"), std::string::npos);
+  EXPECT_EQ(text.rfind("error: [interp] upload.php: injected fault", 0), 0u)
+      << text;
+  EXPECT_NE(text.find("lint: [UC103/warning]"), std::string::npos);
+  EXPECT_NE(text.find("\nverdict: Vulnerable\n"), std::string::npos);
+  EXPECT_NE(text.find("move_uploaded_file at upload.php:7:5"),
+            std::string::npos);
 }
 
 TEST(VerdictSlug, AllValues) {
@@ -235,17 +294,18 @@ TEST(ReportText, DiagnosticsByPhaseShown) {
   ScanReport r = degraded_report();
   r.diagnostics_by_phase = {{"parse", 3}, {"", 1}};
   const std::string text = to_text(r);
-  EXPECT_NE(text.find("diagnostics : <unattributed>=1 parse=3"),
+  EXPECT_NE(text.find("diagnostics: <unattributed>=1 parse=3"),
             std::string::npos);
 }
 
 TEST(ReportText, DegradationShown) {
   const std::string text = to_text(degraded_report());
-  EXPECT_NE(text.find("verdict     : Analysis error"), std::string::npos);
+  EXPECT_NE(text.find("verdict: Analysis error"), std::string::npos);
   EXPECT_NE(text.find("deadline exceeded"), std::string::npos);
-  EXPECT_NE(text.find("[interp] upload.php: injected fault (transient)"),
+  EXPECT_NE(text.find("error: [interp] upload.php: injected fault (transient)"),
             std::string::npos);
-  EXPECT_NE(text.find("[solve] handler(): z3 blew up"), std::string::npos);
+  EXPECT_NE(text.find("error: [solve] handler(): z3 blew up"),
+            std::string::npos);
   EXPECT_NE(text.find("2 solver retries"), std::string::npos);
 }
 
@@ -343,6 +403,24 @@ TEST(ReportRoundTrip, RejectsDamagedInput) {
   // Truncation anywhere must not parse.
   const std::string whole = to_json(sample_report());
   EXPECT_FALSE(report_from_json(whole.substr(0, whole.size() / 2)).has_value());
+}
+
+// to_json always writes these four stats; a record without one is not a
+// report this engine wrote.
+TEST(ReportRoundTrip, RejectsAReportMissingAnAlwaysWrittenStat) {
+  const std::string whole = to_json(sample_report());
+  ASSERT_TRUE(report_from_json(whole).has_value());
+  for (const char* field : {"summary_cache_hits", "summary_pruned_roots",
+                            "escaped_calls", "accounted_bytes"}) {
+    const std::string key = std::string("\"") + field + "\": 0";
+    std::string json = whole;
+    const std::size_t pos = json.find(key);
+    ASSERT_NE(pos, std::string::npos) << field;
+    // Rename the key: the JSON stays well formed, the field is gone.
+    json.replace(pos + 1, 1, "x");
+    ASSERT_TRUE(jsonlite::parse(json).has_value()) << json;
+    EXPECT_FALSE(report_from_json(json).has_value()) << field;
+  }
 }
 
 }  // namespace

@@ -221,17 +221,6 @@ TEST(Telemetry, FleetPhaseStatsPipelineOrderFirst) {
   }
 }
 
-TEST(Telemetry, ProgressSinkReceivesLines) {
-  Telemetry telemetry;
-  telemetry.emit_progress("{\"dropped\": true}");  // no sink yet: no-op
-  std::vector<std::string> lines;
-  telemetry.set_progress_sink(
-      [&lines](const std::string& l) { lines.push_back(l); });
-  telemetry.emit_progress("{\"event\": \"app_done\"}");
-  ASSERT_EQ(lines.size(), 1u);
-  EXPECT_EQ(lines[0], "{\"event\": \"app_done\"}");
-}
-
 // --- export ---------------------------------------------------------------
 
 TEST(TraceExport, GoldenChromeTraceFormat) {
@@ -270,7 +259,7 @@ TEST(TraceExport, GoldenChromeTraceFormat) {
       "{\"detail\": \"during parse\"}}\n"
       "]}";
   EXPECT_EQ(json, expected);
-  EXPECT_TRUE(jsonlite::valid(json));
+  EXPECT_TRUE(jsonlite::parse(json).has_value());
 }
 
 TEST(TraceExport, MetricsJsonIsValid) {
@@ -281,7 +270,7 @@ TEST(TraceExport, MetricsJsonIsValid) {
   ScanTrace& trace = telemetry.begin_scan("app");
   trace.end_span(trace.begin_span("parse"));
   const std::string json = metrics_to_json(telemetry);
-  EXPECT_TRUE(jsonlite::valid(json)) << json;
+  EXPECT_TRUE(jsonlite::parse(json).has_value()) << json;
   EXPECT_NE(json.find("\"scan.count\": 2"), std::string::npos);
   EXPECT_NE(json.find("\"le\": \"inf\""), std::string::npos);
   EXPECT_NE(json.find("\"phase\": \"parse\""), std::string::npos);
@@ -289,8 +278,8 @@ TEST(TraceExport, MetricsJsonIsValid) {
 
 TEST(TraceExport, EmptyTelemetryIsValidJson) {
   const Telemetry telemetry;
-  EXPECT_TRUE(jsonlite::valid(to_chrome_trace_json(telemetry)));
-  EXPECT_TRUE(jsonlite::valid(metrics_to_json(telemetry)));
+  EXPECT_TRUE(jsonlite::parse(to_chrome_trace_json(telemetry)).has_value());
+  EXPECT_TRUE(jsonlite::parse(metrics_to_json(telemetry)).has_value());
 }
 
 // --- end to end -----------------------------------------------------------
@@ -351,7 +340,7 @@ TEST(TelemetryEndToEnd, AllFivePhasesTracedOnVulnerableApp) {
   }
 
   // The whole trace exports to valid Chrome trace JSON.
-  EXPECT_TRUE(jsonlite::valid(to_chrome_trace_json(telemetry)));
+  EXPECT_TRUE(jsonlite::parse(to_chrome_trace_json(telemetry)).has_value());
 }
 
 TEST(TelemetryEndToEnd, UnattachedScanRecordsNothing) {
