@@ -79,6 +79,19 @@ const corpus::CorpusEntry& sample_app() {
   return *entry;
 }
 
+// A crawl-sized plugin: a 30 kLoC synth_app, the upper size clamp of
+// scanbench's `crawl` workload.
+const Application& crawl_sized_app() {
+  static const auto* app = [] {
+    corpus::SynthSpec spec;
+    spec.name = "crawl-30k";
+    spec.filler_loc = 30000;
+    spec.filler_files = 3;
+    return new Application(corpus::synth_app(spec));
+  }();
+  return *app;
+}
+
 struct Parsed {
   SourceManager sources;
   DiagnosticSink diags;
@@ -87,9 +100,9 @@ struct Parsed {
   Program program;
 };
 
-Parsed parse_sample() {
+Parsed parse_app(const Application& app) {
   Parsed p;
-  for (const AppFile& f : sample_app().app.files) {
+  for (const AppFile& f : app.files) {
     const FileId id = p.sources.add_file(f.name, f.content);
     p.arenas.emplace_back();
     p.files.push_back(
@@ -100,6 +113,8 @@ Parsed parse_sample() {
   p.program = build_program(ptrs);
   return p;
 }
+
+Parsed parse_sample() { return parse_app(sample_app().app); }
 
 // Arena front end over the sample app: per file, one fresh arena and a
 // full lex+parse (files registered once outside the loop, statements
@@ -185,16 +200,27 @@ BENCHMARK(BM_ParseParallel)
     ->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
+// The span of scanbench's `callgraph` + `locality` layers over parsed
+// ASTs: the function registry, the call graph and the locality analysis.
+// Arg 0 is the sample app, arg 1 the crawl-sized plugin.
 void BM_CallGraphAndLocality(benchmark::State& state) {
-  Parsed p = parse_sample();
+  const Parsed p =
+      parse_app(state.range(0) == 0 ? sample_app().app : crawl_sized_app());
+  std::vector<const phpast::PhpFile*> ptrs;
+  for (const auto& f : p.files) ptrs.push_back(&f);
   for (auto _ : state) {
-    const CallGraph graph = build_call_graph(p.program);
-    const LocalityResult locality =
-        analyze_locality(p.program, graph, p.sources);
+    const Program program = build_program(ptrs);
+    const CallGraph graph = build_call_graph(program);
+    const LocalityResult locality = analyze_locality(program, graph, p.sources);
     benchmark::DoNotOptimize(locality.roots.size());
   }
+  state.counters["loc"] = static_cast<double>(p.sources.total_loc());
+  state.counters["functions"] = static_cast<double>(p.program.functions.size());
 }
-BENCHMARK(BM_CallGraphAndLocality)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CallGraphAndLocality)
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_SymbolicExecution(benchmark::State& state) {
   Parsed p = parse_sample();

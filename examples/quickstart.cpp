@@ -1,10 +1,12 @@
 // Quickstart: scan one PHP snippet with the public Detector API and
-// print the verdict with full source-level detail.
+// print its text report (core::to_text, what scan_directory prints):
+// stats, the verdict and each finding with its source line and witness.
 //
 //   $ ./build/examples/quickstart
 #include <cstdio>
 
 #include "core/detector/detector.h"
+#include "core/detector/report_io.h"
 
 int main() {
   using namespace uchecker::core;
@@ -24,25 +26,6 @@ if (strlen($_FILES['upload_file']['name']) > 5) {
   Detector detector;
   const ScanReport report = detector.scan(app);
 
-  std::printf("application : %s\n", report.app_name.c_str());
-  std::printf("verdict     : %s\n",
-              std::string(verdict_name(report.verdict)).c_str());
-  std::printf("LoC         : %llu (%.1f%% symbolically executed)\n",
-              static_cast<unsigned long long>(report.total_loc),
-              report.analyzed_percent);
-  std::printf("paths       : %zu, objects: %zu (%.1f objects/path)\n",
-              report.paths, report.objects, report.objects_per_path);
-  std::printf("solver calls: %zu, time: %.3fs\n\n", report.solver_calls,
-              report.seconds);
-
-  for (const Finding& f : report.findings) {
-    std::printf("FINDING: unrestricted file upload via %s\n",
-                f.sink_name.c_str());
-    std::printf("  at      %s\n", f.location.c_str());
-    std::printf("  code    %s\n", f.source_line.c_str());
-    std::printf("  e_dst   %s\n", f.dst_sexpr.c_str());
-    std::printf("  reach   %s\n", f.reach_sexpr.c_str());
-    std::printf("  witness %s\n", f.witness.c_str());
-  }
+  std::fputs(to_text(report).c_str(), stdout);
   return report.vulnerable() ? 0 : 1;
 }

@@ -1,6 +1,8 @@
 #include "core/callgraph/callgraph.h"
 
 #include <algorithm>
+#include <array>
+#include <unordered_map>
 
 #include "phpast/visitor.h"
 #include "support/strutil.h"
@@ -51,9 +53,11 @@ Program build_program(const std::vector<const phpast::PhpFile*>& files) {
       phpast::walk(*stmt, [&](const Node& node) {
         if (node.kind() == NodeKind::kFunctionDecl) {
           const auto& fn = static_cast<const phpast::FunctionDecl&>(node);
-          const std::string key = strutil::to_lower(fn.name);
-          program.functions.emplace(
-              key, Program::FunctionInfo{key, &fn, file->file});
+          std::string key = strutil::to_lower(fn.name);
+          const auto [it, inserted] = program.functions.try_emplace(key);
+          if (inserted) {
+            it->second = Program::FunctionInfo{std::move(key), &fn, file->file};
+          }
           return true;  // keep walking: nested declarations are legal PHP
         }
         if (node.kind() == NodeKind::kClassDecl) {
@@ -186,7 +190,7 @@ bool CallGraph::reaches_kind(NodeId from, CallGraphNode::Kind kind,
     visited[id] = true;
     if (nodes_[id].kind == kind) return true;
     for (NodeId child : nodes_[id].children) {
-      if (!use_admin_edges && admin_edges_.contains({id, child})) continue;
+      if (!use_admin_edges && admin_gated(id, child)) continue;
       stack.push_back(child);
     }
   }
@@ -207,7 +211,7 @@ std::vector<bool> CallGraph::reachable_from_files(bool use_admin_edges) const {
     stack.pop_back();
     for (NodeId child : nodes_[id].children) {
       if (visited[child]) continue;
-      if (!use_admin_edges && admin_edges_.contains({id, child})) continue;
+      if (!use_admin_edges && admin_gated(id, child)) continue;
       visited[child] = true;
       stack.push_back(child);
     }
@@ -255,14 +259,17 @@ class GraphBuilder {
  public:
   GraphBuilder(const Program& program, const SinkRegistry& sinks)
       : program_(program), sinks_(sinks) {
+    file_nodes_.reserve(program.files.size());
     for (const phpast::PhpFile* file : program.files) {
-      file_nodes_[file] =
-          graph_.add_node(CallGraphNode::Kind::kFile, file->name);
+      file_nodes_.emplace(
+          file, graph_.add_node(CallGraphNode::Kind::kFile, file->name));
     }
+    function_nodes_.reserve(program.functions.size());
     for (const auto& [name, info] : program.functions) {
       if (name != info.name) continue;  // a method's bare-name entry
-      function_nodes_[info.decl] = graph_.add_node(
-          CallGraphNode::Kind::kFunction, name, info.decl->loc());
+      function_nodes_.emplace(
+          info.decl, graph_.add_node(CallGraphNode::Kind::kFunction, name,
+                                     info.decl->loc()));
     }
   }
 
@@ -410,8 +417,7 @@ class GraphBuilder {
                            bool admin_gated) {
     const Program::FunctionInfo* fn = nullptr;
     if (arg.kind() == NodeKind::kStringLit) {
-      fn = program_.function(
-          strutil::to_lower(static_cast<const phpast::StringLit&>(arg).value));
+      fn = function_named(static_cast<const phpast::StringLit&>(arg).value);
     } else if (arg.kind() == NodeKind::kArrayLit) {
       const auto& lit = static_cast<const phpast::ArrayLit&>(arg);
       if (lit.items.size() != 2) return;
@@ -434,11 +440,25 @@ class GraphBuilder {
     if (fn != nullptr) graph_.add_edge(scope, node_of(*fn), admin_gated);
   }
 
+  // The registry entry a string literal names, case-insensitively. Most
+  // literals are not function names, so the common case lowercases into
+  // a stack buffer instead of allocating a string per literal.
+  const Program::FunctionInfo* function_named(std::string_view literal) const {
+    std::array<char, 128> buf;
+    if (literal.size() > buf.size()) {
+      return program_.function(strutil::to_lower(literal));
+    }
+    std::transform(literal.begin(), literal.end(), buf.begin(), [](char c) {
+      return (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c;
+    });
+    return program_.function(std::string_view(buf.data(), literal.size()));
+  }
+
   const Program& program_;
   const SinkRegistry& sinks_;
   CallGraph graph_;
-  std::map<const phpast::PhpFile*, NodeId> file_nodes_;
-  std::map<const phpast::FunctionDecl*, NodeId> function_nodes_;
+  std::unordered_map<const phpast::PhpFile*, NodeId> file_nodes_;
+  std::unordered_map<const phpast::FunctionDecl*, NodeId> function_nodes_;
   std::map<std::string, NodeId, std::less<>> sink_nodes_;
   NodeId files_node_ = kNoNode;
 };

@@ -120,6 +120,11 @@ class CallGraph {
 
   [[nodiscard]] bool reaches(NodeId from, NodeId to) const;
 
+  // Is the edge from -> to an admin-gated callback registration?
+  [[nodiscard]] bool admin_gated(NodeId from, NodeId to) const {
+    return admin_edges_.contains({from, to});
+  }
+
   // All special nodes reachable from `from`, split by kind. With
   // `use_admin_edges == false`, admin-gated callback registrations are
   // not traversed (the §VI admin-gating extension).

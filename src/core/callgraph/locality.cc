@@ -4,42 +4,106 @@
 
 #include "phpast/visitor.h"
 #include "support/fault_injector.h"
-#include "support/strutil.h"
 
 namespace uchecker::core {
 namespace {
-
-// Physical LoC between two 1-based lines of a file (inclusive), skipping
-// blank and pure-comment lines; mirrors SourceFile::loc_count().
-std::uint64_t loc_between(const SourceFile& file, std::uint32_t first,
-                          std::uint32_t last) {
-  std::uint64_t count = 0;
-  for (std::uint32_t i = first; i <= last && i <= file.line_count(); ++i) {
-    const std::string_view text = strutil::trim(file.line(i));
-    if (text.empty()) continue;
-    if (text.starts_with("//") || text.starts_with("#") ||
-        text.starts_with("*") || text.starts_with("/*")) {
-      continue;
-    }
-    ++count;
-  }
-  return count;
-}
 
 std::uint64_t function_body_loc(const phpast::FunctionDecl& fn,
                                 FileId file_id, const SourceManager& sources) {
   const SourceFile* file = sources.file(file_id);
   if (file == nullptr) return 0;
-  std::uint32_t first = fn.loc().line;
+  const std::uint32_t first = fn.loc().line;
+  if (first == 0) return 0;
   std::uint32_t last = first;
   for (const auto& stmt : fn.body) {
     last = std::max(last, phpast::max_line(*stmt));
   }
-  if (first == 0) return 0;
-  return loc_between(*file, first, last);
+  last = std::min(last, file->line_count());
+  std::uint64_t count = 0;
+  for (std::uint32_t i = first; i <= last; ++i) {
+    if (is_code_line(file->line(i))) ++count;
+  }
+  return count;
+}
+
+// What a node reaches, as a bit set.
+constexpr std::uint8_t kReachesFiles = 1;
+constexpr std::uint8_t kReachesSink = 2;
+
+std::uint8_t own_reach(const CallGraphNode& node) {
+  switch (node.kind) {
+    case CallGraphNode::Kind::kFilesAccess: return kReachesFiles;
+    case CallGraphNode::Kind::kSink: return kReachesSink;
+    default: return 0;
+  }
+}
+
+// Each node's reach bits, settled in one iterative post-order pass: a
+// node's bits are its own kind's or'ed with its children's. The graph is
+// acyclic (CallGraph::add_edge drops cycle-closing edges), so every
+// child is settled before its parent. With `skip_admin_edges`,
+// admin-gated edges are not followed, as in reaches_kind(..., false).
+std::vector<std::uint8_t> reach_bits(const CallGraph& graph,
+                                     bool skip_admin_edges) {
+  const std::size_t n = graph.node_count();
+  const auto follows = [&](NodeId from, NodeId to) {
+    return !skip_admin_edges || !graph.admin_gated(from, to);
+  };
+  std::vector<std::uint8_t> bits(n, 0);
+  std::vector<bool> seen(n, false);
+  // (node, index of its next child to visit)
+  std::vector<std::pair<NodeId, std::size_t>> stack;
+  for (NodeId start = 0; start < n; ++start) {
+    if (seen[start]) continue;
+    seen[start] = true;
+    stack.emplace_back(start, 0);
+    while (!stack.empty()) {
+      const NodeId id = stack.back().first;
+      const std::vector<NodeId>& children = graph.node(id).children;
+      std::size_t& next = stack.back().second;
+      if (next < children.size()) {
+        const NodeId child = children[next++];
+        if (!seen[child] && follows(id, child)) {
+          seen[child] = true;
+          stack.emplace_back(child, 0);
+        }
+        continue;
+      }
+      std::uint8_t b = own_reach(graph.node(id));
+      for (NodeId child : children) {
+        if (follows(id, child)) b |= bits[child];
+      }
+      bits[id] = b;
+      stack.pop_back();
+    }
+  }
+  return bits;
 }
 
 }  // namespace
+
+std::vector<NodeId> upload_candidates(const CallGraph& graph,
+                                      const LocalityOptions& options) {
+  const std::vector<std::uint8_t> bits =
+      reach_bits(graph, options.model_admin_gating);
+  const std::vector<bool> admin_only =
+      options.model_admin_gating ? graph.admin_only_nodes()
+                                 : std::vector<bool>(graph.node_count(), false);
+  std::vector<NodeId> candidates;
+  for (NodeId id = 0; id < graph.node_count(); ++id) {
+    const CallGraphNode::Kind kind = graph.node(id).kind;
+    if (kind != CallGraphNode::Kind::kFile &&
+        kind != CallGraphNode::Kind::kFunction) {
+      continue;
+    }
+    if (admin_only[id]) continue;  // §VI extension, see LocalityOptions
+    // With admin gating modeled, admin-gated callback edges do not count
+    // toward upload reachability either (a file whose only path to the
+    // sink runs through the admin menu is not an attack surface).
+    if (bits[id] == (kReachesFiles | kReachesSink)) candidates.push_back(id);
+  }
+  return candidates;
+}
 
 LocalityResult analyze_locality(const Program& program, const CallGraph& graph,
                                 const SourceManager& sources,
@@ -47,29 +111,7 @@ LocalityResult analyze_locality(const Program& program, const CallGraph& graph,
   FaultInjector::checkpoint("locality");
   LocalityResult result;
   result.total_loc = sources.total_loc();
-  const std::vector<bool> admin_only =
-      options.model_admin_gating ? graph.admin_only_nodes()
-                                 : std::vector<bool>(graph.node_count(), false);
-
-  // Candidates: file/function nodes that reach both a $_FILES access and
-  // a sink invocation.
-  std::vector<NodeId> candidates;
-  for (NodeId id = 0; id < graph.node_count(); ++id) {
-    const CallGraphNode& node = graph.node(id);
-    if (node.kind != CallGraphNode::Kind::kFile &&
-        node.kind != CallGraphNode::Kind::kFunction) {
-      continue;
-    }
-    if (admin_only[id]) continue;  // §VI extension, see LocalityOptions
-    // With admin gating modeled, admin-gated callback edges do not count
-    // toward upload reachability either (a file whose only path to the
-    // sink runs through the admin menu is not an attack surface).
-    const bool use_admin = !options.model_admin_gating;
-    if (graph.reaches_kind(id, CallGraphNode::Kind::kFilesAccess, use_admin) &&
-        graph.reaches_kind(id, CallGraphNode::Kind::kSink, use_admin)) {
-      candidates.push_back(id);
-    }
-  }
+  const std::vector<NodeId> candidates = upload_candidates(graph, options);
 
   // Minimal candidates: no *other* candidate is reachable from them.
   // (In the paper's tree setting this is exactly the unique LCA.)

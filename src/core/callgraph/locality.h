@@ -57,6 +57,14 @@ struct LocalityOptions {
   bool model_admin_gating = false;
 };
 
+// The file and function nodes that reach both a $_FILES access and a
+// sink, in node order: analyze_locality's roots are the minimal ones.
+// With `model_admin_gating`, admin-only nodes are not candidates and
+// admin-gated edges do not count toward reaching either. One post-order
+// pass over the (acyclic) graph settles both bits for every node.
+[[nodiscard]] std::vector<NodeId> upload_candidates(
+    const CallGraph& graph, const LocalityOptions& options = {});
+
 [[nodiscard]] LocalityResult analyze_locality(const Program& program,
                                               const CallGraph& graph,
                                               const SourceManager& sources,

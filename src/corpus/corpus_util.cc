@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "support/strutil.h"
+#include "support/source.h"
 
 namespace uchecker::corpus::detail {
 
@@ -12,10 +12,7 @@ std::size_t count_loc(const std::string& content) {
   while (start <= content.size()) {
     std::size_t end = content.find('\n', start);
     if (end == std::string::npos) end = content.size();
-    const std::string_view line =
-        strutil::trim(std::string_view(content).substr(start, end - start));
-    if (!line.empty() && !line.starts_with("//") && !line.starts_with("#") &&
-        !line.starts_with("*") && !line.starts_with("/*")) {
+    if (is_code_line(std::string_view(content).substr(start, end - start))) {
       ++count;
     }
     if (end == content.size()) break;

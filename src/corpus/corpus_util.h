@@ -7,7 +7,7 @@
 
 namespace uchecker::corpus::detail {
 
-// Physical LoC of a PHP source (same rules as SourceFile::loc_count()).
+// Physical LoC of a PHP source: its lines that is_code_line() accepts.
 [[nodiscard]] std::size_t count_loc(const std::string& content);
 
 // Appends deterministic filler files until the app reaches ~target LoC.

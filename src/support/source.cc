@@ -6,11 +6,27 @@
 
 namespace uchecker {
 
+bool is_code_line(std::string_view line) {
+  const std::string_view text = strutil::trim(line);
+  return !text.empty() && !text.starts_with("//") && !text.starts_with("#") &&
+         !text.starts_with("*") && !text.starts_with("/*");
+}
+
 SourceFile::SourceFile(FileId id, std::string name, std::string content)
     : id_(id), name_(std::move(name)), content_(std::move(content)) {
   line_offsets_.push_back(0);
   for (std::size_t i = 0; i < content_.size(); ++i) {
     if (content_[i] == '\n') line_offsets_.push_back(i + 1);
+  }
+  // A line's view keeps its '\n' (and the empty view after a final
+  // '\n'); is_code_line trims both away.
+  const std::string_view text(content_);
+  for (std::size_t i = 0; i < line_offsets_.size(); ++i) {
+    const std::size_t end =
+        i + 1 < line_offsets_.size() ? line_offsets_[i + 1] : text.size();
+    if (is_code_line(text.substr(line_offsets_[i], end - line_offsets_[i]))) {
+      ++loc_count_;
+    }
   }
 }
 
@@ -42,20 +58,6 @@ SourceLoc SourceFile::loc_for_offset(std::size_t offset) const {
   const auto line_idx = static_cast<std::uint32_t>(it - line_offsets_.begin());
   const std::size_t line_start = line_offsets_[line_idx - 1];
   return SourceLoc{id_, line_idx, static_cast<std::uint32_t>(offset - line_start + 1)};
-}
-
-std::uint32_t SourceFile::loc_count() const {
-  std::uint32_t count = 0;
-  for (std::uint32_t i = 1; i <= line_count(); ++i) {
-    const std::string_view text = strutil::trim(line(i));
-    if (text.empty()) continue;
-    if (text.starts_with("//") || text.starts_with("#") ||
-        text.starts_with("*") || text.starts_with("/*")) {
-      continue;
-    }
-    ++count;
-  }
-  return count;
 }
 
 FileId SourceManager::add_file(std::string name, std::string content) {

@@ -31,6 +31,12 @@ struct SourceLoc {
   friend bool operator==(const SourceLoc&, const SourceLoc&) = default;
 };
 
+// The physical-LoC line rule: a line counts as code unless, trimmed of
+// whitespace, it is empty or starts a comment ("//", "#", "*", "/*").
+// SourceFile::loc_count(), locality's per-function LoC and the corpus
+// generators' size targets all count lines with it.
+[[nodiscard]] bool is_code_line(std::string_view line);
+
 // One registered source file. Owns the content; hands out string_views
 // that remain valid for the lifetime of the SourceManager.
 class SourceFile {
@@ -57,15 +63,17 @@ class SourceFile {
     return line_offsets_;
   }
 
-  // Counts "physical lines of code": non-empty lines that are not pure
-  // comment lines. Used by the locality-analysis LoC accounting.
-  [[nodiscard]] std::uint32_t loc_count() const;
+  // "Physical lines of code": the lines is_code_line() accepts. Counted
+  // once, when the file is registered, so reading it is free and safe
+  // from any thread. Used by the locality-analysis LoC accounting.
+  [[nodiscard]] std::uint32_t loc_count() const { return loc_count_; }
 
  private:
   FileId id_;
   std::string name_;
   std::string content_;
   std::vector<std::size_t> line_offsets_;  // byte offset of each line start
+  std::uint32_t loc_count_ = 0;
 };
 
 // Registry of all files in a scan. Append-only; FileIds are stable, and

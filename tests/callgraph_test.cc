@@ -2,10 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/callgraph/locality.h"
+#include "core/detector/detector.h"
+#include "corpus/corpus.h"
+#include "phpast/visitor.h"
 #include "phpparse/parser.h"
+#include "program_generator.h"
 #include "support/diag.h"
 #include "support/source.h"
+#include "support/strutil.h"
 
 namespace uchecker::core {
 namespace {
@@ -20,12 +27,23 @@ struct Fixture {
   LocalityResult locality;
 
   Fixture(std::initializer_list<std::pair<std::string, std::string>> sources_in) {
-    for (const auto& [name, content] : sources_in) {
-      const FileId id = sources.add_file(name, content);
-      arenas.emplace_back();
-      files.push_back(
-          phpparse::parse_php(*sources.file(id), diags, arenas.back()));
-    }
+    for (const auto& [name, content] : sources_in) add(name, content);
+    build();
+  }
+
+  explicit Fixture(const Application& app) {
+    for (const AppFile& file : app.files) add(file.name, file.content);
+    build();
+  }
+
+  void add(const std::string& name, const std::string& content) {
+    const FileId id = sources.add_file(name, content);
+    arenas.emplace_back();
+    files.push_back(
+        phpparse::parse_php(*sources.file(id), diags, arenas.back()));
+  }
+
+  void build() {
     std::vector<const phpast::PhpFile*> ptrs;
     for (const auto& f : files) ptrs.push_back(&f);
     program = build_program(ptrs);
@@ -363,6 +381,130 @@ function store() {
   const LocalityResult gated =
       analyze_locality(plain.program, plain.graph, plain.sources, options);
   EXPECT_TRUE(gated.roots.empty());
+}
+
+// The locality search the single reach pass replaced, kept as the
+// oracle: two CallGraph::reaches_kind searches per file and function
+// node, then the minimal-candidate step and the root records, with LoC
+// counted by the line rule written out in full.
+std::vector<NodeId> candidates_by_search(const CallGraph& graph,
+                                         bool gating) {
+  const std::vector<bool> admin_only =
+      gating ? graph.admin_only_nodes()
+             : std::vector<bool>(graph.node_count(), false);
+  std::vector<NodeId> out;
+  for (NodeId id = 0; id < graph.node_count(); ++id) {
+    const CallGraphNode::Kind kind = graph.node(id).kind;
+    if ((kind != CallGraphNode::Kind::kFile &&
+         kind != CallGraphNode::Kind::kFunction) ||
+        admin_only[id]) {
+      continue;
+    }
+    if (graph.reaches_kind(id, CallGraphNode::Kind::kFilesAccess, !gating) &&
+        graph.reaches_kind(id, CallGraphNode::Kind::kSink, !gating)) {
+      out.push_back(id);
+    }
+  }
+  return out;
+}
+
+std::uint64_t loc_between(const SourceFile& file, std::uint32_t first,
+                          std::uint32_t last) {
+  std::uint64_t count = 0;
+  for (std::uint32_t i = first; i <= last && i <= file.line_count(); ++i) {
+    const std::string_view text = strutil::trim(file.line(i));
+    if (text.empty() || text.starts_with("//") || text.starts_with("#") ||
+        text.starts_with("*") || text.starts_with("/*")) {
+      continue;
+    }
+    ++count;
+  }
+  return count;
+}
+
+std::vector<AnalysisRoot> roots_by_search(const Fixture& f, bool gating) {
+  const std::vector<NodeId> candidates = candidates_by_search(f.graph, gating);
+  std::vector<AnalysisRoot> roots;
+  for (NodeId c : candidates) {
+    const bool has_lower = std::any_of(
+        candidates.begin(), candidates.end(),
+        [&](NodeId other) { return other != c && f.graph.reaches(c, other); });
+    if (has_lower) continue;
+    const CallGraphNode& node = f.graph.node(c);
+    AnalysisRoot root;
+    root.node = c;
+    if (node.kind == CallGraphNode::Kind::kFile) {
+      const auto it = std::find_if(
+          f.program.files.begin(), f.program.files.end(),
+          [&](const phpast::PhpFile* file) { return file->name == node.name; });
+      if (it == f.program.files.end()) continue;
+      root.file = *it;
+      const SourceFile* sf = f.sources.file_by_name(node.name);
+      root.body_loc = loc_between(*sf, 1, sf->line_count());
+    } else {
+      const Program::FunctionInfo* fn = f.program.function(node.name);
+      if (fn == nullptr) continue;
+      root.function = fn->decl;
+      root.binding_call = node.binding_call;
+      const std::uint32_t first = fn->decl->loc().line;
+      std::uint32_t last = first;
+      for (const auto& stmt : fn->decl->body) {
+        last = std::max(last, phpast::max_line(*stmt));
+      }
+      root.body_loc =
+          first == 0 ? 0 : loc_between(*f.sources.file(fn->file), first, last);
+    }
+    roots.push_back(root);
+  }
+  return roots;
+}
+
+TEST(Locality, ReachBitsMatchPerNodeSearch) {
+  std::vector<Application> apps;
+  for (const corpus::CorpusEntry& e : corpus::full_corpus()) {
+    apps.push_back(e.app);
+  }
+  for (const corpus::CorpusEntry& e : corpus::helper_sink_suite()) {
+    apps.push_back(e.app);
+  }
+  for (unsigned seed = 1; seed <= 40; ++seed) {
+    Application app;
+    app.name = "fuzz-" + std::to_string(seed);
+    app.files.push_back(
+        {"fuzz.php", testing_fuzz::ProgramGenerator(seed).generate()});
+    apps.push_back(std::move(app));
+  }
+  std::size_t roots = 0;
+  std::size_t gating_dropped = 0;
+  for (const Application& app : apps) {
+    const Fixture f(app);
+    std::size_t plain_candidates = 0;
+    for (const bool gating : {false, true}) {
+      SCOPED_TRACE(app.name + (gating ? " (admin gating)" : ""));
+      LocalityOptions options;
+      options.model_admin_gating = gating;
+      const std::vector<NodeId> candidates = upload_candidates(f.graph, options);
+      EXPECT_EQ(candidates, candidates_by_search(f.graph, gating));
+      if (!gating) plain_candidates = candidates.size();
+      if (gating && candidates.size() < plain_candidates) ++gating_dropped;
+
+      const LocalityResult got =
+          analyze_locality(f.program, f.graph, f.sources, options);
+      const std::vector<AnalysisRoot> want = roots_by_search(f, gating);
+      ASSERT_EQ(got.roots.size(), want.size());
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(got.roots[i].node, want[i].node);
+        EXPECT_EQ(got.roots[i].file, want[i].file);
+        EXPECT_EQ(got.roots[i].function, want[i].function);
+        EXPECT_EQ(got.roots[i].binding_call, want[i].binding_call);
+        EXPECT_EQ(got.roots[i].body_loc, want[i].body_loc);
+      }
+      roots += want.size();
+    }
+  }
+  EXPECT_GT(roots, apps.size());
+  // The admin-gated Table III apps lose candidates: both settings ran.
+  EXPECT_GT(gating_dropped, 0u);
 }
 
 }  // namespace

@@ -59,6 +59,45 @@ TEST(SourceFile, LocCountSkipsBlanksAndComments) {
   EXPECT_EQ(f->loc_count(), 2u);  // "<?php" and "$x = 1;"
 }
 
+TEST(SourceFile, LocCountMatchesLineRule) {
+  EXPECT_TRUE(is_code_line("$x = 1;"));
+  EXPECT_TRUE(is_code_line("  $x = 1; // trailing comment\r"));
+  EXPECT_FALSE(is_code_line(""));
+  EXPECT_FALSE(is_code_line(" \t\r"));
+  EXPECT_FALSE(is_code_line("  // comment"));
+  EXPECT_FALSE(is_code_line("# comment"));
+  EXPECT_FALSE(is_code_line(" * doc line"));
+  EXPECT_FALSE(is_code_line("/* block"));
+
+  SourceManager sm;
+  struct Case {
+    const char* name;
+    const char* content;
+    std::uint32_t loc;
+  };
+  const Case cases[] = {
+      {"empty.php", "", 0},
+      {"blank.php", "\n\n  \n", 0},
+      {"crlf.php", "<?php\r\n\r\n// c\r\n$a = 1;\r\n", 2},
+      {"no_final_newline.php", "<?php\n$a = 1;\n$b = 2;", 3},
+      {"comments.php",
+       "<?php\n# hash\n/* open\n * middle\n */\n// slashes\n$c = 3;\n", 2},
+      {"only_comment_no_newline.php", "// just a comment", 0},
+  };
+  std::uint64_t sum = 0;
+  for (const Case& c : cases) {
+    const SourceFile* f = sm.file(sm.add_file(c.name, c.content));
+    std::uint32_t by_rule = 0;
+    for (std::uint32_t i = 1; i <= f->line_count(); ++i) {
+      if (is_code_line(f->line(i))) ++by_rule;
+    }
+    EXPECT_EQ(f->loc_count(), c.loc) << c.name;
+    EXPECT_EQ(f->loc_count(), by_rule) << c.name;
+    sum += f->loc_count();
+  }
+  EXPECT_EQ(sm.total_loc(), sum);
+}
+
 TEST(SourceManager, FileLookup) {
   SourceManager sm;
   const FileId a = sm.add_file("a.php", "x");

@@ -7,7 +7,7 @@
 #include "core/detector/detector.h"
 #include "corpus/corpus.h"
 #include "phpparse/parser.h"
-#include "support/strutil.h"
+#include "support/source.h"
 
 namespace uchecker::corpus {
 namespace {
@@ -22,10 +22,7 @@ std::size_t count_loc(const std::string& content) {
   while (start <= content.size()) {
     std::size_t end = content.find('\n', start);
     if (end == std::string::npos) end = content.size();
-    const std::string_view line =
-        uchecker::strutil::trim(std::string_view(content).substr(start, end - start));
-    if (!line.empty() && !line.starts_with("//") && !line.starts_with("#") &&
-        !line.starts_with("*") && !line.starts_with("/*")) {
+    if (is_code_line(std::string_view(content).substr(start, end - start))) {
       ++n;
     }
     if (end == content.size()) break;

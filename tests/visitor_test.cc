@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "phpast/printer.h"
 #include "phpparse/parser.h"
 #include "support/diag.h"
@@ -88,6 +91,51 @@ for ($i = 0; $i < 3; $i++) { $t = $i; }
     });
   }
   EXPECT_GT(vars, 12u);
+}
+
+// A stateful functor, not a lambda: passed as an lvalue, it must be the
+// object the traversal calls, so its count is visible afterwards. A
+// traversal that copied the callable would leave `visited` at zero.
+struct CountingVisitor {
+  std::size_t visited = 0;
+  std::vector<NodeKind> order;
+  bool prune_functions = false;
+
+  bool operator()(const Node& n) {
+    ++visited;
+    order.push_back(n.kind());
+    return !(prune_functions && n.kind() == NodeKind::kFunctionDecl);
+  }
+};
+
+TEST(Visitor, WalkKeepsCallerState) {
+  const PhpFile file = parse("<?php $a = f($b + 1, 'x');");
+  CountingVisitor counter;
+  walk(*file.statements.at(0), counter);
+  EXPECT_EQ(counter.visited, 8u);
+  EXPECT_EQ(counter.visited, count_nodes(file));
+  ASSERT_GE(counter.order.size(), 4u);
+  EXPECT_EQ(counter.order[0], NodeKind::kExprStmt);  // pre-order
+  EXPECT_EQ(counter.order[1], NodeKind::kAssign);
+  EXPECT_EQ(counter.order[2], NodeKind::kVariable);
+  EXPECT_EQ(counter.order[3], NodeKind::kCall);
+
+  // for_each_child calls the same object once per direct child.
+  CountingVisitor children;
+  for_each_child(*file.statements.at(0), children);
+  EXPECT_EQ(children.visited, 1u);  // just the Assign
+
+  // Pruning on false: the declaration is visited, its body is not.
+  const PhpFile decl = parse("<?php function g() { $inner = 1; } $outer = 2;");
+  CountingVisitor pruning;
+  pruning.prune_functions = true;
+  for (const auto& stmt : decl.statements) walk(*stmt, pruning);
+  // FunctionDecl, then ExprStmt, Assign, $outer, 2.
+  EXPECT_EQ(pruning.visited, 5u);
+  EXPECT_EQ(pruning.order.front(), NodeKind::kFunctionDecl);
+  EXPECT_EQ(std::count(pruning.order.begin(), pruning.order.end(),
+                       NodeKind::kVariable),
+            1);
 }
 
 TEST(Visitor, MinMaxLine) {
